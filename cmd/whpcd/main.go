@@ -10,15 +10,11 @@
 //	      [-snapshot-dir DIR] [-cache-size 256] [-study-cache 4]
 //	      [-max-inflight 64] [-rate 0] [-burst 8] [-timeout 30s]
 //	      [-drain-timeout 15s] [-quiet]
-//	      [-cluster-shards 0] [-cluster-workers N] [-cluster-replicas 2]
 //
-// With -cluster-shards N (N > 0), /v1/query executes in cluster mode:
-// each study's frames are split into N partition-aligned shards placed on
-// in-process workers via a consistent-hash ring with replicas, the query
-// is scattered to every shard, and the partial results are merged
-// deterministically — byte-identical to single-process execution. A worker
-// failure mid-query retries on the next replica; only when every replica
-// of a shard is gone does the request fail, with a typed 503.
+// POST /v1/query runs an ad-hoc columnar query spec; POST /v1/trend and
+// POST /v1/cite serve the longitudinal and citation-flow exhibit views as
+// CSV. All three execute in-process on the query engine, which already
+// splits every scan into fixed partitions across GOMAXPROCS workers.
 //
 // With -snapshot-dir, pristine studies warm-boot from <corpus>-<seed>.whpcsnap
 // files (written by synthgen -snap or whpc -snapshot-out) instead of
@@ -70,9 +66,6 @@ func run() error {
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		drain       = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain budget")
 		quiet       = flag.Bool("quiet", false, "disable the JSON access log on stderr")
-		shards      = flag.Int("cluster-shards", 0, "enable cluster mode: split each study into this many shards for federated /v1/query execution (0 disables)")
-		workers     = flag.Int("cluster-workers", 0, "shard worker count in cluster mode (default = -cluster-shards)")
-		replicas    = flag.Int("cluster-replicas", 0, "replicas per shard in cluster mode (default 2, capped at workers)")
 	)
 	flag.Parse()
 
@@ -87,10 +80,6 @@ func run() error {
 		RateBurst:      *burst,
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drain,
-
-		ClusterShards:   *shards,
-		ClusterWorkers:  *workers,
-		ClusterReplicas: *replicas,
 	}
 	if !*quiet {
 		cfg.AccessLog = os.Stderr
@@ -104,6 +93,7 @@ func run() error {
 		return err
 	}
 
+	//whpcvet:ignore ctxflow main is the root of every context; signals are its only cancellation source
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

@@ -46,13 +46,6 @@ const (
 	// the wait (latency-spike injection for code that sleeps on an
 	// injected resilience.Clock).
 	PointClock = "clock.advance"
-	// PointScatter fires once per shard subquery attempt inside the
-	// federation coordinator, before the shard scan runs (so a fault
-	// replaces that attempt's partial and exercises the replica retry).
-	PointScatter = "shard.scatter"
-	// PointMerge fires once per federated query, after every shard
-	// partial has been gathered and before the deterministic merge.
-	PointMerge = "shard.merge"
 	// PointIngestLookup fires once per bibliometric lookup attempt inside
 	// the harvest worker chain (internal/ingest), upstream of the
 	// per-service faulty.Injector.
@@ -70,8 +63,7 @@ func Points() []string {
 	return []string{
 		PointRequest, PointRender, PointMaterialize,
 		PointSnapRead, PointSnapDecode, PointClock,
-		PointScatter, PointMerge, PointIngestLookup,
-		PointDeltaApply,
+		PointIngestLookup, PointDeltaApply,
 	}
 }
 

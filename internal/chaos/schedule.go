@@ -226,20 +226,6 @@ func SnapProfile() Profile {
 	}
 }
 
-// ShardProfile targets the federation coordinator: shard subquery
-// attempts (errors, latency, panics and cancels all exercise the
-// retry-on-replica path) and the pre-merge barrier.
-func ShardProfile() Profile {
-	return Profile{
-		Name:    "shard",
-		Points:  []string{PointScatter, PointMerge},
-		Kinds:   []Kind{KindError, KindLatency, KindPanic, KindCancel},
-		Faults:  8,
-		Horizon: 32,
-		Latency: time.Millisecond,
-	}
-}
-
 // IngestProfile targets the harvest worker chain's lookup point.
 func IngestProfile() Profile {
 	return Profile{

@@ -111,6 +111,7 @@ func (g *Graph) Components() [][]dataset.PersonID {
 			for n := range g.adj[cur] {
 				if !seen[n] {
 					seen[n] = true
+					//whpcvet:ignore maporder visit order only permutes comp, which is sorted once the component is complete
 					queue = append(queue, n)
 				}
 			}

@@ -31,10 +31,9 @@ import (
 //     grow a ctx parameter instead.
 func CtxFlowAnalyzer() *Analyzer {
 	return &Analyzer{
-		Name:  "ctxflow",
-		Doc:   "context.Context must be threaded through call paths, not rebuilt or stored",
-		Scope: []string{"internal/serve", "internal/query", "internal/ingest", "internal/shard", "internal/delta", "internal/cite"},
-		Run:   runCtxFlow,
+		Name: "ctxflow",
+		Doc:  "context.Context must be threaded through call paths, not rebuilt or stored",
+		Run:  runCtxFlow,
 	}
 }
 

@@ -337,9 +337,16 @@ func suppress(pkgs []*Package, findings []Finding, active map[string]bool) []Fin
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
+	// Walk files in sorted order so the findings this adds come out in the
+	// same order on every run, independent of Vet's final sort.
+	files := make([]string, 0, len(ignores))
+	for file := range ignores {
+		files = append(files, file)
+	}
+	sort.Strings(files)
 	valid := make(map[string][]*ignoreDirective)
-	for file, ds := range ignores {
-		for _, d := range ds {
+	for _, file := range files {
+		for _, d := range ignores[file] {
 			switch {
 			case len(d.rules) == 0:
 				extra = append(extra, Finding{
@@ -376,8 +383,8 @@ func suppress(pkgs []*Package, findings []Finding, active map[string]bool) []Fin
 	}
 	findings = kept
 	if active["staleignore"] {
-		for _, ds := range valid {
-			for _, d := range ds {
+		for _, file := range files {
+			for _, d := range valid[file] {
 				if d.used {
 					continue
 				}

@@ -218,13 +218,16 @@ func Bad(m map[string]int) []string {
 	return out
 }
 `
-	pkg, err := LoadSource("repro/internal/stats", map[string]string{"fixture.go": src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// internal/stats is outside the maporder scope; the driver must skip it.
-	if got := Vet([]*Package{pkg}, []*Analyzer{MapOrderAnalyzer()}); len(got) != 0 {
-		t.Errorf("maporder ran outside its scope: %v", got)
+	// maporder's scope is the whole module: packages outside the old
+	// exhibit-path list, like internal/stats, are checked too.
+	for _, path := range []string{"repro/internal/stats", "repro/internal/lint", "repro"} {
+		pkg, err := LoadSource(path, map[string]string{"fixture.go": src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Vet([]*Package{pkg}, []*Analyzer{MapOrderAnalyzer()}); len(got) != 1 {
+			t.Errorf("%s: maporder findings = %v, want the one append", path, got)
+		}
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 // failures the resilience layer exists to prevent.
 func LockSafeAnalyzer() *Analyzer {
 	return &Analyzer{
-		Name:  "locksafe",
-		Doc:   "flag callbacks and channel operations executed while a sync mutex is held in internal/resilience, internal/ingest, internal/serve, internal/obs, internal/query, internal/snap, internal/chaos and internal/shard",
-		Scope: []string{"internal/resilience", "internal/ingest", "internal/serve", "internal/obs", "internal/query", "internal/snap", "internal/chaos", "internal/shard", "internal/delta", "internal/cite", "internal/leakcheck", "cmd/*"},
-		Run:   runLockSafe,
+		Name: "locksafe",
+		Doc:  "flag callbacks and channel operations executed while a sync mutex is held",
+		Run:  runLockSafe,
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 // are sorted later in the same block is clean.
 func MapOrderAnalyzer() *Analyzer {
 	return &Analyzer{
-		Name:  "maporder",
-		Doc:   "flag order-sensitive bodies (append/output/send/float accumulation) under range-over-map without a subsequent sort",
-		Scope: []string{"internal/report", "internal/synth", "internal/core", "internal/ingest", "internal/serve", "internal/obs", "internal/query", "internal/snap", "internal/chaos", "internal/shard", "internal/delta", "internal/cite", "internal/leakcheck", "cmd/*"},
-		Run:   runMapOrder,
+		Name: "maporder",
+		Doc:  "flag order-sensitive bodies (append/output/send/float accumulation) under range-over-map without a subsequent sort",
+		Run:  runMapOrder,
 	}
 }
 

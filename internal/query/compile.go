@@ -697,3 +697,21 @@ func tokenForValue(col *Column, v any) (tok uint64, label string, ok bool, err e
 // intToken maps an int64 key value to a non-zero token (zero is reserved
 // for null).
 func intToken(v int64) uint64 { return uint64(v)*2 + 1 }
+
+// floatToken maps a float64 to a non-zero token that keeps cmpValue's
+// order: every NaN first (token 1), then numbers ascending, with -0 and +0
+// equal. Floats are never group keys, so no token is decoded back; a
+// projected float column only needs one per cell.
+func floatToken(v float64) uint64 {
+	if math.IsNaN(v) {
+		return 1
+	}
+	b := math.Float64bits(v)
+	if b == 1<<63 {
+		b = 0 // fold -0 into +0
+	}
+	if b>>63 != 0 {
+		return ^b // negatives: larger magnitude, smaller token
+	}
+	return b | 1<<63
+}

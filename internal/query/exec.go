@@ -109,6 +109,8 @@ func token(col *Column, row int) uint64 {
 			return 2
 		}
 		return 1
+	case TFloat:
+		return floatToken(col.Floats[row])
 	default:
 		return intToken(col.Ints[row])
 	}
@@ -545,9 +547,9 @@ func tokensEqual(a, b []uint64) bool {
 // scanGrouped runs the partitioned parallel scan, returning one
 // accumulator set per fixed-width partition, in partition-index order. No
 // merging happens here: the merge order is the single determinism-bearing
-// step and is fixed by mergeGrouped, which lets a federation coordinator
-// splice partials from many shards into the exact global partition
-// sequence a single process would have walked.
+// step and is fixed by mergeGrouped, which lets MergeRun splice partials
+// from many frame slices into the exact global partition sequence a single
+// scan would have walked.
 func scanGrouped(p *plan) []*accSet {
 	n := p.f.NumRows
 	parts := (n + partitionRows - 1) / partitionRows
@@ -589,7 +591,7 @@ func scanGrouped(p *plan) []*accSet {
 // mergeGrouped folds per-partition accumulator sets into one global set,
 // in the order given, and applies the empty-result rules. Sequential merge
 // in partition-index order: the only ordering that matters is fixed here,
-// not in the scheduler (or, federated, in the shard scatter).
+// not in the scheduler.
 func mergeGrouped(p *plan, partitions []*accSet) (*accSet, error) {
 	global := newAccSet(p)
 	for _, part := range partitions {
@@ -721,8 +723,8 @@ type execRow struct {
 // Run executes q against fs. The result is deterministic: identical input
 // bytes yield identical output bytes at any GOMAXPROCS. Run is exactly
 // ExecPartial followed by MergeRun over the single resulting partial, so
-// the federated scatter-gather path (internal/shard) is byte-identical to
-// single-process execution by construction, not by coincidence.
+// merging the partials of aligned frame slices is byte-identical to one
+// scan by construction, not by coincidence.
 func Run(fs *FrameSet, q *Query) (*Result, error) {
 	p, err := compile(fs, q)
 	if err != nil {

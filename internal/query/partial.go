@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// PartitionRows is the fixed scan partition width, exported so shard
-// boundaries can be aligned to it. A federated scan is byte-identical to a
-// single-process scan only when every shard starts on a partition
-// boundary: the coordinator then merges per-partition partials in global
+// PartitionRows is the fixed scan partition width, exported so slice
+// boundaries can be aligned to it. Scanning frame slices separately is
+// byte-identical to one scan only when every slice starts on a partition
+// boundary: MergeRun then merges per-partition partials in global
 // partition order, reproducing the exact addition tree of one process.
 const PartitionRows = partitionRows
 

@@ -421,3 +421,21 @@ func TestJSONEncodingHandlesNaN(t *testing.T) {
 		t.Errorf("expected NaN cells in CSV: %s", csvB)
 	}
 }
+
+// TestFloatTokenKeepsOrder: float scan tokens are non-zero (zero is null)
+// and order exactly as cmpValue orders the values — NaN first, -0 == +0.
+func TestFloatTokenKeepsOrder(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(-1), -1.5, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e-300, 2, math.MaxFloat64, math.Inf(1)}
+	for i, a := range vals {
+		if floatToken(a) == 0 {
+			t.Fatalf("floatToken(%g) = 0, the null token", a)
+		}
+		for _, b := range vals[i:] {
+			want := cmpValue(Value{Kind: TFloat, F: a}, Value{Kind: TFloat, F: b})
+			if got := cmpUint64(floatToken(a), floatToken(b)); got != want {
+				t.Errorf("token order of (%g, %g) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}

@@ -256,50 +256,69 @@ func TestChaosPanicContainment(t *testing.T) {
 
 // TestChaosStaleWhileRevalidate: when a re-render fails after the cache was
 // purged, the stale store serves the previous (byte-identical) bytes with a
-// Warning header and the stale outcome, instead of failing the request.
+// Warning header, the stale outcome and an error-log line, instead of
+// failing the request — on the GET exhibit routes and the POST query routes
+// alike.
 func TestChaosStaleWhileRevalidate(t *testing.T) {
-	leakcheck.Check(t)
-	inj := chaos.NewScheduled(&chaos.Schedule{Triggers: []chaos.Trigger{
-		{Point: chaos.PointRender, Hit: 2, Fault: chaos.Fault{Kind: chaos.KindError}},
-	}})
-	var errLog strings.Builder
-	s := newTestServer(t, func(c *Config) {
-		c.Chaos = inj
-		c.Metrics = obs.NewRegistry()
-		c.ErrorLog = &errLog
-	})
-	first := get(t, s, "/v1/report")
-	if first.Code != http.StatusOK {
-		t.Fatalf("first render = %d: %s", first.Code, first.Body.String())
-	}
-	s.PurgeExhibitCache()
-	if got := s.cache.StaleLen(); got == 0 {
-		t.Fatal("purge spilled nothing into the stale store")
-	}
-	stale := get(t, s, "/v1/report")
-	if stale.Code != http.StatusOK {
-		t.Fatalf("stale serve = %d, want 200: %s", stale.Code, stale.Body.String())
-	}
-	if got := stale.Header().Get("X-Cache"); got != CacheStale {
-		t.Fatalf("X-Cache = %q, want %q", got, CacheStale)
-	}
-	if stale.Header().Get("Warning") == "" {
-		t.Fatal("stale response missing Warning header")
-	}
-	if stale.Body.String() != first.Body.String() {
-		t.Fatal("stale bytes diverged from the original render")
-	}
-	if got := s.met.staleServes.Value(); got != 1 {
-		t.Fatalf("whpcd_stale_serves_total = %d, want 1", got)
-	}
-	if !strings.Contains(errLog.String(), "stale serve") {
-		t.Fatalf("error log missing stale-serve line: %q", errLog.String())
-	}
-	// The stale copy is still there; a third request (no fault armed)
-	// re-renders, and the fresh insert supersedes it.
-	third := get(t, s, "/v1/report")
-	if third.Code != http.StatusOK || third.Header().Get("X-Cache") != CacheMiss {
-		t.Fatalf("recovery render = (%d, %s), want (200, miss)", third.Code, third.Header().Get("X-Cache"))
+	for _, step := range []chaosStep{
+		{"GET", "/v1/report", ""},
+		{"POST", "/v1/query", chaosQuerySpec},
+		{"POST", "/v1/trend", `{"view":"retention"}`},
+		{"POST", "/v1/cite", ""},
+	} {
+		t.Run(step.method+" "+step.target, func(t *testing.T) {
+			leakcheck.Check(t)
+			inj := chaos.NewScheduled(&chaos.Schedule{Triggers: []chaos.Trigger{
+				{Point: chaos.PointRender, Hit: 2, Fault: chaos.Fault{Kind: chaos.KindError}},
+			}})
+			var errLog strings.Builder
+			s := newTestServer(t, func(c *Config) {
+				c.Chaos = inj
+				c.Metrics = obs.NewRegistry()
+				c.ErrorLog = &errLog
+			})
+			do := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(step.method, step.target, strings.NewReader(step.body)))
+				return rec
+			}
+			first := do()
+			if first.Code != http.StatusOK {
+				t.Fatalf("first render = %d: %s", first.Code, first.Body.String())
+			}
+			s.PurgeExhibitCache()
+			if got := s.cache.StaleLen(); got == 0 {
+				t.Fatal("purge spilled nothing into the stale store")
+			}
+			stale := do()
+			if stale.Code != http.StatusOK {
+				t.Fatalf("stale serve = %d, want 200: %s", stale.Code, stale.Body.String())
+			}
+			if got := stale.Header().Get("X-Cache"); got != CacheStale {
+				t.Fatalf("X-Cache = %q, want %q", got, CacheStale)
+			}
+			if stale.Header().Get("Warning") == "" {
+				t.Fatal("stale response missing Warning header")
+			}
+			if got, want := stale.Header().Get("Content-Type"), first.Header().Get("Content-Type"); got != want {
+				t.Fatalf("stale Content-Type = %q, want %q", got, want)
+			}
+			if stale.Body.String() != first.Body.String() {
+				t.Fatal("stale bytes diverged from the original render")
+			}
+			if got := s.met.staleServes.Value(); got != 1 {
+				t.Fatalf("whpcd_stale_serves_total = %d, want 1", got)
+			}
+			if !strings.Contains(errLog.String(), "stale serve") {
+				t.Fatalf("error log missing stale-serve line: %q", errLog.String())
+			}
+			// The stale copy is still there; a third request (no fault
+			// armed) re-renders, and the fresh insert supersedes it.
+			third := do()
+			if third.Code != http.StatusOK || third.Header().Get("X-Cache") != CacheMiss {
+				t.Fatalf("recovery render = (%d, %s), want (200, miss)", third.Code, third.Header().Get("X-Cache"))
+			}
+		})
 	}
 }
 

@@ -3,10 +3,8 @@ package serve
 import (
 	"bytes"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro"
@@ -16,14 +14,6 @@ import (
 	"repro/internal/snap"
 	"repro/internal/synth"
 )
-
-// postTrend drives one /v1/trend request through the full middleware chain.
-func postTrend(t *testing.T, s *Server, target, body string) *httptest.ResponseRecorder {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", target, strings.NewReader(body)))
-	return rec
-}
 
 // writeDeltaDir builds the longitudinal serving fixture: the flagship base
 // snapshot plus the SC'21 year delta, both under the snapshot-dir naming
@@ -104,7 +94,7 @@ func TestDeltaAppliedAtMaterialization(t *testing.T) {
 	grown := grownFlagship(t)
 
 	for view, name := range map[string]string{"far": "trend", "retention": "retention"} {
-		rec := postTrend(t, s, "/v1/trend?corpus=flagship", `{"view":"`+view+`"}`)
+		rec := post(t, s, "/v1/trend?corpus=flagship", `{"view":"`+view+`"}`)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("view %s: status = %d: %s", view, rec.Code, rec.Body.String())
 		}
@@ -113,7 +103,7 @@ func TestDeltaAppliedAtMaterialization(t *testing.T) {
 		}
 	}
 	// The empty body defaults to the FAR view.
-	def := postTrend(t, s, "/v1/trend?corpus=flagship", "")
+	def := post(t, s, "/v1/trend?corpus=flagship", "")
 	if def.Code != http.StatusOK {
 		t.Fatalf("default view: status = %d: %s", def.Code, def.Body.String())
 	}
@@ -143,16 +133,16 @@ func TestDeltaAppliedAtMaterialization(t *testing.T) {
 }
 
 // TestDeltaTrendUnknownView: an unrecognized view is the client's 400 with
-// the structured error envelope.
+// the structured error envelope, listing the route's views in sorted order.
 func TestDeltaTrendUnknownView(t *testing.T) {
 	s := newTestServer(t, nil)
-	rec := postTrend(t, s, "/v1/trend", `{"view":"sideways"}`)
+	rec := post(t, s, "/v1/trend", `{"view":"sideways"}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", rec.Code)
 	}
-	dto := decodeQueryError(t, rec)
-	if !strings.Contains(dto.Error, "sideways") {
-		t.Errorf("error %q does not name the bad view", dto.Error)
+	const want = `unknown trend view "sideways" (have [far retention])`
+	if dto := decodeQueryError(t, rec); dto.Error != want {
+		t.Errorf("error %q, want %q", dto.Error, want)
 	}
 }
 
@@ -179,7 +169,7 @@ func TestDeltaTornFileQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := postTrend(t, s, "/v1/trend?corpus=flagship", `{"view":"far"}`)
+	rec := post(t, s, "/v1/trend?corpus=flagship", `{"view":"far"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -194,40 +184,5 @@ func TestDeltaTornFileQuarantined(t *testing.T) {
 	}
 	if _, err := os.Stat(path + QuarantineSuffix); err != nil {
 		t.Errorf("torn delta was not renamed aside: %v", err)
-	}
-}
-
-// TestDeltaTrendClusterIdentity: in cluster mode the delta-grown frames
-// are split on PartitionRows boundaries at placement, and /v1/trend must
-// return exactly the single-process bytes at 1 and 4 shards.
-func TestDeltaTrendClusterIdentity(t *testing.T) {
-	dir := writeDeltaDir(t)
-	single := newTestServer(t, func(c *Config) {
-		c.SnapshotDir = dir
-		c.Metrics = obs.NewRegistry()
-	})
-	want := map[string][]byte{}
-	for _, view := range []string{"far", "retention"} {
-		rec := postTrend(t, single, "/v1/trend?corpus=flagship", `{"view":"`+view+`"}`)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("single-process view %s: status = %d: %s", view, rec.Code, rec.Body.String())
-		}
-		want[view] = rec.Body.Bytes()
-	}
-	for _, shards := range []int{1, 4} {
-		s := newTestServer(t, func(c *Config) {
-			c.SnapshotDir = dir
-			c.Metrics = obs.NewRegistry()
-			c.ClusterShards = shards
-		})
-		for _, view := range []string{"far", "retention"} {
-			rec := postTrend(t, s, "/v1/trend?corpus=flagship", `{"view":"`+view+`"}`)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("shards=%d view %s: status = %d: %s", shards, view, rec.Code, rec.Body.String())
-			}
-			if !bytes.Equal(rec.Body.Bytes(), want[view]) {
-				t.Errorf("shards=%d view %s: federated /v1/trend differs from single-process", shards, view)
-			}
-		}
 	}
 }

@@ -89,13 +89,16 @@ func cacheID(key StudyKey, st *repro.Study) string {
 }
 
 // serveCached answers the request from the exhibit cache, rendering with
-// compute on a miss. The cache key must uniquely determine the bytes (it
-// embeds the study key and route); the X-Cache header reports hit, miss,
-// coalesced, or stale. Render time for actual computes feeds
-// whpcd_render_seconds. The request context propagates into the render:
-// an expired deadline aborts before computing (504), and a stale-store
-// copy is served with a Warning header when a re-render fails.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cacheKey, contentType string, compute func() ([]byte, error)) {
+// compute on a miss, and is the one place a response's X-Cache header is
+// set. The cache key must uniquely determine the bytes (it embeds the
+// study key and route); X-Cache reports hit, miss, coalesced, or stale.
+// Render time for actual computes feeds whpcd_render_seconds. The request
+// context propagates into the render: an expired deadline aborts before
+// computing (504), and a stale-store copy is served with a Warning header
+// (and an error-log line) when a re-render fails. A failed lookup is
+// answered through fail — plain text on the GET routes, the JSON envelope
+// on the POST routes. It reports whether it served the bytes.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cacheKey, contentType string, fail func(http.ResponseWriter, error), compute func() ([]byte, error)) bool {
 	body, outcome, err := s.cache.Get(r.Context(), cacheKey, func(ctx context.Context) ([]byte, error) {
 		if injected, ferr := s.renderFault(ctx, chaos.PointRender); injected {
 			return nil, ferr
@@ -109,8 +112,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cacheKey, c
 		return b, err
 	})
 	if err != nil {
-		s.writeError(w, err)
-		return
+		fail(w, err)
+		return false
 	}
 	h := w.Header()
 	h.Set("Content-Type", contentType)
@@ -121,6 +124,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cacheKey, c
 		s.logError(fmt.Sprintf("stale serve for %s", cacheKey))
 	}
 	_, _ = w.Write(body)
+	return true
 }
 
 // marshalJSON renders v with a trailing newline, matching curl-friendly
@@ -247,7 +251,7 @@ func (s *Server) handleFAR(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "far|"+cacheID(key, st), "application/json; charset=utf-8", func() ([]byte, error) {
+	s.serveCached(w, r, "far|"+cacheID(key, st), "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
 		far := st.FAR()
 		dto := farDTO{
 			Study:         dtoStudy(key),
@@ -275,7 +279,7 @@ func (s *Server) handleRoles(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "roles|"+cacheID(key, st), "application/json; charset=utf-8", func() ([]byte, error) {
+	s.serveCached(w, r, "roles|"+cacheID(key, st), "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
 		tab := st.Roles()
 		dto := rolesDTO{
 			Study:       dtoStudy(key),
@@ -305,7 +309,7 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "sensitivity|"+cacheID(key, st), "application/json; charset=utf-8", func() ([]byte, error) {
+	s.serveCached(w, r, "sensitivity|"+cacheID(key, st), "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
 		res, err := st.Sensitivity()
 		if err != nil {
 			return nil, err
@@ -332,7 +336,7 @@ func (s *Server) handleExhibitList(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "exhibits|"+cacheID(key, st), "application/json; charset=utf-8", func() ([]byte, error) {
+	s.serveCached(w, r, "exhibits|"+cacheID(key, st), "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
 		exhibits := st.Exhibits()
 		out := make([]exhibitDTO, 0, len(exhibits))
 		for _, e := range exhibits {
@@ -358,7 +362,7 @@ func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown exhibit %q (list them at /v1/exhibits)", id), http.StatusNotFound)
 		return
 	}
-	s.serveCached(w, r, "exhibit|"+id+"|"+cacheID(key, st), "text/plain; charset=utf-8", func() ([]byte, error) {
+	s.serveCached(w, r, "exhibit|"+id+"|"+cacheID(key, st), "text/plain; charset=utf-8", s.writeError, func() ([]byte, error) {
 		var buf bytes.Buffer
 		if err := ex.Render(&buf); err != nil {
 			return nil, err
@@ -374,7 +378,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "report|"+cacheID(key, st), "text/plain; charset=utf-8", func() ([]byte, error) {
+	s.serveCached(w, r, "report|"+cacheID(key, st), "text/plain; charset=utf-8", s.writeError, func() ([]byte, error) {
 		var buf bytes.Buffer
 		if err := st.WriteReport(&buf); err != nil {
 			return nil, err
@@ -401,7 +405,7 @@ func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown csv export %q (have %v)", name, names), http.StatusNotFound)
 		return
 	}
-	s.serveCached(w, r, "csv|"+name+"|"+cacheID(key, st), "text/csv; charset=utf-8", func() ([]byte, error) {
+	s.serveCached(w, r, "csv|"+name+"|"+cacheID(key, st), "text/csv; charset=utf-8", s.writeError, func() ([]byte, error) {
 		rows, err := exp.Rows()
 		if err != nil {
 			return nil, err

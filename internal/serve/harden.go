@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/shard"
 	"repro/internal/snap"
 )
 
@@ -91,10 +90,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		http.Error(w, fmt.Sprintf("deadline exceeded: %v", err), http.StatusGatewayTimeout)
 	case errors.Is(err, context.Canceled):
 		http.Error(w, fmt.Sprintf("request cancelled: %v", err), http.StatusServiceUnavailable)
-	case errors.Is(err, shard.ErrShardUnavailable):
-		// Every replica of some shard is gone: fail-operational means a
-		// typed 503 — retryable, never a silently partial answer.
-		http.Error(w, fmt.Sprintf("shard unavailable: %v", err), http.StatusServiceUnavailable)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
@@ -109,8 +104,6 @@ func errorStatus(err error) int {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, shard.ErrShardUnavailable):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError

@@ -2,25 +2,26 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 
 	"repro"
-	"repro/internal/chaos"
 	"repro/internal/query"
 )
 
-// maxQueryBytes bounds a /v1/query spec body. Real specs are a few hundred
-// bytes; anything larger is rejected with 413 before parsing.
+// maxQueryBytes bounds a POST body on /v1/query, /v1/trend and /v1/cite.
+// Real specs are a few hundred bytes; anything larger is rejected with 413
+// before parsing.
 const maxQueryBytes = 64 << 10
 
-// queryErrorDTO is the structured error envelope every /v1/query failure
-// returns, so clients can branch on status without scraping prose.
+// queryErrorDTO is the structured error envelope every failure on the POST
+// query routes returns, so clients can branch on status without scraping
+// prose.
 type queryErrorDTO struct {
 	Error  string `json:"error"`
 	Status int    `json:"status"`
@@ -40,23 +41,69 @@ func writeQueryError(w http.ResponseWriter, status int, msg string) {
 	_, _ = w.Write(body)
 }
 
-// runQuery executes one parsed query against the study: single-process
-// through the engine, or — in cluster mode — scatter-gathered across the
-// shard federation. Placement is lazy and idempotent, keyed by the study
-// key's canonical string (the same identity the exhibit cache uses), so
-// the first federated query of a study splits and places its frames and
-// every later one reuses the placement. The two paths are byte-identical
-// by the federation contract; cluster mode adds replica failover and the
-// whpcd_shard_* telemetry.
-func (s *Server) runQuery(ctx context.Context, key StudyKey, st *repro.Study, q *query.Query) (*query.Result, error) {
-	if s.cluster == nil {
-		return st.Query(q)
+// writeQueryFailure is the POST routes' error writer for serveCached: spec
+// validation failures are the client's 400, queries that match no rows
+// 422, and everything else takes writeError's status mapping — all inside
+// the JSON envelope.
+func writeQueryFailure(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, query.ErrInvalid):
+		writeQueryError(w, http.StatusBadRequest, err.Error())
+	case errors.Is(err, query.ErrEmpty):
+		writeQueryError(w, http.StatusUnprocessableEntity, err.Error())
+	default:
+		writeQueryError(w, errorStatus(err), err.Error())
 	}
-	study := key.String()
-	if err := s.cluster.Place(study, st.Frames()); err != nil {
-		return nil, err
+}
+
+// readBody reads a POST body capped at maxQueryBytes. It answers 413 (naming
+// what was too large) or 400 itself and returns ok=false when the handler
+// should bail.
+func readBody(w http.ResponseWriter, r *http.Request, what string) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeQueryError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("%s exceeds %d bytes", what, maxQueryBytes))
+			return nil, false
+		}
+		writeQueryError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+		return nil, false
 	}
-	return s.cluster.Query(ctx, study, q)
+	return body, true
+}
+
+// serveQuery answers one columnar query against the request's study
+// through serveCached. The cache key is kind|id|study, where id must
+// determine the query (its canonical hash, or a view name); the
+// revision-qualified study identity means applying a delta invalidates
+// exactly the renders whose inputs changed. Errors are never cached, and
+// every success counts on whpcd_queries_total{frame}.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, key StudyKey, kind, id string, q *query.Query, format string) {
+	st, err := s.studies.Get(r.Context(), key)
+	if err != nil {
+		writeQueryError(w, errorStatus(err),
+			fmt.Sprintf("materializing study (%s): %v", key, err))
+		return
+	}
+	// The content type is a pure function of the format, so a cache hit
+	// can set it without re-running the query.
+	contentType := "application/json"
+	if format == query.FormatCSV {
+		contentType = "text/csv; charset=utf-8"
+	}
+	cacheKey := kind + "|" + id + "|" + cacheID(key, st)
+	if s.serveCached(w, r, cacheKey, contentType, writeQueryFailure, func() ([]byte, error) {
+		res, err := st.Query(q)
+		if err != nil {
+			return nil, err
+		}
+		b, _, err := res.Encode(format)
+		return b, err
+	}) {
+		s.met.queries.With(q.Frame).Inc()
+	}
 }
 
 // handleQuery serves POST /v1/query: an ad-hoc columnar query against the
@@ -64,23 +111,15 @@ func (s *Server) runQuery(ctx context.Context, key StudyKey, st *repro.Study, q 
 // memoized through the exhibit cache keyed by the canonicalized spec hash,
 // so semantically identical specs — whatever their field order or
 // spelling — share one execution. Validation failures return 400, queries
-// that match no rows 422, both as structured JSON; errors are never
-// cached.
+// that match no rows 422, both as structured JSON.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	key, err := s.parseStudyKey(r)
 	if err != nil {
 		writeQueryError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeQueryError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("query spec exceeds %d bytes", maxQueryBytes))
-			return
-		}
-		writeQueryError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+	body, ok := readBody(w, r, "query spec")
+	if !ok {
 		return
 	}
 	q, err := query.Parse(body)
@@ -88,261 +127,90 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	st, err := s.studies.Get(r.Context(), key)
-	if err != nil {
-		writeQueryError(w, errorStatus(err),
-			fmt.Sprintf("materializing study (%s): %v", key, err))
-		return
-	}
+	s.serveQuery(w, r, key, "query", q.Hash(), q, q.Format)
+}
 
-	// The content type is a pure function of the requested format, so a
-	// cache hit can set it without re-running the query.
-	contentType := "application/json"
-	if q.Format == query.FormatCSV {
-		contentType = "text/csv; charset=utf-8"
+// viewRoute is one POST route that serves a fixed set of exhibit queries
+// as CSV, chosen by an optional JSON body {"view": NAME}; an empty body or
+// view serves the default. Every view's query is verified byte-for-byte
+// against its report CSV family, so the route inherits the reproduction's
+// correctness anchor.
+type viewRoute struct {
+	path  string // mux path, e.g. /v1/trend
+	noun  string // names the route in error texts and cache keys
+	def   string // view served when the body names none
+	views map[string]repro.ExhibitQuery
+
+	have     string // sorted view names, as error texts list them
+	tooLarge string // readBody's name for an oversized body
+}
+
+// viewRoutes are the view-selecting POST routes:
+//   - /v1/trend: "far" (year-over-year female author ratio trajectories)
+//     or "retention" (cohort retention of role-holders across editions);
+//   - /v1/cite: "flow" (observed-versus-null citation flow per citing-team
+//     gender composition) or "gap" (the same comparison per
+//     conference-year).
+var viewRoutes = []*viewRoute{
+	newViewRoute("/v1/trend", "trend", "far", map[string]string{"far": "trend", "retention": "retention"}),
+	newViewRoute("/v1/cite", "cite", "flow", map[string]string{"flow": "cite_flow", "gap": "cite_gap"}),
+}
+
+// newViewRoute resolves each view's exhibit query once, so a request only
+// looks its view up. A name missing from repro.ExhibitQueries is a
+// programming error and panics at package initialization.
+func newViewRoute(path, noun, def string, names map[string]string) *viewRoute {
+	vr := &viewRoute{path: path, noun: noun, def: def, views: make(map[string]repro.ExhibitQuery, len(names)),
+		tooLarge: noun + " request"}
+	sorted := make([]string, 0, len(names))
+	for view, name := range names {
+		eq, ok := repro.ExhibitQueryByName(name)
+		if !ok {
+			panic(fmt.Sprintf("serve: %s view %q: exhibit query %q is not registered", path, view, name))
+		}
+		vr.views[view] = eq
+		sorted = append(sorted, view)
 	}
-	cacheKey := "query|" + q.Hash() + "|" + cacheID(key, st)
-	out, outcome, err := s.cache.Get(r.Context(), cacheKey, func(ctx context.Context) ([]byte, error) {
-		if injected, ferr := s.renderFault(ctx, chaos.PointRender); injected {
-			return nil, ferr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		start := s.clock.Now()
-		defer func() { s.met.renders.ObserveDuration(s.clock.Now().Sub(start)) }()
-		res, err := s.runQuery(ctx, key, st, q)
+	sort.Strings(sorted)
+	vr.have = fmt.Sprint(sorted)
+	return vr
+}
+
+// viewRequestDTO is the optional body of a view route.
+type viewRequestDTO struct {
+	View string `json:"view"`
+}
+
+// handleView serves one view route. Execution and caching go through
+// serveQuery, keyed by route noun and view name.
+func (s *Server) handleView(vr *viewRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		key, err := s.parseStudyKey(r)
 		if err != nil {
-			return nil, err
-		}
-		b, _, err := res.Encode(q.Format)
-		return b, err
-	})
-	if err != nil {
-		switch {
-		case errors.Is(err, query.ErrInvalid):
 			writeQueryError(w, http.StatusBadRequest, err.Error())
-		case errors.Is(err, query.ErrEmpty):
-			writeQueryError(w, http.StatusUnprocessableEntity, err.Error())
-		default:
-			writeQueryError(w, errorStatus(err), err.Error())
-		}
-		return
-	}
-	s.met.queries.With(q.Frame).Inc()
-	h := w.Header()
-	h.Set("Content-Type", contentType)
-	h.Set("Content-Length", strconv.Itoa(len(out)))
-	h.Set("X-Cache", outcome)
-	if outcome == CacheStale {
-		h.Set("Warning", `110 whpcd "stale: re-render failed; bytes are from an earlier identical render"`)
-	}
-	_, _ = w.Write(out)
-}
-
-// trendRequestDTO selects which longitudinal view POST /v1/trend serves.
-type trendRequestDTO struct {
-	// View is "far" (year-over-year female author ratio trajectories, the
-	// default) or "retention" (cohort retention of role-holders across
-	// editions).
-	View string `json:"view"`
-}
-
-// trendViews maps each /v1/trend view to the exhibit query that serves it.
-// Both queries are verified byte-for-byte against their report CSV
-// families, so the route inherits the reproduction's correctness anchor.
-var trendViews = map[string]string{
-	"far":       "trend",
-	"retention": "retention",
-}
-
-// handleTrend serves POST /v1/trend: the year-over-year trend workload as
-// CSV. The body is an optional JSON {"view": "far"|"retention"}; an empty
-// body serves the FAR view. Execution goes through runQuery, so in cluster
-// mode the trend scatter-gathers across the shard federation (delta-grown
-// frames are re-sliced on PartitionRows boundaries at placement time) and
-// is byte-identical to the single-process path. Results memoize through
-// the exhibit cache keyed by view and the revision-qualified study
-// identity, so applying a delta invalidates exactly the trend renders
-// whose inputs changed.
-func (s *Server) handleTrend(w http.ResponseWriter, r *http.Request) {
-	key, err := s.parseStudyKey(r)
-	if err != nil {
-		writeQueryError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeQueryError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("trend request exceeds %d bytes", maxQueryBytes))
 			return
 		}
-		writeQueryError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return
-	}
-	view := "far"
-	if len(bytes.TrimSpace(body)) > 0 {
-		var req trendRequestDTO
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeQueryError(w, http.StatusBadRequest, fmt.Sprintf("parsing trend request: %v", err))
+		body, ok := readBody(w, r, vr.tooLarge)
+		if !ok {
 			return
 		}
-		if req.View != "" {
-			view = req.View
+		view := vr.def
+		if len(bytes.TrimSpace(body)) > 0 {
+			var req viewRequestDTO
+			if err := json.Unmarshal(body, &req); err != nil {
+				writeQueryError(w, http.StatusBadRequest, fmt.Sprintf("parsing %s request: %v", vr.noun, err))
+				return
+			}
+			if req.View != "" {
+				view = req.View
+			}
 		}
-	}
-	name, ok := trendViews[view]
-	if !ok {
-		writeQueryError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown trend view %q (have [far retention])", view))
-		return
-	}
-	eq, ok := repro.ExhibitQueryByName(name)
-	if !ok {
-		writeQueryError(w, http.StatusInternalServerError,
-			fmt.Sprintf("exhibit query %q is not registered", name))
-		return
-	}
-	st, err := s.studies.Get(r.Context(), key)
-	if err != nil {
-		writeQueryError(w, errorStatus(err),
-			fmt.Sprintf("materializing study (%s): %v", key, err))
-		return
-	}
-
-	cacheKey := "trend|" + view + "|" + cacheID(key, st)
-	out, outcome, err := s.cache.Get(r.Context(), cacheKey, func(ctx context.Context) ([]byte, error) {
-		if injected, ferr := s.renderFault(ctx, chaos.PointRender); injected {
-			return nil, ferr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		start := s.clock.Now()
-		defer func() { s.met.renders.ObserveDuration(s.clock.Now().Sub(start)) }()
-		res, err := s.runQuery(ctx, key, st, eq.Query)
-		if err != nil {
-			return nil, err
-		}
-		return res.CSV()
-	})
-	if err != nil {
-		writeQueryError(w, errorStatus(err), err.Error())
-		return
-	}
-	s.met.queries.With(eq.Query.Frame).Inc()
-	h := w.Header()
-	h.Set("Content-Type", "text/csv; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(len(out)))
-	h.Set("X-Cache", outcome)
-	if outcome == CacheStale {
-		h.Set("Warning", `110 whpcd "stale: re-render failed; bytes are from an earlier identical render"`)
-	}
-	_, _ = w.Write(out)
-}
-
-// citeRequestDTO selects which citation-flow view POST /v1/cite serves.
-type citeRequestDTO struct {
-	// View is "flow" (observed-versus-null citation flow per citing-team
-	// gender composition, the default) or "gap" (the same comparison per
-	// conference-year).
-	View string `json:"view"`
-}
-
-// citeViews maps each /v1/cite view to the exhibit query that serves it.
-// Both queries are verified byte-for-byte against their report CSV
-// families, so the route inherits the reproduction's correctness anchor.
-var citeViews = map[string]string{
-	"flow": "cite_flow",
-	"gap":  "cite_gap",
-}
-
-// handleCite serves POST /v1/cite: the gendered citation-flow workload as
-// CSV. The body is an optional JSON {"view": "flow"|"gap"}; an empty body
-// serves the flow view. Execution goes through runQuery, so in cluster
-// mode the citations frame scatter-gathers across the shard federation
-// and is byte-identical to the single-process path (the exhibits use only
-// count and ratio aggregates, which merge exactly). Results memoize
-// through the exhibit cache keyed by view and the revision-qualified
-// study identity, so applying a delta invalidates exactly the citation
-// renders whose inputs changed.
-func (s *Server) handleCite(w http.ResponseWriter, r *http.Request) {
-	key, err := s.parseStudyKey(r)
-	if err != nil {
-		writeQueryError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeQueryError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("cite request exceeds %d bytes", maxQueryBytes))
+		eq, ok := vr.views[view]
+		if !ok {
+			writeQueryError(w, http.StatusBadRequest,
+				fmt.Sprintf("unknown %s view %q (have %s)", vr.noun, view, vr.have))
 			return
 		}
-		writeQueryError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return
+		s.serveQuery(w, r, key, vr.noun, view, eq.Query, query.FormatCSV)
 	}
-	view := "flow"
-	if len(bytes.TrimSpace(body)) > 0 {
-		var req citeRequestDTO
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeQueryError(w, http.StatusBadRequest, fmt.Sprintf("parsing cite request: %v", err))
-			return
-		}
-		if req.View != "" {
-			view = req.View
-		}
-	}
-	name, ok := citeViews[view]
-	if !ok {
-		writeQueryError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown cite view %q (have [flow gap])", view))
-		return
-	}
-	eq, ok := repro.ExhibitQueryByName(name)
-	if !ok {
-		writeQueryError(w, http.StatusInternalServerError,
-			fmt.Sprintf("exhibit query %q is not registered", name))
-		return
-	}
-	st, err := s.studies.Get(r.Context(), key)
-	if err != nil {
-		writeQueryError(w, errorStatus(err),
-			fmt.Sprintf("materializing study (%s): %v", key, err))
-		return
-	}
-
-	cacheKey := "cite|" + view + "|" + cacheID(key, st)
-	out, outcome, err := s.cache.Get(r.Context(), cacheKey, func(ctx context.Context) ([]byte, error) {
-		if injected, ferr := s.renderFault(ctx, chaos.PointRender); injected {
-			return nil, ferr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		start := s.clock.Now()
-		defer func() { s.met.renders.ObserveDuration(s.clock.Now().Sub(start)) }()
-		res, err := s.runQuery(ctx, key, st, eq.Query)
-		if err != nil {
-			return nil, err
-		}
-		return res.CSV()
-	})
-	if err != nil {
-		writeQueryError(w, errorStatus(err), err.Error())
-		return
-	}
-	s.met.queries.With(eq.Query.Frame).Inc()
-	s.met.citeQueries.Inc()
-	h := w.Header()
-	h.Set("Content-Type", "text/csv; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(len(out)))
-	h.Set("X-Cache", outcome)
-	if outcome == CacheStale {
-		h.Set("Warning", `110 whpcd "stale: re-render failed; bytes are from an earlier identical render"`)
-	}
-	_, _ = w.Write(out)
 }

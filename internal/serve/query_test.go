@@ -167,6 +167,19 @@ func TestQueryErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestQueryFloatProjection: projecting a float column answers 200 with
+// one row per slot, not a contained panic.
+func TestQueryFloatProjection(t *testing.T) {
+	s := newTestServer(t, nil)
+	rec := postQuery(t, s, `{"frame":"slots","select":["attendance"],"format":"csv","limit":3}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if lines := strings.Count(rec.Body.String(), "\n"); lines != 4 {
+		t.Fatalf("got %d CSV lines, want header + 3 rows:\n%s", lines, rec.Body.String())
+	}
+}
+
 // TestQueryMethodNotAllowed: /v1/query is POST-only.
 func TestQueryMethodNotAllowed(t *testing.T) {
 	rec := get(t, newTestServer(t, nil), "/v1/query")

@@ -78,12 +78,6 @@ type StudyRegistry struct {
 	cap   int
 	build func(StudyKey) (*repro.Study, error)
 
-	// OnEvict, when set, is called (outside the registry lock) with the key
-	// of every entry dropped by LRU pressure, so layers holding derived
-	// state per study — the shard cluster's placements — can release it.
-	// Set before first use; not synchronized afterwards.
-	OnEvict func(StudyKey)
-
 	mu      sync.Mutex
 	entries map[StudyKey]*list.Element
 	lru     *list.List // front = most recently used; values are *studyEntry
@@ -187,22 +181,15 @@ func (r *StudyRegistry) entry(key StudyKey) (e *studyEntry, fresh bool) {
 	}
 	e = &studyEntry{key: key, done: make(chan struct{})}
 	r.entries[key] = r.lru.PushFront(e)
-	var evicted []StudyKey
 	for r.lru.Len() > r.cap {
 		oldest := r.lru.Back()
 		victim := oldest.Value.(*studyEntry)
 		r.lru.Remove(oldest)
 		delete(r.entries, victim.key)
 		r.evictions.Inc()
-		evicted = append(evicted, victim.key)
 	}
 	r.resident.Set(int64(r.lru.Len()))
 	r.mu.Unlock()
-	if r.OnEvict != nil {
-		for _, k := range evicted {
-			r.OnEvict(k)
-		}
-	}
 	return e, true
 }
 

@@ -529,6 +529,23 @@ func TestMetricsAndVarsEndpoints(t *testing.T) {
 		}
 	}
 
+	// /metrics output is a pure function of the counters' state: two
+	// renderings of the same registry, with labelled families populated,
+	// are byte-identical.
+	if rec := postQuery(t, s, `{"frame":"papers","group_by":[{"col":"conference"}],"aggs":[{"op":"count","as":"n"}],"limit":3}`); rec.Code != http.StatusOK {
+		t.Fatalf("query: %d: %s", rec.Code, rec.Body.String())
+	}
+	var a, b bytes.Buffer
+	if err := s.cfg.Metrics.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.cfg.Metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("two /metrics renderings of identical state differ")
+	}
+
 	vars := get(t, s, "/debug/vars")
 	var parsed map[string]any
 	if err := json.Unmarshal(vars.Body.Bytes(), &parsed); err != nil {
@@ -536,6 +553,36 @@ func TestMetricsAndVarsEndpoints(t *testing.T) {
 	}
 	if parsed[`whpcd_requests_total{route="/v1/far",code="200"}`] != float64(2) {
 		t.Fatalf("vars request count = %v, want 2", parsed[`whpcd_requests_total{route="/v1/far",code="200"}`])
+	}
+}
+
+// TestMetricsByteDeterministicWithShardFamilies renders the registry of a
+// server exercised on every POST route twice and requires identical bytes:
+// /metrics output is a pure function of the counters' state. The removed
+// in-process cluster's whpcd_shard_* families must stay out of the render.
+func TestMetricsByteDeterministicWithShardFamilies(t *testing.T) {
+	s := newTestServer(t, nil)
+	for _, req := range []struct{ target, body string }{
+		{"/v1/query", `{"frame":"papers","group_by":[{"col":"conference"}],"aggs":[{"op":"count","as":"n"}],"limit":3}`},
+		{"/v1/trend", `{}`},
+		{"/v1/cite", `{"view":"gap"}`},
+	} {
+		if rec := post(t, s, req.target, req.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d: %s", req.target, rec.Code, rec.Body.String())
+		}
+	}
+	var a, b bytes.Buffer
+	if err := s.cfg.Metrics.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.cfg.Metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("two /metrics renderings of identical state differ")
+	}
+	if strings.Contains(a.String(), "whpcd_shard_") {
+		t.Error("/metrics still renders a whpcd_shard_* family")
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"repro/internal/faulty"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/shard"
 	"repro/internal/snap"
 	"repro/internal/synth"
 )
@@ -83,20 +82,9 @@ type Config struct {
 	ErrorLog io.Writer
 	// Chaos, when non-nil, injects scheduled faults at the server's named
 	// injection points (serve.request, serve.render, serve.materialize,
-	// snap.read, snap.decode, shard.scatter, shard.merge). Production
-	// servers leave it nil (chaos.None); the chaos suite arms it with a
-	// seeded schedule.
+	// snap.read, snap.decode, delta.apply). Production servers leave it
+	// nil (chaos.None); the chaos suite arms it with a seeded schedule.
 	Chaos chaos.Injector
-	// ClusterShards > 0 enables cluster mode: /v1/query scatter-gathers
-	// across an in-process shard federation instead of executing single-
-	// process. Results are byte-identical either way; the federation adds
-	// replica failover and the whpcd_shard_* instrument families.
-	ClusterShards int
-	// ClusterWorkers is the shard worker count (default = ClusterShards).
-	ClusterWorkers int
-	// ClusterReplicas is how many workers hold each shard (default 2,
-	// capped at ClusterWorkers).
-	ClusterReplicas int
 }
 
 // metrics bundles the server's instruments.
@@ -113,8 +101,7 @@ type metrics struct {
 	cacheMisses    *obs.Counter
 	cacheCoalesced *obs.Counter
 
-	queries     *obs.CounterVec // frame
-	citeQueries *obs.Counter
+	queries *obs.CounterVec // frame
 
 	harvestRetries  *obs.Counter
 	harvestOutcomes *obs.CounterVec // outcome
@@ -127,10 +114,6 @@ type metrics struct {
 	panics        *obs.Counter
 	staleServes   *obs.Counter
 	chaosInjected *obs.CounterVec // point
-
-	shardFanout  *obs.Counter
-	shardRetries *obs.Counter
-	shardMerge   *obs.Histogram
 }
 
 func newMetrics(r *obs.Registry) *metrics {
@@ -158,8 +141,6 @@ func newMetrics(r *obs.Registry) *metrics {
 		// executes successfully, and execution validates the frame name.
 		queries: r.CounterVec("whpcd_queries_total",
 			"Columnar queries answered successfully, by frame.", "frame"),
-		citeQueries: r.Counter("whpcd_cite_queries_total",
-			"Citation-flow views served successfully by POST /v1/cite."),
 		harvestRetries: r.Counter("whpcd_harvest_retries_total",
 			"Retried bibliometric lookup attempts across harvested-study materializations."),
 		harvestOutcomes: r.CounterVec("whpcd_harvest_outcomes_total",
@@ -178,15 +159,6 @@ func newMetrics(r *obs.Registry) *metrics {
 			"Responses served from the stale exhibit store because re-rendering failed (degraded mode)."),
 		chaosInjected: r.CounterVec("whpcd_chaos_injected_total",
 			"Faults actually fired by the chaos injector, by injection point (always 0 in production).", "point"),
-		// The shard families are registered unconditionally so the /metrics
-		// rendering is byte-stable across cluster and single-process boots;
-		// they simply stay zero when cluster mode is off.
-		shardFanout: r.Counter("whpcd_shard_fanout_total",
-			"Shard subqueries fanned out by federated /v1/query executions (cluster mode only)."),
-		shardRetries: r.Counter("whpcd_shard_retries_total",
-			"Shard subquery attempts that failed and were retried on the next replica."),
-		shardMerge: r.Histogram("whpcd_shard_merge_seconds",
-			"Time spent deterministically merging shard partials, in seconds.", nil),
 	}
 	r.GaugeFunc("whpcd_exhibit_cache_hit_ratio",
 		"Fraction of exhibit-cache lookups served without rendering (hits+coalesced over all lookups); NaN before the first lookup.",
@@ -207,7 +179,6 @@ type Server struct {
 	cache    *ExhibitCache
 	met      *metrics
 	inj      chaos.Injector
-	cluster  *shard.Cluster // nil when cluster mode is off
 	inflight chan struct{}
 	limiters map[string]*resilience.TokenBucket
 
@@ -263,32 +234,10 @@ func New(cfg Config) (*Server, error) {
 		// inside snapshot loads — lands in whpcd_chaos_injected_total.
 		s.inj = countingInjector{inner: cfg.Chaos, fired: m.chaosInjected}
 	}
-	if cfg.ClusterShards > 0 {
-		cl, err := shard.New(shard.Config{
-			Shards:   cfg.ClusterShards,
-			Workers:  cfg.ClusterWorkers,
-			Replicas: cfg.ClusterReplicas,
-			Chaos:    s.inj,
-			Clock:    cfg.Clock,
-			Hooks: shard.Hooks{
-				Scatter: func(n int) { m.shardFanout.Add(int64(n)) },
-				Retry:   m.shardRetries.Inc,
-				Merge:   m.shardMerge.ObserveDuration,
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: building shard cluster: %w", err)
-		}
-		s.cluster = cl
-	}
 	s.studies = NewStudyRegistry(cfg.StudyCap, s.buildStudy,
 		cfg.Metrics.Counter("whpcd_studies_materialized_total", "Studies materialized by the registry."),
 		cfg.Metrics.Counter("whpcd_study_evictions_total", "Studies evicted from the registry LRU."),
 		cfg.Metrics.Gauge("whpcd_studies_resident", "Studies currently resident in the registry."))
-	if s.cluster != nil {
-		// An evicted study's shard placements must not outlive its frames.
-		s.studies.OnEvict = func(key StudyKey) { s.cluster.Evict(key.String()) }
-	}
 	s.cache = NewExhibitCache(cfg.CacheCap, cacheCounters{
 		hits:        m.cacheHits,
 		misses:      m.cacheMisses,
@@ -307,8 +256,9 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/report", s.handleReport)
 	s.route("GET /v1/csv/{name}", s.handleCSV)
 	s.route("POST /v1/query", s.handleQuery)
-	s.route("POST /v1/trend", s.handleTrend)
-	s.route("POST /v1/cite", s.handleCite)
+	for _, vr := range viewRoutes {
+		s.route("POST "+vr.path, s.handleView(vr))
+	}
 	s.route("GET /metrics", cfg.Metrics.Handler().ServeHTTP)
 	s.route("GET /debug/vars", cfg.Metrics.VarsHandler().ServeHTTP)
 	return s, nil

@@ -81,12 +81,13 @@ func tieCorrection(xs []float64) float64 {
 	for _, x := range xs {
 		counts[x]++
 	}
-	var sum float64
+	// Integer terms make the sum exact, so map iteration order cannot
+	// change its rounding.
+	sum := 0
 	for _, t := range counts {
 		if t > 1 {
-			tf := float64(t)
-			sum += tf*tf*tf - tf
+			sum += t*t*t - t
 		}
 	}
-	return sum
+	return float64(sum)
 }

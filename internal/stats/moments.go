@@ -9,16 +9,17 @@ import (
 // Moments is the merge-safe sufficient statistic for mean- and
 // variance-based tests: the observation count together with the first two
 // raw power sums (Σx, Σx²). Two Moments accumulated over disjoint samples
-// combine by field-wise addition, which is what lets a sharded query engine
-// compute Welch's t-test (or a mean) without ever shipping raw samples to
-// the coordinator.
+// combine by field-wise addition, which is what lets the partitioned query
+// engine compute Welch's t-test (or a mean) without ever collecting raw
+// samples in one place.
 //
 // Determinism contract: Add and Merge use plain (uncompensated) float64
 // addition, so the result is a pure function of the order of operations.
 // Callers that need byte-identical results across worker topologies must
 // fix that order — the query engine accumulates per 1024-row partition and
-// merges partials in global partition order, which makes federated
-// execution reproduce the single-process addition tree exactly.
+// merges partials in global partition order, which makes a merge of
+// partials scanned from aligned frame slices reproduce the single-scan
+// addition tree exactly.
 type Moments struct {
 	N     int     // number of observations
 	Sum   float64 // Σx

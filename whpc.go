@@ -149,6 +149,7 @@ func NewObservedHarvestedStudy(cfg synth.Config, profile string, hooks HarvestHo
 		ids = append(ids, string(id))
 	}
 	sort.Strings(ids)
+	//whpcvet:ignore ctxflow study construction takes no context: whpcd shares builds across requests, so no caller's deadline may cut one short
 	rep, err := h.Run(context.Background(), ids)
 	if err != nil {
 		return nil, fmt.Errorf("repro: harvest failed: %w", err)
