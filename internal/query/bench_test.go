@@ -149,3 +149,58 @@ func TestColumnarBeatsNaive(t *testing.T) {
 			colFAR.NsPerOp(), naiveFAR.NsPerOp())
 	}
 }
+
+// projectionQuery is an ordered, limited projection over slots: the most
+// cited author slots (the citation-imbalance slice), ties by person.
+func projectionQuery() *Query {
+	return &Query{
+		Frame:   FrameSlots,
+		Where:   []Pred{{Col: "role", Op: "eq", Value: "author"}},
+		Select:  []Key{{Col: "person"}, {Col: "conference"}, {Col: "gender"}, {Col: "citations36"}},
+		OrderBy: []Order{{Key: "citations36", Desc: true}, {Key: "person"}},
+		Limit:   50,
+	}
+}
+
+// BenchmarkQueryProjection measures the late-materialized projection:
+// bitmap filter to row indexes, top-k refs, Values for the emitted rows.
+func BenchmarkQueryProjection(b *testing.B) {
+	q := projectionQuery()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(testFrames, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNaiveProjection is the reference the projection path must
+// beat: filter row by row, materialize every matching row, stable-sort,
+// truncate.
+func BenchmarkNaiveProjection(b *testing.B) {
+	q := projectionQuery()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := naiveProject(testFrames, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestProjectionBeatsNaive is the perf floor for projections: the
+// late-materialized path must be at least 2x faster than the naive
+// materialize-then-sort reference.
+func TestProjectionBeatsNaive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("perf floor skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("perf floor not meaningful under the race detector's instrumentation")
+	}
+	proj := testing.Benchmark(BenchmarkQueryProjection).NsPerOp()
+	naive := testing.Benchmark(BenchmarkNaiveProjection).NsPerOp()
+	t.Logf("projection %d ns/op, naive %d ns/op (%.1fx)", proj, naive, float64(naive)/float64(proj))
+	if proj*2 > naive {
+		t.Errorf("projection %d ns/op not 2x faster than naive %d ns/op", proj, naive)
+	}
+}

@@ -44,13 +44,14 @@ var aggNames = map[string]int{
 
 // leaf is one compiled predicate over one column, with the comparison
 // value pre-resolved to the column's physical representation (dictionary
-// code, int64, float64, bool).
+// code, int64, float64, bool). A string in-list compiles to a table
+// indexed by dictionary code; codes past its end are not members.
 type leaf struct {
 	col    *Column
 	op     int
 	code   int32
 	codeOK bool
-	codes  map[int32]bool
+	member []bool
 	i      int64
 	is     map[int64]bool
 	f      float64
@@ -77,7 +78,7 @@ func (l *leaf) match(i int) bool {
 		case opNe:
 			return !l.codeOK || c != l.code
 		case opIn:
-			return l.codes[c]
+			return l.isMember(c)
 		}
 	case TBool:
 		v := l.col.Bools.Get(i)
@@ -121,25 +122,13 @@ func (l *leaf) match(i int) bool {
 	return false
 }
 
+// isMember reports whether dictionary code c is in a string in-list.
+func (l *leaf) isMember(c int32) bool {
+	return int(c) < len(l.member) && l.member[c]
+}
+
 // orGroup is the OR of its leaves; a filter is the AND of its orGroups.
 type orGroup []leaf
-
-func matchFilter(filter []orGroup, row int) bool {
-	for gi := range filter {
-		g := filter[gi]
-		ok := false
-		for li := range g {
-			if g[li].match(row) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
 
 // keyRef is one compiled group key or projection column.
 type keyRef struct {
@@ -255,15 +244,19 @@ func compileLeaf(f *Frame, p Pred, where string) (leaf, error) {
 			}
 			l.code, l.codeOK = col.Dict.Lookup(s)
 		case opIn:
-			l.codes = make(map[int32]bool, len(p.Values))
 			for _, v := range p.Values {
 				s, ok := v.(string)
 				if !ok {
 					return leaf{}, invalidf("%s: column %q is a string; in needs string values", where, p.Col)
 				}
-				if c, ok := col.Dict.Lookup(s); ok {
-					l.codes[c] = true
+				c, ok := col.Dict.Lookup(s)
+				if !ok {
+					continue
 				}
+				if grow := int(c) + 1 - len(l.member); grow > 0 {
+					l.member = append(l.member, make([]bool, grow)...)
+				}
+				l.member[c] = true
 			}
 		default:
 			return leaf{}, invalidf("%s: operator %q not supported on string column %q (use eq, ne, in, null, notnull)", where, p.Op, p.Col)
@@ -697,21 +690,3 @@ func tokenForValue(col *Column, v any) (tok uint64, label string, ok bool, err e
 // intToken maps an int64 key value to a non-zero token (zero is reserved
 // for null).
 func intToken(v int64) uint64 { return uint64(v)*2 + 1 }
-
-// floatToken maps a float64 to a non-zero token that keeps cmpValue's
-// order: every NaN first (token 1), then numbers ascending, with -0 and +0
-// equal. Floats are never group keys, so no token is decoded back; a
-// projected float column only needs one per cell.
-func floatToken(v float64) uint64 {
-	if math.IsNaN(v) {
-		return 1
-	}
-	b := math.Float64bits(v)
-	if b == 1<<63 {
-		b = 0 // fold -0 into +0
-	}
-	if b>>63 != 0 {
-		return ^b // negatives: larger magnitude, smaller token
-	}
-	return b | 1<<63
-}

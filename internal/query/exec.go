@@ -94,7 +94,8 @@ func denseLayout(p *plan) (size int, strides []uint64, ok bool) {
 }
 
 // token computes the group-key token of one row: 0 for null, otherwise a
-// value-stable non-zero token per column type.
+// value-stable non-zero token per column type. Float columns are never
+// group keys (compile rejects them), so there is no float token.
 //
 //whpcvet:hot
 func token(col *Column, row int) uint64 {
@@ -109,8 +110,6 @@ func token(col *Column, row int) uint64 {
 			return 2
 		}
 		return 1
-	case TFloat:
-		return floatToken(col.Floats[row])
 	default:
 		return intToken(col.Ints[row])
 	}
@@ -227,30 +226,123 @@ func leafBits(l *leaf, lo, hi int, out Bitmap) {
 		// Complementing may set garbage past row n-1; no other leaf sets
 		// bits there, so masking restores the invariant.
 		maskTail(out, n)
-	case l.col.Type == TStr && l.op == opEq:
-		if !l.codeOK {
-			return
-		}
-		codes := l.col.Codes
-		if l.col.Valid == nil {
-			for i := lo; i < hi; i++ {
-				if codes[i] == l.code {
-					out.Set(i - lo)
-				}
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			if codes[i] == l.code && l.col.Valid.Get(i) {
-				out.Set(i - lo)
-			}
-		}
+	case l.col.Type == TStr:
+		strBits(l, lo, n, out)
+	case l.col.Type == TFloat:
+		ordBits(l.col.Floats, l.op, l.f, lo, n, l.col.Valid, out)
+	case l.op != opIn:
+		ordBits(l.col.Ints, l.op, l.i, lo, n, l.col.Valid, out)
 	default:
+		// Int in-lists are the one shape left on the per-row fallback.
 		for i := lo; i < hi; i++ {
 			if l.match(i) {
 				out.Set(i - lo)
 			}
 		}
+	}
+}
+
+// strBits ORs the rows of [lo, lo+n) matching a string eq, ne or in leaf
+// into out. Each 64-row word is built in a register from the code vector
+// and masked with the column's validity word once, so the per-row work is
+// one code comparison (or one table load for in).
+//
+//whpcvet:hot
+func strBits(l *leaf, lo, n int, out Bitmap) {
+	if l.op == opEq && !l.codeOK {
+		return
+	}
+	code := l.code
+	if !l.codeOK {
+		// ne against a value absent from the dictionary: every valid row
+		// matches, and no code is negative.
+		code = -1
+	}
+	member := l.member
+	codes := l.col.Codes[lo : lo+n]
+	for w := 0; w*64 < n; w++ {
+		seg := codes[w*64 : min(n, w*64+64)]
+		var word uint64
+		switch l.op {
+		case opEq:
+			for j, c := range seg {
+				if c == code {
+					word |= 1 << uint(j)
+				}
+			}
+		case opNe:
+			for j, c := range seg {
+				if c != code {
+					word |= 1 << uint(j)
+				}
+			}
+		default: // opIn
+			for j, c := range seg {
+				if int(c) < len(member) && member[c] {
+					word |= 1 << uint(j)
+				}
+			}
+		}
+		if l.col.Valid != nil {
+			word &= l.col.Valid[lo>>6+w]
+		}
+		out[w] |= word
+	}
+}
+
+// ordBits ORs the rows of [lo, lo+n) whose value compares to x under op
+// (eq, ne, lt, le, gt, ge) into out, one 64-row word at a time like
+// strBits. Float leaves only compile to the range ops, and NaN cells fail
+// every range comparison, as they do in leaf.match.
+//
+//whpcvet:hot
+func ordBits[T int64 | float64](vals []T, op int, x T, lo, n int, valid Bitmap, out Bitmap) {
+	vals = vals[lo : lo+n]
+	for w := 0; w*64 < n; w++ {
+		seg := vals[w*64 : min(n, w*64+64)]
+		var word uint64
+		switch op {
+		case opEq:
+			for j, v := range seg {
+				if v == x {
+					word |= 1 << uint(j)
+				}
+			}
+		case opNe:
+			for j, v := range seg {
+				if v != x {
+					word |= 1 << uint(j)
+				}
+			}
+		case opLt:
+			for j, v := range seg {
+				if v < x {
+					word |= 1 << uint(j)
+				}
+			}
+		case opLe:
+			for j, v := range seg {
+				if v <= x {
+					word |= 1 << uint(j)
+				}
+			}
+		case opGt:
+			for j, v := range seg {
+				if v > x {
+					word |= 1 << uint(j)
+				}
+			}
+		case opGe:
+			for j, v := range seg {
+				if v >= x {
+					word |= 1 << uint(j)
+				}
+			}
+		}
+		if valid != nil {
+			word &= valid[lo>>6+w]
+		}
+		out[w] |= word
 	}
 }
 
@@ -713,8 +805,9 @@ func keyValue(col *Column, tok uint64) Value {
 	}
 }
 
-// row is one unified output row: key cells then aggregate cells, with the
-// raw key tokens retained for appearance-order sorting.
+// execRow is one grouped output row: key cells then aggregate cells, with
+// the raw key tokens retained for appearance-order sorting. Projections
+// never build one; they order row indexes instead (see project.go).
 type execRow struct {
 	vals   []Value
 	tokens []uint64
@@ -732,71 +825,6 @@ func Run(fs *FrameSet, q *Query) (*Result, error) {
 	}
 	part := execPartial(p, q)
 	return mergeRun(p, q, []*Partial{part})
-}
-
-// scanSelect evaluates a projection in frame row order, pre-sort and
-// pre-limit. A counting pass sizes the output first so the fill loop only
-// slices preallocated arenas — three allocations total instead of three
-// per matching row.
-//
-//whpcvet:hot
-func scanSelect(p *plan) []execRow {
-	nmatch := 0
-	for row := 0; row < p.f.NumRows; row++ {
-		if matchFilter(p.where, row) {
-			nmatch++
-		}
-	}
-	k := len(p.selects)
-	valArena := make([]Value, 0, nmatch*k)
-	tokArena := make([]uint64, 0, nmatch*k)
-	rows := make([]execRow, 0, nmatch)
-	for row := 0; row < p.f.NumRows; row++ {
-		if !matchFilter(p.where, row) {
-			continue
-		}
-		base := len(valArena)
-		for _, s := range p.selects {
-			tokArena = append(tokArena, token(s.col, row))
-			valArena = append(valArena, columnValue(s.col, row))
-		}
-		rows = append(rows, execRow{
-			vals:   valArena[base : base+k : base+k],
-			tokens: tokArena[base : base+k : base+k],
-		})
-	}
-	return rows
-}
-
-// finalizeSelect sorts, limits and packages projected rows.
-func finalizeSelect(p *plan, rows []execRow) (*Result, error) {
-	res := newResult(p)
-	sortRows(p, rows)
-	if p.limit > 0 && len(rows) > p.limit {
-		rows = rows[:p.limit]
-	}
-	res.Rows = make([][]Value, len(rows))
-	for i, r := range rows {
-		res.Rows[i] = r.vals
-	}
-	return res, nil
-}
-
-// columnValue reads one cell of a column.
-func columnValue(col *Column, row int) Value {
-	if !col.valid(row) {
-		return Value{Kind: col.Type, Null: true}
-	}
-	switch col.Type {
-	case TInt:
-		return Value{Kind: TInt, I: col.Ints[row]}
-	case TFloat:
-		return Value{Kind: TFloat, F: col.Floats[row]}
-	case TStr:
-		return Value{Kind: TStr, S: col.str(row)}
-	default:
-		return Value{Kind: TBool, B: col.Bools.Get(row)}
-	}
 }
 
 // finalizeGrouped renders a merged accumulator set: optional domain
@@ -899,8 +927,8 @@ func runCompare(p *plan, acc *accSet) (*CompareResult, error) {
 	return cr, nil
 }
 
-// sortRows stable-sorts rows per the plan's order_by; with no order_by the
-// incoming deterministic order (first appearance / frame order) stands.
+// sortRows stable-sorts grouped rows per the plan's order_by; with no
+// order_by the merged first-appearance order stands.
 func sortRows(p *plan, rows []execRow) {
 	if len(p.orderBy) == 0 {
 		return

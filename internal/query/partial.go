@@ -19,10 +19,12 @@ var ErrPartialMismatch = errors.New("query: partial belongs to a different query
 
 // Partial is the merge-safe intermediate state of one scan: per-partition
 // accumulator sets for grouped queries (group cells plus Welch moment
-// partials, in partition order), or the matching projected rows in frame
-// row order for ungrouped selects. Partials carry no finalization — no
-// sorting, no limits, no totals, no empty-result decisions — so they can
-// be merged across shards before any order-sensitive step runs.
+// partials, in partition order), or, for ungrouped selects, the matching
+// row indexes in frame row order plus the frame's projected columns —
+// no cell is materialized until the merged result is ordered and limited.
+// Partials carry no finalization — no sorting, no limits, no totals, no
+// empty-result decisions — so they can be merged across shards before any
+// order-sensitive step runs.
 //
 // A Partial references the dictionaries of the frames it was scanned
 // from. Shards built with Frame.Slice share those dictionaries, which is
@@ -31,7 +33,8 @@ type Partial struct {
 	hash    string // Query.Hash of the spec that produced this partial
 	grouped bool
 	parts   []*accSet // grouped: one accumulator set per partition
-	rows    []execRow // select: matching rows, pre-sort and pre-limit
+	rows    []int32   // select: matching frame rows, pre-sort and pre-limit
+	cols    []*Column // select: the frame's projected columns, in select order
 	scanned int       // rows scanned (the shard frame's row count)
 }
 
@@ -73,6 +76,10 @@ func execPartial(p *plan, q *Query) *Partial {
 		pt.parts = scanGrouped(p)
 	} else {
 		pt.rows = scanSelect(p)
+		pt.cols = make([]*Column, len(p.selects))
+		for i, s := range p.selects {
+			pt.cols[i] = s.col
+		}
 	}
 	return pt
 }
@@ -85,20 +92,7 @@ func mergeRun(p *plan, q *Query, partials []*Partial) (*Result, error) {
 		}
 	}
 	if !p.grouped {
-		var rows []execRow
-		if len(partials) == 1 {
-			rows = partials[0].rows
-		} else {
-			n := 0
-			for _, pt := range partials {
-				n += len(pt.rows)
-			}
-			rows = make([]execRow, 0, n)
-			for _, pt := range partials {
-				rows = append(rows, pt.rows...)
-			}
-		}
-		return finalizeSelect(p, rows)
+		return finalizeSelect(p, partials), nil
 	}
 	var parts []*accSet
 	if len(partials) == 1 {

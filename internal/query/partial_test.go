@@ -91,6 +91,12 @@ func TestMergeRunByteIdenticalToRun(t *testing.T) {
 			OrderBy: []Order{{Key: "attendance", Desc: true}, {Key: "person"}},
 			Limit:   40,
 		},
+		{ // tie-heavy order: ties must keep merge order across slice boundaries
+			Frame:   FrameSlots,
+			Select:  []Key{{Col: "gender"}, {Col: "person"}, {Col: "conference"}},
+			OrderBy: []Order{{Key: "gender", Desc: true}},
+			Limit:   1500,
+		},
 	}
 	for qi, q := range queries {
 		want := mustRun(t, q)

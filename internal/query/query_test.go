@@ -422,19 +422,23 @@ func TestJSONEncodingHandlesNaN(t *testing.T) {
 	}
 }
 
-// TestFloatTokenKeepsOrder: float scan tokens are non-zero (zero is null)
-// and order exactly as cmpValue orders the values — NaN first, -0 == +0.
-func TestFloatTokenKeepsOrder(t *testing.T) {
+// TestFloatCellOrderMatchesCmpValue: the projection comparator orders
+// float cells exactly as cmpValue orders their Values — null first, then
+// every NaN, then numbers ascending, with -0 == +0.
+func TestFloatCellOrderMatchesCmpValue(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(-1), -1.5, -math.SmallestNonzeroFloat64,
 		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e-300, 2, math.MaxFloat64, math.Inf(1)}
-	for i, a := range vals {
-		if floatToken(a) == 0 {
-			t.Fatalf("floatToken(%g) = 0, the null token", a)
-		}
-		for _, b := range vals[i:] {
-			want := cmpValue(Value{Kind: TFloat, F: a}, Value{Kind: TFloat, F: b})
-			if got := cmpUint64(floatToken(a), floatToken(b)); got != want {
-				t.Errorf("token order of (%g, %g) = %d, want %d", a, b, got, want)
+	b := newFloatCol("f")
+	b.addNull()
+	for _, v := range vals {
+		b.addFloat(v)
+	}
+	col := b.finish(len(vals) + 1)
+	for i := 0; i <= len(vals); i++ {
+		for j := 0; j <= len(vals); j++ {
+			want := cmpValue(columnValue(col, i), columnValue(col, j))
+			if got := cmpCell(col, i, col, j, false); got != want {
+				t.Errorf("cmpCell(%v, %v) = %d, want %d", columnValue(col, i), columnValue(col, j), got, want)
 			}
 		}
 	}

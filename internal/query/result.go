@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Value is one result cell. Kind selects the populated field; Null cells
@@ -43,22 +44,78 @@ func (v Value) csvString() string {
 // have no JSON representation; they encode as null, matching the exhibit
 // DTO convention for no-data ratios.
 func (v Value) MarshalJSON() ([]byte, error) {
+	return v.appendJSON(nil), nil
+}
+
+// appendJSON appends the cell's JSON encoding to b: exactly the bytes
+// encoding/json produces for the cell, without its reflection.
+func (v Value) appendJSON(b []byte) []byte {
 	if v.Null {
-		return []byte("null"), nil
+		return append(b, "null"...)
 	}
 	switch v.Kind {
 	case TInt:
-		return strconv.AppendInt(nil, v.I, 10), nil
+		return strconv.AppendInt(b, v.I, 10)
 	case TFloat:
-		if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
-			return []byte("null"), nil
-		}
-		return json.Marshal(v.F)
+		return appendJSONFloat(b, v.F)
 	case TBool:
-		return strconv.AppendBool(nil, v.B), nil
+		return strconv.AppendBool(b, v.B)
 	default:
-		return json.Marshal(v.S)
+		return appendJSONString(b, v.S)
 	}
+}
+
+// appendJSONFloat follows encoding/json's float64 rules: the shortest
+// round-tripping form, in 'f' notation except below 1e-6 or at 1e21 and
+// above, where 'e' notation drops the exponent's leading zero (e-07 is
+// written e-7). Non-finite values encode as null.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); (abs > 0 && abs < 1e-6) || abs >= 1e21 {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString quotes s as encoding/json does, HTML escaping included.
+// Strings with nothing to escape — no quote, backslash, control byte, <, >
+// or &, no invalid UTF-8 and no U+2028 or U+2029 — are copied verbatim;
+// any other string is handed to json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				return appendMarshaled(b, s)
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
+			return appendMarshaled(b, s)
+		}
+		i += size
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendMarshaled appends json.Marshal(s), which cannot fail for a string.
+func appendMarshaled(b []byte, s string) []byte {
+	q, _ := json.Marshal(s)
+	return append(b, q...)
 }
 
 // CompareResult is the outcome of a two-group test attached to a grouped
@@ -125,13 +182,9 @@ func newResult(p *plan) *Result {
 	return r
 }
 
-// addRow projects a unified row (all keys + aggs) down to the visible
-// columns and appends it.
+// addRow projects a unified grouped row (all keys + aggs) down to the
+// visible columns and appends it.
 func (r *Result) addRow(p *plan, vals []Value) {
-	if !p.grouped {
-		r.Rows = append(r.Rows, vals)
-		return
-	}
 	out := make([]Value, 0, len(r.Columns))
 	for ki, k := range p.keys {
 		if !k.hide {
@@ -166,9 +219,56 @@ func (r *Result) CSV() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// JSON encodes the result as deterministic JSON.
+// JSON encodes the result as deterministic JSON — byte for byte what
+// json.Marshal(r) produces — by appending to one buffer.
 func (r *Result) JSON() ([]byte, error) {
-	return json.Marshal(r)
+	b := make([]byte, 0, 1024)
+	b = append(b, `{"columns":`...)
+	if r.Columns == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, c := range r.Columns {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, c)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"rows":`...)
+	if r.Rows == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, row := range r.Rows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if row == nil {
+				b = append(b, "null"...)
+				continue
+			}
+			b = append(b, '[')
+			for j, v := range row {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = v.appendJSON(b)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, ']')
+	}
+	if r.Compare != nil {
+		c, err := r.Compare.MarshalJSON()
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, `,"compare":`...)
+		b = append(b, c...)
+	}
+	return append(b, '}'), nil
 }
 
 // Encode renders per the requested format (JSON when empty) and reports
