@@ -83,9 +83,10 @@ type GenderGapKS struct {
 	MaleShiftRight bool
 }
 
-// DistributionGap runs the KS comparison for a metric and role.
+// DistributionGap runs the KS comparison for a metric and role. It reads
+// only the samples and their medians, so it skips the density curves.
 func DistributionGap(d *dataset.Dataset, m Metric, role dataset.Role) (GenderGapKS, error) {
-	samples, err := ExperienceDistributions(d, m, role)
+	samples, err := experienceSamples(d, m, role)
 	if err != nil {
 		return GenderGapKS{}, err
 	}
@@ -115,6 +116,25 @@ func DistributionGap(d *dataset.Dataset, m Metric, role dataset.Role) (GenderGap
 // ExperienceDistributions computes the Fig 3/4/5 samples: the metric split
 // by gender for each requested role population (unique persons per role).
 func ExperienceDistributions(d *dataset.Dataset, m Metric, roles ...dataset.Role) ([]GroupSample, error) {
+	out, err := experienceSamples(d, m, roles...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		s := &out[i]
+		kde, err := stats.NewKDE(s.Values, stats.Silverman)
+		if err != nil {
+			return nil, err
+		}
+		x, y := kde.Evaluate(256)
+		s.Density = DensityCurve{Label: s.Gender.String() + " " + s.Role.String(), X: x, Y: y}
+	}
+	return out, nil
+}
+
+// experienceSamples collects ExperienceDistributions' values and summaries
+// without the density curves.
+func experienceSamples(d *dataset.Dataset, m Metric, roles ...dataset.Role) ([]GroupSample, error) {
 	if len(roles) == 0 {
 		roles = []dataset.Role{dataset.RoleAuthor, dataset.RolePCMember}
 	}
@@ -145,15 +165,7 @@ func ExperienceDistributions(d *dataset.Dataset, m Metric, roles ...dataset.Role
 			if err != nil {
 				return nil, err
 			}
-			kde, err := stats.NewKDE(vals, stats.Silverman)
-			if err != nil {
-				return nil, err
-			}
-			x, y := kde.Evaluate(256)
-			out = append(out, GroupSample{
-				Gender: g, Role: role, Values: vals, Summary: sum,
-				Density: DensityCurve{Label: g.String() + " " + role.String(), X: x, Y: y},
-			})
+			out = append(out, GroupSample{Gender: g, Role: role, Values: vals, Summary: sum})
 		}
 	}
 	return out, nil

@@ -2,14 +2,22 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/gender"
 )
 
 // Dataset is the complete corpus: conferences, their papers, and every
-// person holding any role. It maintains lookup indexes that are rebuilt
-// lazily after mutation via Reindex.
+// person holding any role. It maintains lookup indexes and memoizes the
+// all-conference unique populations (UniqueAuthors, UniqueRoleHolders of
+// PC members, UniqueAuthorsAndPC). AddConference and AddPaper keep both
+// current. A caller that mutates the exported slices, a conference's role
+// rosters or a paper's author list after adding it must call Reindex
+// before the next read, which rebuilds the indexes and drops the memo.
+//
+// Reads may run concurrently once mutation has finished; the memo is
+// built on first use and published atomically.
 type Dataset struct {
 	Conferences []*Conference
 	Papers      []*Paper
@@ -17,6 +25,16 @@ type Dataset struct {
 
 	papersByConf map[ConfID][]*Paper
 	confByID     map[ConfID]*Conference
+
+	populations atomic.Pointer[populations]
+}
+
+// populations is the memoized set of all-conference unique populations,
+// each sorted by ID. The slices are never handed out directly.
+type populations struct {
+	authors      []PersonID
+	pcMembers    []PersonID
+	authorsAndPC []PersonID
 }
 
 // New returns an empty dataset ready for population.
@@ -38,6 +56,7 @@ func (d *Dataset) AddConference(c *Conference) error {
 	}
 	d.Conferences = append(d.Conferences, c)
 	d.confByID[c.ID] = c
+	d.populations.Store(nil)
 	return nil
 }
 
@@ -51,6 +70,7 @@ func (d *Dataset) AddPaper(p *Paper) error {
 	}
 	d.Papers = append(d.Papers, p)
 	d.papersByConf[p.Conf] = append(d.papersByConf[p.Conf], p)
+	d.populations.Store(nil)
 	return nil
 }
 
@@ -66,9 +86,12 @@ func (d *Dataset) AddPerson(p *Person) error {
 	return nil
 }
 
-// Reindex rebuilds the lookup indexes after direct mutation of the
-// exported slices (the CSV loader uses this).
+// Reindex rebuilds the lookup indexes and drops the memoized unique
+// populations. It is required after direct mutation of the exported
+// slices, a conference's role rosters or a paper's author list (the CSV
+// loader uses this).
 func (d *Dataset) Reindex() {
+	d.populations.Store(nil)
 	d.papersByConf = make(map[ConfID][]*Paper, len(d.Conferences))
 	d.confByID = make(map[ConfID]*Conference, len(d.Conferences))
 	for _, c := range d.Conferences {
@@ -108,8 +131,16 @@ func (d *Dataset) AuthorSlots(confs ...ConfID) []PersonID {
 
 // UniqueAuthors returns the deduplicated author set for the given
 // conferences (all if none specified), sorted by ID for determinism. This
-// is the population behind "1885 unique coauthors".
+// is the population behind "1885 unique coauthors". The all-conference
+// set is memoized; the caller owns the returned slice either way.
 func (d *Dataset) UniqueAuthors(confs ...ConfID) []PersonID {
+	if len(confs) == 0 {
+		return slices.Clone(d.memo().authors)
+	}
+	return d.uniqueAuthors(confs)
+}
+
+func (d *Dataset) uniqueAuthors(confs []ConfID) []PersonID {
 	seen := make(map[PersonID]bool)
 	for _, p := range d.papersIn(confs) {
 		for _, a := range p.Authors {
@@ -158,8 +189,16 @@ func (d *Dataset) RoleSlots(r Role, confs ...ConfID) []PersonID {
 }
 
 // UniqueRoleHolders deduplicates RoleSlots (the paper's "908 total" unique
-// PC members), sorted by ID.
+// PC members), sorted by ID. The all-conference PC member set is
+// memoized; the caller owns the returned slice either way.
 func (d *Dataset) UniqueRoleHolders(r Role, confs ...ConfID) []PersonID {
+	if len(confs) == 0 && r == RolePCMember {
+		return slices.Clone(d.memo().pcMembers)
+	}
+	return d.uniqueRoleHolders(r, confs)
+}
+
+func (d *Dataset) uniqueRoleHolders(r Role, confs []ConfID) []PersonID {
 	seen := make(map[PersonID]bool)
 	for _, id := range d.RoleSlots(r, confs...) {
 		seen[id] = true
@@ -169,15 +208,32 @@ func (d *Dataset) UniqueRoleHolders(r Role, confs ...ConfID) []PersonID {
 
 // UniqueAuthorsAndPC returns the union of unique authors and unique PC
 // members — the "3456 authors and PC members" demographic population of §5.
+// The set is memoized; the caller owns the returned slice.
 func (d *Dataset) UniqueAuthorsAndPC() []PersonID {
-	seen := make(map[PersonID]bool)
-	for _, id := range d.AuthorSlots() {
+	return slices.Clone(d.memo().authorsAndPC)
+}
+
+// memo returns the all-conference unique populations, building them on
+// first use. Concurrent first callers may each build a copy; they are
+// equal, and whichever is stored last serves later reads.
+func (d *Dataset) memo() *populations {
+	if m := d.populations.Load(); m != nil {
+		return m
+	}
+	m := &populations{
+		authors:   d.uniqueAuthors(nil),
+		pcMembers: d.uniqueRoleHolders(RolePCMember, nil),
+	}
+	seen := make(map[PersonID]bool, len(m.authors)+len(m.pcMembers))
+	for _, id := range m.authors {
 		seen[id] = true
 	}
-	for _, id := range d.RoleSlots(RolePCMember) {
+	for _, id := range m.pcMembers {
 		seen[id] = true
 	}
-	return sortedIDs(seen)
+	m.authorsAndPC = sortedIDs(seen)
+	d.populations.Store(m)
+	return m
 }
 
 // HPCPapers returns the manually HPC-tagged subset (§4.1) across the given
@@ -276,6 +332,6 @@ func sortedIDs(set map[PersonID]bool) []PersonID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -1,0 +1,149 @@
+package dataset
+
+import (
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/gender"
+)
+
+// naivePopulations recomputes the three memoized populations from the
+// exported slices alone, without touching the memo or the indexes.
+func naivePopulations(d *Dataset) (authors, pc, both []PersonID) {
+	a := map[PersonID]bool{}
+	m := map[PersonID]bool{}
+	for _, p := range d.Papers {
+		for _, id := range p.Authors {
+			a[id] = true
+		}
+	}
+	for _, c := range d.Conferences {
+		for _, id := range c.PCMembers {
+			m[id] = true
+		}
+	}
+	u := map[PersonID]bool{}
+	for id := range a {
+		u[id] = true
+	}
+	for id := range m {
+		u[id] = true
+	}
+	return sortedIDs(a), sortedIDs(m), sortedIDs(u)
+}
+
+func checkPopulations(t *testing.T, d *Dataset, stage string) {
+	t.Helper()
+	authors, pc, both := naivePopulations(d)
+	if got := d.UniqueAuthors(); !slices.Equal(got, authors) {
+		t.Errorf("%s: UniqueAuthors = %v, want %v", stage, got, authors)
+	}
+	if got := d.UniqueRoleHolders(RolePCMember); !slices.Equal(got, pc) {
+		t.Errorf("%s: UniqueRoleHolders(PC) = %v, want %v", stage, got, pc)
+	}
+	if got := d.UniqueAuthorsAndPC(); !slices.Equal(got, both) {
+		t.Errorf("%s: UniqueAuthorsAndPC = %v, want %v", stage, got, both)
+	}
+}
+
+func TestUniquePopulationsMemo(t *testing.T) {
+	d := tinyCorpus(t)
+	checkPopulations(t, d, "initial")
+
+	// AddConference drops the memo: the new PC members appear.
+	if err := d.AddPerson(&Person{ID: "gina", Name: "Gina G", Gender: gender.Female}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddConference(&Conference{
+		ID: "ICS18", Name: "ICS", Year: 2018,
+		Date:      time.Date(2018, 6, 12, 0, 0, 0, 0, time.UTC),
+		PCMembers: []PersonID{"gina", "alice"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checkPopulations(t, d, "after AddConference")
+
+	// AddPaper drops the memo: the new author appears.
+	if err := d.AddPerson(&Person{ID: "hank", Name: "Hank H", Gender: gender.Male}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddPaper(&Paper{ID: "p4", Conf: "ICS18", Authors: []PersonID{"hank", "gina"}}); err != nil {
+		t.Fatal(err)
+	}
+	checkPopulations(t, d, "after AddPaper")
+
+	// Mutating a roster or an author list after adding it is visible
+	// only after Reindex, which is the documented contract.
+	d.Conferences[0].PCMembers = append(d.Conferences[0].PCMembers, "ivan")
+	d.Papers[0].Authors = append(d.Papers[0].Authors, "judy")
+	d.Reindex()
+	checkPopulations(t, d, "after Reindex")
+
+	// Clone starts with an empty memo and stays independent.
+	cl := d.Clone()
+	if err := cl.AddPaper(&Paper{ID: "p5", Conf: "ICS18", Authors: []PersonID{"kim", "lee"}}); err != nil {
+		t.Fatal(err)
+	}
+	checkPopulations(t, cl, "clone after AddPaper")
+	checkPopulations(t, d, "original after clone AddPaper")
+
+	// A returned slice is the caller's: scribbling on it leaves the next
+	// call unchanged.
+	for _, get := range []func() []PersonID{
+		func() []PersonID { return d.UniqueAuthors() },
+		func() []PersonID { return d.UniqueRoleHolders(RolePCMember) },
+		d.UniqueAuthorsAndPC,
+	} {
+		first := get()
+		want := slices.Clone(first)
+		for i := range first {
+			first[i] = "zzz"
+		}
+		_ = append(first[:0], "aaa")
+		if got := get(); !slices.Equal(got, want) {
+			t.Errorf("memo corrupted through a returned slice: got %v, want %v", got, want)
+		}
+	}
+	checkPopulations(t, d, "after scribbling")
+
+	// Conference-filtered calls are computed fresh.
+	if got := d.UniqueAuthors("ICS18"); !slices.Equal(got, []PersonID{"gina", "hank"}) {
+		t.Errorf("UniqueAuthors(ICS18) = %v", got)
+	}
+	if got := d.UniqueRoleHolders(RolePCMember, "ICS18"); !slices.Equal(got, []PersonID{"alice", "gina"}) {
+		t.Errorf("UniqueRoleHolders(PC, ICS18) = %v", got)
+	}
+
+	// Concurrent first calls all build or load the memo; under -race this
+	// checks that its publication is synchronized.
+	t.Run("concurrent first use", testConcurrentFirstUse)
+}
+
+func testConcurrentFirstUse(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		d := tinyCorpus(t)
+		authors, pc, both := naivePopulations(d)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var got, want []PersonID
+				switch g % 3 {
+				case 0:
+					got, want = d.UniqueAuthors(), authors
+				case 1:
+					got, want = d.UniqueRoleHolders(RolePCMember), pc
+				default:
+					got, want = d.UniqueAuthorsAndPC(), both
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("concurrent first call: got %v, want %v", got, want)
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}

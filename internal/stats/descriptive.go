@@ -120,19 +120,31 @@ func Quantile(xs []float64, p float64) (float64, error) {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return 0, errors.New("stats: quantile probability outside [0, 1]")
 	}
+	return quantileSorted(sortedCopy(xs), p), nil
+}
+
+// sortedCopy returns xs sorted ascending, leaving xs untouched. Callers
+// that need several quantiles of one sample sort once and share the copy.
+func sortedCopy(xs []float64) []float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return sorted
+}
+
+// quantileSorted is Quantile's type-7 interpolation over a non-empty,
+// already sorted sample and a p in [0, 1].
+func quantileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
-		return sorted[0], nil
+		return sorted[0]
 	}
 	h := p * float64(len(sorted)-1)
 	lo := int(math.Floor(h))
 	hi := int(math.Ceil(h))
 	if lo == hi {
-		return sorted[lo], nil
+		return sorted[lo]
 	}
 	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Skewness returns the adjusted Fisher-Pearson sample skewness of xs.
@@ -186,9 +198,10 @@ func Summarize(xs []float64) (Summary, error) {
 	s.Mean = MustMean(xs)
 	s.Min, _ = Min(xs)
 	s.Max, _ = Max(xs)
-	s.Q1, _ = Quantile(xs, 0.25)
-	s.Median, _ = Median(xs)
-	s.Q3, _ = Quantile(xs, 0.75)
+	sorted := sortedCopy(xs)
+	s.Q1 = quantileSorted(sorted, 0.25)
+	s.Median = quantileSorted(sorted, 0.5)
+	s.Q3 = quantileSorted(sorted, 0.75)
 	if sd, err := StdDev(xs); err == nil {
 		s.StdDev = sd
 	} else {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"time"
 )
 
 func normSample(n int, seed uint64) []float64 {
@@ -193,5 +194,162 @@ func TestHistogramErrors(t *testing.T) {
 	}
 	if got := h.Counts[0]; got != 3 {
 		t.Errorf("all-equal sample: first bin = %d, want 3", got)
+	}
+}
+
+// naivePDF is the per-sample density loop the tie-collapsed KDE replaced:
+// one exp per observation, summed in sample order. It is the bit-exact
+// reference for TestKDEMatchesNaiveSum and the baseline for the perf floor.
+func naivePDF(xs []float64, h, x float64) float64 {
+	var sum float64
+	invH := 1 / h
+	norm := invH / (float64(len(xs)) * math.Sqrt(2*math.Pi))
+	for _, xi := range xs {
+		z := (x - xi) * invH
+		sum += math.Exp(-0.5 * z * z)
+	}
+	return sum * norm
+}
+
+// tiedCounts draws n integer counts from a right-skewed distribution
+// capped at max, the shape of the h-index and publication samples.
+func tiedCounts(n int, max float64, seed uint64) []float64 {
+	rng := rand.New(rand.NewPCG(seed, seed^0x51ed27))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = math.Min(math.Floor(rng.ExpFloat64()*max/5), max)
+	}
+	return xs
+}
+
+func TestKDEMatchesNaiveSum(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		xs   []float64
+	}{
+		{"h-index ties", tiedCounts(1900, 80, 1)},
+		{"GS pubs ties", tiedCounts(900, 600, 2)},
+		{"distinct continuous", normSample(700, 3)},
+		{"constant", []float64{7, 7, 7, 7, 7}},
+		{"signed zeros", []float64{0, negZero, 0, 1, negZero, -1, 0, 2}},
+	}
+	for _, tc := range cases {
+		k, err := NewKDE(tc.xs, Silverman)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := k.Bandwidth()
+		gx, gy := k.Evaluate(256)
+		lo, _ := Min(tc.xs)
+		hi, _ := Max(tc.xs)
+		lo -= 3 * h
+		hi += 3 * h
+		step := (hi - lo) / 255
+		for i, x := range gx {
+			if wantX := lo + float64(i)*step; math.Float64bits(x) != math.Float64bits(wantX) {
+				t.Fatalf("%s: grid point %d = %v, want %v", tc.name, i, x, wantX)
+			}
+			want := naivePDF(tc.xs, h, x)
+			if math.Float64bits(gy[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: Evaluate point %d (x=%g) = %v, naive %v", tc.name, i, x, gy[i], want)
+			}
+			if got := k.PDF(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: PDF(%g) = %v, naive %v", tc.name, x, got, want)
+			}
+		}
+		// Off-grid points, including the sample values themselves and a
+		// signed zero.
+		for _, x := range append([]float64{negZero, 0, 0.5, -3.25}, tc.xs[:4]...) {
+			if got, want := k.PDF(x), naivePDF(tc.xs, h, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: PDF(%g) = %v, naive %v", tc.name, x, got, want)
+			}
+		}
+	}
+}
+
+// kdeTieSample is the perf-floor input: 3k integer counts with heavy ties.
+var kdeTieSample = tiedCounts(3000, 80, 9)
+
+var kdeSink float64
+
+// evalTies builds the KDE over kdeTieSample and samples its 256-point
+// curve, as Figs 3-5 compute it.
+func evalTies() {
+	k, err := NewKDE(kdeTieSample, Silverman)
+	if err != nil {
+		panic(err)
+	}
+	_, ys := k.Evaluate(256)
+	kdeSink = ys[128]
+}
+
+// evalTiesNaive computes the same curve with one exp per observation per
+// grid point.
+func evalTiesNaive() {
+	k, err := NewKDE(kdeTieSample, Silverman)
+	if err != nil {
+		panic(err)
+	}
+	h := k.Bandwidth()
+	lo, _ := Min(kdeTieSample)
+	hi, _ := Max(kdeTieSample)
+	lo -= 3 * h
+	hi += 3 * h
+	step := (hi - lo) / 255
+	for j := 0; j < 256; j++ {
+		kdeSink = naivePDF(kdeTieSample, h, lo+float64(j)*step)
+	}
+}
+
+// BenchmarkKDEEvaluateTies measures the tie-collapsed 256-point curve
+// over 3k tie-heavy counts.
+func BenchmarkKDEEvaluateTies(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		evalTies()
+	}
+}
+
+// BenchmarkNaiveKDEEvaluateTies is the reference the tie-collapsed curve
+// must beat.
+func BenchmarkNaiveKDEEvaluateTies(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		evalTiesNaive()
+	}
+}
+
+// fastestRun returns the quickest of trials timed calls of f. The floor
+// times a handful of calls instead of running full benchmarks, so it
+// stays short and barely loads the CPUs that other packages' perf floors
+// share when go test runs packages in parallel.
+func fastestRun(trials int, f func()) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < trials; i++ {
+		start := time.Now()
+		f()
+		if d := time.Since(start); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// TestKDEEvaluateBeatsNaive is the perf floor for the tie-collapsed KDE:
+// a 256-point curve over 3k tie-heavy counts must be at least 3x faster
+// than the per-observation loop.
+func TestKDEEvaluateBeatsNaive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("perf floor skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("perf floor not meaningful under the race detector's instrumentation")
+	}
+	fast := fastestRun(9, evalTies)
+	naive := fastestRun(3, evalTiesNaive)
+	t.Logf("tie-collapsed %v, naive %v (%.1fx)", fast, naive, float64(naive)/float64(fast))
+	if fast*3 > naive {
+		t.Errorf("tie-collapsed KDE %v not 3x faster than naive %v", fast, naive)
 	}
 }

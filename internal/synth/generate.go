@@ -445,6 +445,10 @@ func (g *gen) genConference(conf *ConfSpec) error {
 	}
 
 	// --- Role rosters. ---
+	// The rosters are written after AddConference. That is safe for the
+	// dataset's memoized populations because nothing reads them until the
+	// generator returns, and every later AddConference/AddPaper drops the
+	// memo anyway.
 	// Role quotas are about *perceived* gender (the observable the paper
 	// tallies: "four conferences appointed no women at all"), so a person
 	// whose assignment cascade misfired must not silently flip a
