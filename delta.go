@@ -26,14 +26,29 @@ import (
 // serve layer applies deltas at materialization time, before a study is
 // published to request handlers.
 func (s *Study) ApplyDelta(info snap.DeltaInfo, mini *dataset.Dataset) error {
-	return s.ApplyDeltaInjected(info, mini, chaos.None)
+	return s.applyDelta(info, mini, nil)
 }
 
-// ApplyDeltaInjected is ApplyDelta with a chaos injector consulted at the
-// delta.apply point. An injected fault fails the apply before the clones
-// are touched, so the study stays exactly as it was — the property the
-// chaos suite asserts.
-func (s *Study) ApplyDeltaInjected(info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) error {
+// ApplyDeltaFile opens the delta snapshot at path and applies it.
+func (s *Study) ApplyDeltaFile(path string) error {
+	return s.ApplyDeltaFileInjected(path, nil)
+}
+
+// ApplyDeltaFileInjected is ApplyDeltaFile with a chaos injector threaded
+// through both the snapshot read/decode layers (snap.read, snap.decode)
+// and the apply itself (delta.apply). A torn or corrupt delta file fails
+// validation inside snap before the apply runs, and an injected apply
+// fault fires before the clones are touched, so neither can leave the
+// base study half-patched.
+func (s *Study) ApplyDeltaFileInjected(path string, inj chaos.Injector) error {
+	sn, err := snap.Open(path, snap.Delta, inj)
+	if err != nil {
+		return err
+	}
+	return s.applyDelta(*sn.Delta, sn.Corpus, inj)
+}
+
+func (s *Study) applyDelta(info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) error {
 	if s.harvest != nil {
 		return fmt.Errorf("repro: cannot apply a delta to a harvested study (its records reflect degraded harvest coverage, not the pristine base the delta extends)")
 	}
@@ -42,7 +57,7 @@ func (s *Study) ApplyDeltaInjected(info snap.DeltaInfo, mini *dataset.Dataset, i
 	if s.frames != nil {
 		fs = s.frames.Clone()
 	}
-	if err := delta.ApplyInjected(d, fs, info, mini, inj); err != nil {
+	if err := delta.Apply(d, fs, info, mini, inj); err != nil {
 		return err
 	}
 	s.data = d
@@ -61,24 +76,6 @@ func (s *Study) ApplyDeltaInjected(info snap.DeltaInfo, mini *dataset.Dataset, i
 	s.citeGraph = nil
 	s.citeMu.Unlock()
 	return nil
-}
-
-// ApplyDeltaFile opens the delta snapshot at path and applies it.
-func (s *Study) ApplyDeltaFile(path string) error {
-	return s.ApplyDeltaFileInjected(path, chaos.None)
-}
-
-// ApplyDeltaFileInjected is ApplyDeltaFile with a chaos injector threaded
-// through both the snapshot read/decode layers (snap.read, snap.decode)
-// and the apply itself (delta.apply). A torn or corrupt delta file fails
-// validation inside snap before ApplyDelta runs, so it can never leave the
-// base study half-patched.
-func (s *Study) ApplyDeltaFileInjected(path string, inj chaos.Injector) error {
-	info, mini, err := snap.OpenDeltaInjected(path, inj)
-	if err != nil {
-		return err
-	}
-	return s.ApplyDeltaInjected(info, mini, inj)
 }
 
 // Revision counts the deltas applied to the study since construction. The

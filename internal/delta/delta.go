@@ -5,7 +5,9 @@
 // columnar FrameSet in place — so appending a year to a warm study costs
 // O(new rows) instead of a full resynthesis and frame rebuild.
 //
-// The apply path is guarded three ways before a single row moves: the
+// Apply is the one apply entry point. Its chaos injector (nil in
+// production) fires at the delta.apply point before anything is checked.
+// Then the apply is guarded three ways before a single row moves: the
 // delta's base fingerprint must match the corpus it is applied to, the
 // mini-corpus must be internally consistent with the delta identity, and
 // every participant record the delta reuses must match the base record it
@@ -78,7 +80,7 @@ func WriteFile(path string, yd *synth.YearDelta, base *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	return snap.WriteDeltaFile(path, info, mini)
+	return snap.WriteFile(path, snap.Snapshot{Corpus: mini, Delta: &info})
 }
 
 // Apply merges a decoded delta into the loaded base: new participants and
@@ -88,15 +90,11 @@ func WriteFile(path string, yd *synth.YearDelta, base *dataset.Dataset) error {
 // rebuild over the merged corpus would produce. fs may be nil for callers
 // that have not flattened frames yet — the lazy build then sees the merged
 // corpus. See the package comment for the atomicity contract.
-func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset) error {
-	return ApplyInjected(d, fs, info, mini, nil)
-}
-
-// ApplyInjected is Apply with a chaos injector consulted at the
-// delta.apply point — after the mini-corpus is decoded, before the base is
-// touched, so an injected fault always leaves the base study exactly as it
-// was.
-func ApplyInjected(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) error {
+//
+// inj (nil means none) is consulted at the delta.apply point first —
+// after the mini-corpus is decoded, before the base is touched — so an
+// injected fault always leaves the base exactly as it was.
+func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) error {
 	if f := chaos.Or(inj).Fire(chaos.PointDeltaApply); f != nil {
 		return chaos.Injected(chaos.PointDeltaApply, f)
 	}

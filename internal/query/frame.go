@@ -514,9 +514,9 @@ func buildMembers(d *dataset.Dataset) *Frame {
 
 // papersSinks names the papers frame's columns in schema order.
 type papersSinks struct {
-	paper, conf, name, year                        colSink
-	leadGender, leadKnown, leadFemale              colSink
-	citations, hpc, authors, doubleBlind           colSink
+	paper, conf, name, year              colSink
+	leadGender, leadKnown, leadFemale    colSink
+	citations, hpc, authors, doubleBlind colSink
 }
 
 // emitPaperRow emits one paper row with lead-author demographics

@@ -36,8 +36,8 @@ func TestBreakerTransitions(t *testing.T) {
 			steps: []step{
 				{fail: true, wantAllow: true, wantState: Closed},
 				{fail: true, wantAllow: true, wantState: Closed},
-				{fail: true, wantAllow: true, wantState: Open},          // third consecutive failure trips
-				{wantAllow: false, wantState: Open},                     // shed while cooling down
+				{fail: true, wantAllow: true, wantState: Open}, // third consecutive failure trips
+				{wantAllow: false, wantState: Open},            // shed while cooling down
 				{advance: 99 * time.Millisecond, wantAllow: false, wantState: Open},
 				{advance: time.Millisecond, fail: false, wantAllow: true, wantState: Closed}, // probe succeeds
 				{fail: false, wantAllow: true, wantState: Closed},

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/cite"
 	"repro/internal/query"
 )
 
@@ -17,7 +18,7 @@ func chaosTestSnapshot(t *testing.T) string {
 	t.Helper()
 	d := tinyDataset()
 	path := filepath.Join(t.TempDir(), "chaos"+FileExt)
-	if err := WriteFile(path, d, query.NewFrameSet(d)); err != nil {
+	if err := WriteFile(path, Snapshot{Corpus: d, Frames: query.NewFrameSet(d)}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -31,7 +32,7 @@ func TestOpenInjectedTornRead(t *testing.T) {
 	sched := &chaos.Schedule{Triggers: []chaos.Trigger{
 		{Point: chaos.PointSnapRead, Hit: 1, Fault: chaos.Fault{Kind: chaos.KindTorn, TornBytes: 97}},
 	}}
-	_, _, err := OpenInjected(path, chaos.NewScheduled(sched))
+	_, err := Open(path, Full, chaos.NewScheduled(sched))
 	if err == nil {
 		t.Fatal("torn read produced a corpus")
 	}
@@ -51,7 +52,7 @@ func TestOpenInjectedReadError(t *testing.T) {
 	sched := &chaos.Schedule{Triggers: []chaos.Trigger{
 		{Point: chaos.PointSnapRead, Hit: 1, Fault: chaos.Fault{Kind: chaos.KindError}},
 	}}
-	_, _, err := OpenInjected(path, chaos.NewScheduled(sched))
+	_, err := Open(path, Full, chaos.NewScheduled(sched))
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -73,7 +74,7 @@ func TestOpenInjectedDecodeFault(t *testing.T) {
 	sched := &chaos.Schedule{Triggers: []chaos.Trigger{
 		{Point: chaos.PointSnapDecode, Hit: 2, Fault: chaos.Fault{Kind: chaos.KindError}},
 	}}
-	_, _, err := OpenInjected(path, chaos.NewScheduled(sched))
+	_, err := Open(path, Full, chaos.NewScheduled(sched))
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -90,28 +91,52 @@ func TestOpenInjectedDecodeFault(t *testing.T) {
 }
 
 // TestOpenInjectedCleanPassthrough: an injector with nothing armed loads
-// the identical corpus the plain path does.
+// the identical snapshot the plain path does, and pins the hit ordinals
+// the serve chaos schedules are written against: one snap.read, then one
+// snap.decode per decoded section.
 func TestOpenInjectedCleanPassthrough(t *testing.T) {
-	path := chaosTestSnapshot(t)
-	inj := chaos.NewScheduled(&chaos.Schedule{})
-	d1, fs1, err := OpenInjected(path, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, fs2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d1.ConfIDs()) != len(d2.ConfIDs()) || len(fs1.Names()) != len(fs2.Names()) {
-		t.Fatal("clean injected open decoded a different corpus")
-	}
-	// The decode points were hit even though nothing was armed: persons,
-	// conferences, papers, frames.
-	if got := inj.Hits(chaos.PointSnapDecode); got != 4 {
-		t.Fatalf("snap.decode hits = %d, want 4", got)
-	}
-	if got := inj.Hits(chaos.PointSnapRead); got != 1 {
-		t.Fatalf("snap.read hits = %d, want 1", got)
+	d := tinyDataset()
+	info, mini := tinyDeltaMini()
+	for _, tc := range []struct {
+		name    string
+		s       Snapshot
+		kind    Kind
+		decodes int
+	}{
+		// persons, conferences, papers, frames
+		{"frames", Snapshot{Corpus: d, Frames: query.NewFrameSet(d)}, Full, 4},
+		// ... plus citations
+		{"cited", Snapshot{Corpus: d, Frames: query.NewFrameSet(d), Citations: cite.Synthesize(d)}, Full, 5},
+		// persons, conferences, papers; the delta identity is not a step
+		{"delta", Snapshot{Corpus: mini, Delta: &info}, Delta, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), tc.name+FileExt)
+			if err := WriteFile(path, tc.s); err != nil {
+				t.Fatal(err)
+			}
+			inj := chaos.NewScheduled(&chaos.Schedule{})
+			got, err := Open(path, tc.kind, inj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Open(path, tc.kind, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if datasetCSV(t, got.Corpus) != datasetCSV(t, plain.Corpus) ||
+				(got.Frames == nil) != (tc.s.Frames == nil) ||
+				(got.Citations == nil) != (tc.s.Citations == nil) ||
+				(got.Delta == nil) != (tc.s.Delta == nil) {
+				t.Fatal("clean injected open decoded a different snapshot")
+			}
+			if n := inj.Hits(chaos.PointSnapRead); n != 1 {
+				t.Fatalf("snap.read hits = %d, want 1", n)
+			}
+			if n := inj.Hits(chaos.PointSnapDecode); n != tc.decodes {
+				t.Fatalf("snap.decode hits = %d, want %d", n, tc.decodes)
+			}
+		})
 	}
 }
 
@@ -119,7 +144,7 @@ func TestOpenInjectedCleanPassthrough(t *testing.T) {
 // so callers (the whpcd quarantine logic) can split "missing" from
 // "corrupt".
 func TestOpenMissingFileIsNotExist(t *testing.T) {
-	_, _, err := Open(filepath.Join(t.TempDir(), "nope"+FileExt))
+	_, err := Open(filepath.Join(t.TempDir(), "nope"+FileExt), Full, nil)
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("err = %v, want ErrNotExist", err)
 	}

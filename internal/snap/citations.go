@@ -2,14 +2,8 @@ package snap
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
-	"repro/internal/chaos"
 	"repro/internal/cite"
-	"repro/internal/dataset"
-	"repro/internal/query"
 )
 
 // The citations section freezes the synthesized citation graph
@@ -88,146 +82,4 @@ func decodeCitations(data []byte, papers int) (*cite.Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// AddCitations encodes the corpus's citation graph. Optional; at most
-// once, after AddCorpus (the graph is validated against the corpus's
-// paper count), and never on a delta snapshot.
-func (sw *Writer) AddCitations(g *cite.Graph) error {
-	if sw.closed {
-		return fmt.Errorf("snap: AddCitations on closed Writer")
-	}
-	if sw.citations {
-		return fmt.Errorf("snap: AddCitations called twice")
-	}
-	if sw.delta {
-		return fmt.Errorf("snap: delta snapshots cannot carry citations")
-	}
-	if g == nil {
-		return fmt.Errorf("snap: nil citation graph")
-	}
-	if !sw.corpus {
-		return fmt.Errorf("snap: AddCitations before AddCorpus")
-	}
-	if g.Papers != sw.counts[2] {
-		return fmt.Errorf("snap: citation graph covers %d papers, corpus has %d", g.Papers, sw.counts[2])
-	}
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("snap: %w", err)
-	}
-	sw.sections = append(sw.sections, wsection{SectionCitations, encodeCitations(g)})
-	sw.citations = true
-	return nil
-}
-
-// HasCitations reports whether the snapshot carries a citation graph.
-func (r *Reader) HasCitations() bool { return r.meta.hasCitations }
-
-// Citations decodes the citation-graph section. It returns a *FormatError
-// wrapping ErrNoSection when the snapshot was written without one;
-// callers that treat the graph as optional should check HasCitations
-// first.
-func (r *Reader) Citations() (*cite.Graph, error) {
-	payload, ok := r.payloads[SectionCitations]
-	if !ok {
-		return nil, &FormatError{Section: SectionCitations, Msg: "snapshot was written without a citation graph", Err: ErrNoSection}
-	}
-	if err := r.chaosStep(SectionCitations); err != nil {
-		return nil, err
-	}
-	return decodeCitations(payload, r.meta.papers)
-}
-
-// WriteCited emits a complete snapshot of d, its frames (when non-nil),
-// and its citation graph (when non-nil) to w.
-func WriteCited(w io.Writer, d *dataset.Dataset, fs *query.FrameSet, g *cite.Graph) error {
-	sw := NewWriter(w)
-	if err := sw.AddCorpus(d); err != nil {
-		return err
-	}
-	if fs != nil {
-		if err := sw.AddFrames(fs); err != nil {
-			return err
-		}
-	}
-	if g != nil {
-		if err := sw.AddCitations(g); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
-// WriteCitedFile is WriteCited with WriteFile's atomic temp-and-rename
-// discipline.
-func WriteCitedFile(path string, d *dataset.Dataset, fs *query.FrameSet, g *cite.Graph) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		//whpcvet:ignore errcheck best-effort cleanup of the temp file on the error paths; the success path renamed it away
-		os.Remove(tmp.Name())
-	}()
-	if err := WriteCited(tmp, d, fs, g); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// ReadCited decodes a complete snapshot from an io.Reader: the corpus,
-// the frames (nil when absent), and the citation graph (nil when absent).
-func ReadCited(rd io.Reader) (*dataset.Dataset, *query.FrameSet, *cite.Graph, error) {
-	r, err := ReadFrom(rd)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return decodeAll(r)
-}
-
-// OpenCited reads the snapshot at path and decodes its corpus, frames
-// (nil when absent), and citation graph (nil when absent).
-func OpenCited(path string) (*dataset.Dataset, *query.FrameSet, *cite.Graph, error) {
-	return OpenCitedInjected(path, chaos.None)
-}
-
-// OpenCitedInjected is OpenCited with a chaos injector, with OpenInjected's
-// fault surface (snap.read on arrival, snap.decode once per section).
-func OpenCitedInjected(path string, inj chaos.Injector) (*dataset.Dataset, *query.FrameSet, *cite.Graph, error) {
-	inj = chaos.Or(inj)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if f := inj.Fire(chaos.PointSnapRead); f != nil {
-		switch f.Kind {
-		case chaos.KindTorn:
-			// The tail never arrived; validation must reject the torn
-			// prefix like any truncated file.
-			n := len(data) - f.TornBytes
-			if n < 0 {
-				n = 0
-			}
-			data = data[:n]
-		default:
-			return nil, nil, nil, fmt.Errorf("%s: %w", path, chaos.Injected(chaos.PointSnapRead, f))
-		}
-	}
-	r, err := NewReaderInjected(data, inj)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	d, fs, g, err := decodeAll(r)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return d, fs, g, nil
 }

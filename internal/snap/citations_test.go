@@ -17,8 +17,8 @@ func citedSnapshot(t testing.TB) ([]byte, *cite.Graph) {
 	d := tinyDataset()
 	g := cite.Synthesize(d)
 	var buf bytes.Buffer
-	if err := WriteCited(&buf, d, query.NewFrameSet(d), g); err != nil {
-		t.Fatalf("WriteCited: %v", err)
+	if err := Write(&buf, Snapshot{Corpus: d, Frames: query.NewFrameSet(d), Citations: g}); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	return buf.Bytes(), g
 }
@@ -28,31 +28,16 @@ func TestCitationsRoundTrip(t *testing.T) {
 	if len(want.Edges) == 0 {
 		t.Fatal("tiny corpus synthesized no edges; round trip proves nothing")
 	}
-	r, err := NewReader(data)
+	s, err := Read(data, Full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.HasCitations() {
-		t.Fatal("HasCitations = false on a cited snapshot")
+	if s.Corpus == nil || s.Frames == nil {
+		t.Fatal("Read dropped the corpus or frames of a cited snapshot")
 	}
-	got, err := r.Citations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded graph differs: got %d edges over %d papers, want %d over %d",
-			len(got.Edges), got.Papers, len(want.Edges), want.Papers)
-	}
-
-	d2, fs2, g2, err := ReadCited(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 == nil || fs2 == nil {
-		t.Fatal("ReadCited dropped the corpus or frames")
-	}
-	if !reflect.DeepEqual(g2, want) {
-		t.Fatal("ReadCited graph differs from the written one")
+	if !reflect.DeepEqual(s.Citations, want) {
+		t.Fatalf("decoded graph differs from the written one: got %+v, want %d edges over %d papers",
+			s.Citations, len(want.Edges), want.Papers)
 	}
 }
 
@@ -69,8 +54,8 @@ func TestCitedEveryByteFlipRejected(t *testing.T) {
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
-		if _, err := NewReader(mut); err == nil {
-			t.Fatalf("NewReader accepted a cited snapshot with byte %d flipped", i)
+		if _, err := Read(mut, Full, nil); err == nil {
+			t.Fatalf("Read accepted a cited snapshot with byte %d flipped", i)
 		}
 	}
 }
@@ -78,31 +63,23 @@ func TestCitedEveryByteFlipRejected(t *testing.T) {
 func TestCitedTruncationsRejected(t *testing.T) {
 	data, _ := citedSnapshot(t)
 	for n := 0; n < len(data); n++ {
-		if _, err := NewReader(data[:n]); err == nil {
-			t.Fatalf("NewReader accepted a %d-byte prefix of a %d-byte cited snapshot", n, len(data))
+		if _, err := Read(data[:n], Full, nil); err == nil {
+			t.Fatalf("Read accepted a %d-byte prefix of a %d-byte cited snapshot", n, len(data))
 		}
 	}
 }
 
+// TestCitationsAbsent: a citation-free snapshot decodes with a nil graph
+// and no error.
 func TestCitationsAbsent(t *testing.T) {
-	r, err := NewReader(tinySnapshot(t, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.HasCitations() {
-		t.Error("HasCitations = true on a plain snapshot")
-	}
-	if _, err := r.Citations(); !errors.Is(err, ErrNoSection) {
-		t.Errorf("Citations err = %v, want ErrNoSection", err)
-	}
-	// The cited read paths must tolerate citation-free snapshots: nil
-	// graph, no error.
-	d, _, g, err := ReadCited(bytes.NewReader(tinySnapshot(t, true)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d == nil || g != nil {
-		t.Errorf("ReadCited of a plain snapshot: corpus %v, graph %v; want corpus, nil graph", d != nil, g)
+	for _, withFrames := range []bool{false, true} {
+		s, err := Read(tinySnapshot(t, withFrames), Full, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Corpus == nil || s.Citations != nil {
+			t.Errorf("plain snapshot (frames %v): corpus %v, graph %v; want corpus, nil graph", withFrames, s.Corpus != nil, s.Citations)
+		}
 	}
 }
 
@@ -110,79 +87,49 @@ func TestCitationsAbsent(t *testing.T) {
 // presence side: a citations section whose meta flag is missing must fail
 // validation, not decode silently.
 func TestCitationsSectionWithoutFlagRejected(t *testing.T) {
-	d := tinyDataset()
+	data, _ := citedSnapshot(t)
+	r, err := parse(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-emit every section of a valid cited snapshot, but with only the
+	// frames flag bit set in meta.
+	var sections []wsection
+	for _, s := range r.sections {
+		if s.name != SectionMeta {
+			sections = append(sections, wsection{s.name, r.payloads[s.name]})
+		}
+	}
 	var buf bytes.Buffer
-	sw := NewWriter(&buf)
-	if err := sw.AddCorpus(d); err != nil {
+	if err := emit(&buf, flagHasFrames, [3]int{r.meta.persons, r.meta.conferences, r.meta.papers}, sections); err != nil {
 		t.Fatal(err)
 	}
-	// Smuggle the section past Close without setting sw.citations, so the
-	// meta flag bit stays clear.
-	sw.sections = append(sw.sections, wsection{SectionCitations, encodeCitations(cite.Synthesize(d))})
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := NewReader(buf.Bytes())
+	_, err = Read(buf.Bytes(), Full, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt for citations section without flag", err)
 	}
 }
 
+// TestCitationsWriterMisuse: Write rejects a citation graph that does not
+// fit the corpus, and citations on a delta snapshot.
 func TestCitationsWriterMisuse(t *testing.T) {
 	d := tinyDataset()
-	g := cite.Synthesize(d)
-
-	sw := NewWriter(&bytes.Buffer{})
-	if err := sw.AddCitations(g); err == nil {
-		t.Error("AddCitations before AddCorpus succeeded")
-	}
-	if err := sw.AddCorpus(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddCitations(nil); err == nil {
-		t.Error("AddCitations(nil) succeeded")
-	}
-	if err := sw.AddCitations(&cite.Graph{Papers: len(d.Papers) + 1}); err == nil {
-		t.Error("AddCitations with wrong paper count succeeded")
-	}
-	bad := &cite.Graph{Papers: len(d.Papers), Edges: []cite.Edge{{Src: 0, Dst: 0}}}
-	if err := sw.AddCitations(bad); err == nil {
-		t.Error("AddCitations with an invalid graph succeeded")
-	}
-	if err := sw.AddCitations(g); err != nil {
-		t.Fatalf("first valid AddCitations failed: %v", err)
-	}
-	if err := sw.AddCitations(g); err == nil {
-		t.Error("second AddCitations succeeded")
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddCitations(g); err == nil {
-		t.Error("AddCitations on closed Writer succeeded")
-	}
-
-	// Delta snapshots and citations are mutually exclusive, both ways.
 	info, mini := tinyDeltaMini()
-	dw := NewWriter(&bytes.Buffer{})
-	if err := dw.AddDelta(info); err != nil {
-		t.Fatal(err)
-	}
-	if err := dw.AddCorpus(mini); err != nil {
-		t.Fatal(err)
-	}
-	if err := dw.AddCitations(cite.Synthesize(mini)); err == nil {
-		t.Error("AddCitations on a delta snapshot succeeded")
-	}
-	cw := NewWriter(&bytes.Buffer{})
-	if err := cw.AddCorpus(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.AddCitations(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.AddDelta(info); err == nil {
-		t.Error("AddDelta after AddCitations succeeded")
+	for _, tc := range []struct {
+		name string
+		s    Snapshot
+	}{
+		{"wrong paper count", Snapshot{Corpus: d, Citations: &cite.Graph{Papers: len(d.Papers) + 1}}},
+		{"invalid graph", Snapshot{Corpus: d, Citations: &cite.Graph{Papers: len(d.Papers), Edges: []cite.Edge{{Src: 0, Dst: 0}}}}},
+		{"delta with citations", Snapshot{Corpus: mini, Delta: &info, Citations: cite.Synthesize(mini)}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, tc.s); err == nil {
+			t.Errorf("%s: Write succeeded", tc.name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: rejected Write emitted %d bytes", tc.name, buf.Len())
+		}
 	}
 }
 

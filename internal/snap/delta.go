@@ -1,14 +1,6 @@
 package snap
 
-import (
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-
-	"repro/internal/chaos"
-	"repro/internal/dataset"
-)
+import "fmt"
 
 // Delta snapshots reuse the whole .whpcsnap container discipline — magic,
 // format version, section directory, per-section CRC-32s and the
@@ -21,7 +13,7 @@ import (
 // keeps the two file kinds mutually unreadable: a full-snapshot reader
 // built before this flag existed rejects delta files as corrupt rather
 // than loading a nine-conference study with one conference in it, and
-// Open/Read here refuse delta files symmetrically.
+// Open/Read here refuse the kind the caller did not ask for, both ways.
 
 // SectionDelta is the delta-identity section of a delta snapshot.
 const SectionDelta = "delta"
@@ -71,130 +63,6 @@ func decodeDelta(data []byte) (DeltaInfo, error) {
 		return info, err
 	}
 	return info, nil
-}
-
-// AddDelta marks the snapshot under construction as a delta carrying the
-// given identity. The mini-corpus still arrives via AddCorpus; frames are
-// rejected on delta snapshots (the point of a delta is that the base
-// study's frames are patched in place, not replaced).
-func (sw *Writer) AddDelta(info DeltaInfo) error {
-	if sw.closed {
-		return fmt.Errorf("snap: AddDelta on closed Writer")
-	}
-	if sw.delta {
-		return fmt.Errorf("snap: AddDelta called twice")
-	}
-	if sw.frames {
-		return fmt.Errorf("snap: delta snapshots cannot carry frames")
-	}
-	if sw.citations {
-		return fmt.Errorf("snap: delta snapshots cannot carry citations")
-	}
-	if info.ConfID == "" {
-		return fmt.Errorf("snap: delta conference ID is empty")
-	}
-	sw.sections = append(sw.sections, wsection{SectionDelta, encodeDelta(info)})
-	sw.delta = true
-	return nil
-}
-
-// IsDelta reports whether the snapshot is a delta (one conference-year's
-// contribution) rather than a full corpus.
-func (r *Reader) IsDelta() bool { return r.meta.isDelta }
-
-// Delta decodes the delta-identity section. It returns a *FormatError
-// wrapping ErrNoSection when the snapshot is not a delta.
-func (r *Reader) Delta() (DeltaInfo, error) {
-	payload, ok := r.payloads[SectionDelta]
-	if !ok {
-		return DeltaInfo{}, &FormatError{Section: SectionDelta, Msg: "snapshot is not a delta", Err: ErrNoSection}
-	}
-	return decodeDelta(payload)
-}
-
-// WriteDelta emits a delta snapshot to w: info plus the mini-corpus d (the
-// appended conference, its papers, and every participant's full record).
-func WriteDelta(w io.Writer, info DeltaInfo, d *dataset.Dataset) error {
-	sw := NewWriter(w)
-	if err := sw.AddDelta(info); err != nil {
-		return err
-	}
-	if err := sw.AddCorpus(d); err != nil {
-		return err
-	}
-	return sw.Close()
-}
-
-// WriteDeltaFile writes a delta snapshot to path atomically (temp sibling
-// plus rename, like WriteFile).
-func WriteDeltaFile(path string, info DeltaInfo, d *dataset.Dataset) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		//whpcvet:ignore errcheck best-effort cleanup of the temp file on the error paths; the success path renamed it away
-		os.Remove(tmp.Name())
-	}()
-	if err := WriteDelta(tmp, info, d); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// OpenDelta reads the delta snapshot at path, returning its identity and
-// the decoded, validated mini-corpus. Non-delta snapshots are rejected.
-func OpenDelta(path string) (DeltaInfo, *dataset.Dataset, error) {
-	return OpenDeltaInjected(path, chaos.None)
-}
-
-// OpenDeltaInjected is OpenDelta with a chaos injector consulted at the
-// snap.read point (torn-read faults truncate the buffer, every other kind
-// fails the read typed) and at the snap.decode point once per decoded
-// section — the same fault surface OpenInjected exposes, so the serve
-// layer's quarantine path covers torn delta files identically.
-func OpenDeltaInjected(path string, inj chaos.Injector) (DeltaInfo, *dataset.Dataset, error) {
-	inj = chaos.Or(inj)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return DeltaInfo{}, nil, err
-	}
-	if f := inj.Fire(chaos.PointSnapRead); f != nil {
-		switch f.Kind {
-		case chaos.KindTorn:
-			n := len(data) - f.TornBytes
-			if n < 0 {
-				n = 0
-			}
-			data = data[:n]
-		default:
-			return DeltaInfo{}, nil, fmt.Errorf("%s: %w", path, chaos.Injected(chaos.PointSnapRead, f))
-		}
-	}
-	r, err := NewReaderInjected(data, inj)
-	if err != nil {
-		return DeltaInfo{}, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if !r.IsDelta() {
-		return DeltaInfo{}, nil, fmt.Errorf("%s: %w", path, &FormatError{Section: SectionDelta, Msg: "full snapshot where a delta was expected", Err: ErrNoSection})
-	}
-	info, err := r.Delta()
-	if err != nil {
-		return DeltaInfo{}, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	d, err := r.Corpus()
-	if err != nil {
-		return DeltaInfo{}, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return info, d, nil
 }
 
 // DeltaFileName is the naming convention for delta files alongside their

@@ -70,8 +70,8 @@ func tinyDeltaSnapshot(t testing.TB) []byte {
 	t.Helper()
 	info, mini := tinyDeltaMini()
 	var buf bytes.Buffer
-	if err := WriteDelta(&buf, info, mini); err != nil {
-		t.Fatalf("WriteDelta: %v", err)
+	if err := Write(&buf, Snapshot{Corpus: mini, Delta: &info}); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -79,16 +79,20 @@ func tinyDeltaSnapshot(t testing.TB) []byte {
 func TestDeltaRoundTrip(t *testing.T) {
 	info, mini := tinyDeltaMini()
 	path := filepath.Join(t.TempDir(), DeltaFileName("tiny", 7, 2018))
-	if err := WriteDeltaFile(path, info, mini); err != nil {
-		t.Fatalf("WriteDeltaFile: %v", err)
+	if err := WriteFile(path, Snapshot{Corpus: mini, Delta: &info}); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-	got, d, err := OpenDelta(path)
+	s, err := Open(path, Delta, nil)
 	if err != nil {
-		t.Fatalf("OpenDelta: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	if got != info {
-		t.Errorf("Delta info = %+v, want %+v", got, info)
+	if s.Delta == nil || *s.Delta != info {
+		t.Errorf("Delta info = %+v, want %+v", s.Delta, info)
 	}
+	if s.Frames != nil || s.Citations != nil {
+		t.Error("delta snapshot decoded frames or citations")
+	}
+	d := s.Corpus
 	if len(d.Conferences) != 1 || d.Conferences[0].ID != "SC18" {
 		t.Errorf("mini-corpus carries %d conferences, want exactly SC18", len(d.Conferences))
 	}
@@ -107,22 +111,15 @@ func TestDeltaWriteDeterministic(t *testing.T) {
 
 // TestDeltaEveryByteFlipRejected extends the no-blind-spot checksum proof
 // to delta files: corrupting any single byte — the delta-identity section
-// included — must fail validation or the delta decode, never load silently
-// wrong longitudinal data.
+// and the meta flag byte included — must fail the delta read, never load
+// silently wrong longitudinal data.
 func TestDeltaEveryByteFlipRejected(t *testing.T) {
 	data := tinyDeltaSnapshot(t)
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
-		r, err := NewReader(mut)
-		if err != nil {
-			continue
-		}
-		// The meta flag byte participates in the directory checksum, so
-		// even a flip that leaves a structurally valid reader must not
-		// yield a readable delta.
-		if _, derr := r.Delta(); derr == nil {
-			t.Fatalf("reader accepted a delta with byte %d flipped", i)
+		if _, err := Read(mut, Delta, nil); err == nil {
+			t.Fatalf("Read accepted a delta with byte %d flipped", i)
 		}
 	}
 }
@@ -132,54 +129,77 @@ func TestDeltaEveryByteFlipRejected(t *testing.T) {
 func TestDeltaTruncationsRejected(t *testing.T) {
 	data := tinyDeltaSnapshot(t)
 	for n := 0; n < len(data); n++ {
-		if _, err := NewReader(data[:n]); err == nil {
-			t.Fatalf("NewReader accepted a %d-byte prefix of a %d-byte delta", n, len(data))
+		if _, err := Read(data[:n], Delta, nil); err == nil {
+			t.Fatalf("Read accepted a %d-byte prefix of a %d-byte delta", n, len(data))
 		}
 	}
 }
 
-// TestDeltaKindsMutuallyRejected: the full-snapshot open path refuses
-// delta files and OpenDelta refuses full snapshots — the flag bit keeps
-// the two kinds unreadable as each other.
+// TestDeltaKindsMutuallyRejected: the flag bit keeps the two kinds
+// unreadable as each other. A delta opened as Full is corrupt at the
+// delta section; a full snapshot opened as Delta is missing it. Both
+// errors carry the path.
 func TestDeltaKindsMutuallyRejected(t *testing.T) {
 	dir := t.TempDir()
 	info, mini := tinyDeltaMini()
-	deltaPath := filepath.Join(dir, "tiny.delta.whpcsnap")
-	if err := WriteDeltaFile(deltaPath, info, mini); err != nil {
+	written := map[Kind]string{
+		Full:  filepath.Join(dir, "tiny.whpcsnap"),
+		Delta: filepath.Join(dir, "tiny.delta.whpcsnap"),
+	}
+	if err := WriteFile(written[Full], Snapshot{Corpus: tinyDataset()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(deltaPath); err == nil {
-		t.Error("full-snapshot Open accepted a delta file")
-	}
-	fullPath := filepath.Join(dir, "tiny.whpcsnap")
-	if err := WriteFile(fullPath, tinyDataset(), nil); err != nil {
+	if err := WriteFile(written[Delta], Snapshot{Corpus: mini, Delta: &info}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenDelta(fullPath); !errors.Is(err, ErrNoSection) {
-		t.Errorf("OpenDelta of a full snapshot: err = %v, want ErrNoSection", err)
+	for _, tc := range []struct {
+		name          string
+		written, want Kind
+		cause         error // nil: the open succeeds
+	}{
+		{"full as Full", Full, Full, nil},
+		{"full as Delta", Full, Delta, ErrNoSection},
+		{"delta as Full", Delta, Full, ErrCorrupt},
+		{"delta as Delta", Delta, Delta, nil},
+	} {
+		path := written[tc.written]
+		s, err := Open(path, tc.want, nil)
+		if tc.cause == nil {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if (s.Delta != nil) != (tc.written == Delta) {
+				t.Errorf("%s: decoded delta identity %v", tc.name, s.Delta)
+			}
+			continue
+		}
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Section != SectionDelta || !errors.Is(err, tc.cause) {
+			t.Errorf("%s: err = %v, want a *FormatError in section %q wrapping %v", tc.name, err, SectionDelta, tc.cause)
+		}
+		if err != nil && !containsPath(err, path) {
+			t.Errorf("%s: err %q does not carry the path", tc.name, err)
+		}
 	}
 }
 
-// TestDeltaWriterRejectsFrames: a delta snapshot must not carry frames in
-// either add order — the point of a delta is that the base study's frames
-// are patched in place, not replaced.
+// TestDeltaWriterRejectsFrames: Write refuses a delta snapshot carrying
+// frames — the point of a delta is that the base study's frames are
+// patched in place, not replaced — and a delta without a conference ID.
 func TestDeltaWriterRejectsFrames(t *testing.T) {
 	info, mini := tinyDeltaMini()
-	fs := query.NewFrameSet(mini)
-
-	sw := NewWriter(&bytes.Buffer{})
-	if err := sw.AddDelta(info); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddFrames(fs); err == nil {
-		t.Error("AddFrames after AddDelta succeeded")
-	}
-
-	sw = NewWriter(&bytes.Buffer{})
-	if err := sw.AddFrames(fs); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddDelta(info); err == nil {
-		t.Error("AddDelta after AddFrames succeeded")
+	for _, tc := range []struct {
+		name string
+		s    Snapshot
+	}{
+		{"delta with frames", Snapshot{Corpus: mini, Delta: &info, Frames: query.NewFrameSet(mini)}},
+		{"empty conference ID", Snapshot{Corpus: mini, Delta: &DeltaInfo{Year: info.Year}}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, tc.s); err == nil {
+			t.Errorf("%s: Write succeeded", tc.name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: rejected Write emitted %d bytes", tc.name, buf.Len())
+		}
 	}
 }

@@ -6,29 +6,33 @@ import (
 	"testing"
 
 	"repro/internal/cite"
+	"repro/internal/dataset"
 	"repro/internal/query"
 )
 
-// FuzzReader: arbitrary byte streams must never panic the snapshot
-// reader — every rejection is a structured *FormatError, and inputs that
-// pass validation must decode without panicking either. Seeds cover a
-// valid snapshot (with and without frames), a delta snapshot, their
+// FuzzReader: arbitrary byte streams must never panic Read, asked for
+// either kind. Every header, directory, checksum, kind or section-decode
+// rejection is a structured *FormatError; the one other rejection is the
+// decoded corpus's referential check (dataset.ErrInvalid), which runs
+// only after every section decoded cleanly. Seeds cover a valid snapshot
+// (with and without frames), a delta snapshot, a cited snapshot, their
 // prefixes, and garbage.
 func FuzzReader(f *testing.F) {
 	d := tinyDataset()
-	var plain, withFrames, asDelta, cited bytes.Buffer
-	if err := Write(&plain, d, nil); err != nil {
-		f.Fatal(err)
-	}
-	if err := Write(&withFrames, d, query.NewFrameSet(d)); err != nil {
-		f.Fatal(err)
-	}
 	info, mini := tinyDeltaMini()
-	if err := WriteDelta(&asDelta, info, mini); err != nil {
-		f.Fatal(err)
-	}
-	if err := WriteCited(&cited, d, query.NewFrameSet(d), cite.Synthesize(d)); err != nil {
-		f.Fatal(err)
+	var plain, withFrames, asDelta, cited bytes.Buffer
+	for _, w := range []struct {
+		buf *bytes.Buffer
+		s   Snapshot
+	}{
+		{&plain, Snapshot{Corpus: d}},
+		{&withFrames, Snapshot{Corpus: d, Frames: query.NewFrameSet(d)}},
+		{&asDelta, Snapshot{Corpus: mini, Delta: &info}},
+		{&cited, Snapshot{Corpus: d, Frames: query.NewFrameSet(d), Citations: cite.Synthesize(d)}},
+	} {
+		if err := Write(w.buf, w.s); err != nil {
+			f.Fatal(err)
+		}
 	}
 	f.Add(plain.Bytes())
 	f.Add(withFrames.Bytes())
@@ -43,26 +47,12 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("\x00\xff\xfe garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(data)
-		if err != nil {
+		for _, kind := range []Kind{Full, Delta} {
+			_, err := Read(data, kind, nil)
 			var fe *FormatError
-			if !errors.As(err, &fe) {
-				t.Fatalf("NewReader rejection %v (%T) is not a *FormatError", err, err)
+			if err != nil && !errors.As(err, &fe) && !errors.Is(err, dataset.ErrInvalid) {
+				t.Fatalf("Read(kind %d) rejection %v (%T) is neither a *FormatError nor a corpus validation failure", kind, err, err)
 			}
-			return
-		}
-		// Validated header and checksums; corpus, frame, and delta
-		// decoding must still tolerate structurally impossible payloads
-		// without panics.
-		_, _ = r.Corpus()
-		if r.HasFrames() {
-			_, _ = r.Frames()
-		}
-		if r.IsDelta() {
-			_, _ = r.Delta()
-		}
-		if r.HasCitations() {
-			_, _ = r.Citations()
 		}
 	})
 }

@@ -1,31 +1,35 @@
 package snap
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 
 	"repro/internal/chaos"
-	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/query"
 )
 
-// Reader parses and validates one snapshot held in memory. NewReader
-// performs every integrity check up front — magic, format version,
-// directory structure, per-section CRC-32s, and the whole-file checksum —
-// so Corpus and Frames decode already-authenticated bytes and can
-// attribute any remaining failure (a structural impossibility the
-// checksums cannot see, e.g. a count disagreement between sections) to a
-// section and offset.
-type Reader struct {
-	sections []SectionInfo
+// reader holds one snapshot that parse has proven whole — magic, format
+// version, directory structure, per-section CRC-32s and the whole-file
+// checksum — so decode works on authenticated bytes and can attribute
+// any remaining failure (a structural impossibility the checksums cannot
+// see, e.g. a count disagreement between sections) to a section and
+// offset.
+type reader struct {
+	sections []section
 	payloads map[string][]byte
 	meta     metaInfo
 	inj      chaos.Injector // consulted at snap.decode; chaos.None in production
+}
+
+// section is one directory entry.
+type section struct {
+	name   string
+	offset int64 // absolute file offset of the payload
+	length int64
+	crc32  uint32
 }
 
 type metaInfo struct {
@@ -48,17 +52,61 @@ var knownSections = map[string]bool{
 	SectionCitations:   true,
 }
 
-// NewReader validates data as a complete snapshot and returns a Reader
-// over it. The slice is retained; callers must not mutate it afterwards.
-func NewReader(data []byte) (*Reader, error) {
-	return NewReaderInjected(data, chaos.None)
+// Open reads the snapshot file at path and decodes it as Read does. It is
+// the one load path for full and delta snapshots alike.
+//
+// inj (nil means none) is consulted at the snap.read point once the bytes
+// arrive — a torn-read fault truncates the buffer, every other kind fails
+// the open typed — and then at snap.decode as Read describes. A missing
+// file keeps os.ReadFile's *fs.PathError, so errors.Is(err,
+// fs.ErrNotExist) splits "missing" from "corrupt"; every other error is
+// wrapped with the path, and decode failures keep their *FormatError
+// section context underneath.
+func Open(path string, kind Kind, inj chaos.Injector) (Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	if f := chaos.Or(inj).Fire(chaos.PointSnapRead); f != nil {
+		if f.Kind != chaos.KindTorn {
+			return Snapshot{}, fmt.Errorf("%s: %w", path, chaos.Injected(chaos.PointSnapRead, f))
+		}
+		// The tail never arrived; validation must reject the torn prefix
+		// like any truncated file.
+		data = data[:max(0, len(data)-f.TornBytes)]
+	}
+	s, err := Read(data, kind, inj)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
 }
 
-// NewReaderInjected is NewReader with a chaos injector consulted at the
-// snap.decode point once per section decode (Corpus and Frames); the
-// validation pass itself is not injectable — a reader either proves the
-// bytes whole or rejects them. Production callers use NewReader.
-func NewReaderInjected(data []byte, inj chaos.Injector) (*Reader, error) {
+// Read validates data as a complete snapshot of the given kind and
+// decodes it. Every integrity check — magic, format version, directory
+// structure, per-section CRC-32s, the whole-file checksum, and the
+// kind — runs before any section is decoded.
+//
+// inj (nil means none) is consulted at the snap.decode point once per
+// decoded section: persons, conferences, papers, then frames and
+// citations when present. The delta-identity section and the validation
+// pass are not injectable.
+func Read(data []byte, kind Kind, inj chaos.Injector) (Snapshot, error) {
+	r, err := parse(data, inj)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	switch {
+	case kind == Delta && !r.meta.isDelta:
+		return Snapshot{}, &FormatError{Section: SectionDelta, Msg: "full snapshot where a delta was expected", Err: ErrNoSection}
+	case kind != Delta && r.meta.isDelta:
+		return Snapshot{}, &FormatError{Section: SectionDelta, Msg: "snapshot is a delta, not a full corpus; open it as Delta and apply it through internal/delta", Err: ErrCorrupt}
+	}
+	return r.decode()
+}
+
+// parse performs Read's validation pass. The slice is retained.
+func parse(data []byte, inj chaos.Injector) (*reader, error) {
 	if len(data) < headerSize+4 {
 		return nil, fileErr(int64(len(data)), fmt.Sprintf("file is %d bytes, shorter than the %d-byte header and checksum trailer", len(data), headerSize+4), ErrTruncated)
 	}
@@ -78,7 +126,7 @@ func NewReaderInjected(data []byte, inj chaos.Injector) (*Reader, error) {
 	}
 
 	body := int64(len(data) - 4) // everything before the checksum trailer
-	r := &Reader{payloads: make(map[string][]byte, count), inj: chaos.Or(inj)}
+	r := &reader{payloads: make(map[string][]byte, count), inj: chaos.Or(inj)}
 	off := int64(headerSize)
 	for i := 0; i < count; i++ {
 		if off >= body {
@@ -106,18 +154,18 @@ func NewReaderInjected(data []byte, inj chaos.Injector) (*Reader, error) {
 		if secOff < off || secLen < 0 || secOff+secLen > body || secOff+secLen < secOff {
 			return nil, fileErr(off, fmt.Sprintf("section %q claims bytes [%d, %d), outside the payload region", name, secOff, secOff+secLen), ErrTruncated)
 		}
-		r.sections = append(r.sections, SectionInfo{Name: name, Offset: secOff, Length: secLen, CRC32: secCRC})
+		r.sections = append(r.sections, section{name: name, offset: secOff, length: secLen, crc32: secCRC})
 		r.payloads[name] = data[secOff : secOff+secLen]
 	}
 
 	// Per-section checksums first: a bit flip inside a payload is
 	// attributed to its section, not reported as a bare file mismatch.
 	for _, s := range r.sections {
-		if got := crc32.ChecksumIEEE(r.payloads[s.Name]); got != s.CRC32 {
+		if got := crc32.ChecksumIEEE(r.payloads[s.name]); got != s.crc32 {
 			return nil, &FormatError{
-				Section: s.Name,
+				Section: s.name,
 				Offset:  0,
-				Msg:     fmt.Sprintf("payload CRC-32 %#08x does not match directory %#08x", got, s.CRC32),
+				Msg:     fmt.Sprintf("payload CRC-32 %#08x does not match directory %#08x", got, s.crc32),
 				Err:     ErrChecksum,
 			}
 		}
@@ -155,34 +203,7 @@ func NewReaderInjected(data []byte, inj chaos.Injector) (*Reader, error) {
 	return r, nil
 }
 
-// ReadFrom reads a complete snapshot from r and validates it.
-func ReadFrom(r io.Reader) (*Reader, error) {
-	var buf bytes.Buffer
-	// Size hint (bytes.Reader, bytes.Buffer, strings.Reader) avoids the
-	// doubling-regrowth copies that io.ReadAll would pay on a large file.
-	if l, ok := r.(interface{ Len() int }); ok {
-		buf.Grow(l.Len() + 1)
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("snap: reading snapshot: %w", err)
-	}
-	return NewReader(buf.Bytes())
-}
-
-// OpenFile reads and validates the snapshot at path.
-func OpenFile(path string) (*Reader, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewReader(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}
-
-func (r *Reader) decodeMeta() error {
+func (r *reader) decodeMeta() error {
 	dc := newDec(SectionMeta, r.payloads[SectionMeta])
 	flags, err := dc.uvarint("flags")
 	if err != nil {
@@ -209,32 +230,74 @@ func (r *Reader) decodeMeta() error {
 	return dc.finished("meta")
 }
 
-// Sections returns the directory entries in file order.
-func (r *Reader) Sections() []SectionInfo {
-	return append([]SectionInfo(nil), r.sections...)
-}
-
-// HasFrames reports whether the snapshot carries a pre-built FrameSet.
-func (r *Reader) HasFrames() bool { return r.meta.hasFrames }
-
-// Counts returns the entity counts recorded in the meta section.
-func (r *Reader) Counts() (persons, conferences, papers int) {
-	return r.meta.persons, r.meta.conferences, r.meta.papers
-}
-
 // chaosStep consults the reader's injector before decoding section; any
 // armed fault surfaces as a *FormatError naming the section and wrapping
 // chaos.ErrInjected, so injected decode failures flow through the same
 // typed-error path organic corruption does.
-func (r *Reader) chaosStep(section string) error {
+func (r *reader) chaosStep(section string) error {
 	if f := r.inj.Fire(chaos.PointSnapDecode); f != nil {
 		return &FormatError{Section: section, Msg: "injected fault", Err: chaos.ErrInjected}
 	}
 	return nil
 }
 
-// Corpus decodes the three entity sections into a validated dataset.
-func (r *Reader) Corpus() (*dataset.Dataset, error) {
+// decode decodes every section parse validated, in a fixed order: the
+// delta identity, persons, conferences, papers, frames, citations.
+func (r *reader) decode() (Snapshot, error) {
+	var s Snapshot
+	if r.meta.isDelta {
+		info, err := decodeDelta(r.payloads[SectionDelta])
+		if err != nil {
+			return Snapshot{}, err
+		}
+		s.Delta = &info
+	}
+	// The frames section decodes concurrently with the corpus: the two
+	// payloads are independent and together dominate warm-boot latency.
+	// decodeFrames is a pure function of its payload; the frames chaos
+	// step still fires on this goroutine after the corpus steps, so a
+	// scheduled injector sees the exact hit ordinals of a sequential
+	// decode. The citation graph decodes last (it is tiny next to the
+	// other sections), keeping pre-citation chaos hit ordinals intact.
+	payload, hasFrames := r.payloads[SectionFrames]
+	var (
+		fs    *query.FrameSet
+		fsErr error
+	)
+	done := make(chan struct{})
+	if hasFrames {
+		go func() {
+			defer close(done)
+			fs, fsErr = decodeFrames(payload)
+		}()
+	} else {
+		close(done)
+	}
+	d, err := r.corpus()
+	if err == nil && hasFrames {
+		err = r.chaosStep(SectionFrames)
+	}
+	<-done
+	if err != nil {
+		return Snapshot{}, err
+	}
+	if fsErr != nil {
+		return Snapshot{}, fsErr
+	}
+	s.Corpus, s.Frames = d, fs
+	if r.meta.hasCitations {
+		if err := r.chaosStep(SectionCitations); err != nil {
+			return Snapshot{}, err
+		}
+		if s.Citations, err = decodeCitations(r.payloads[SectionCitations], r.meta.papers); err != nil {
+			return Snapshot{}, err
+		}
+	}
+	return s, nil
+}
+
+// corpus decodes the three entity sections into a validated dataset.
+func (r *reader) corpus() (*dataset.Dataset, error) {
 	d := dataset.New()
 	if err := r.chaosStep(SectionPersons); err != nil {
 		return nil, err
@@ -259,96 +322,4 @@ func (r *Reader) Corpus() (*dataset.Dataset, error) {
 		return nil, fmt.Errorf("snap: decoded corpus failed validation: %w", err)
 	}
 	return d, nil
-}
-
-// Frames decodes the pre-built FrameSet. It returns a *FormatError
-// wrapping ErrNoSection when the snapshot was written without frames;
-// callers that treat frames as optional should check HasFrames first.
-func (r *Reader) Frames() (*query.FrameSet, error) {
-	payload, ok := r.payloads[SectionFrames]
-	if !ok {
-		return nil, &FormatError{Section: SectionFrames, Msg: "snapshot was written without frames", Err: ErrNoSection}
-	}
-	if err := r.chaosStep(SectionFrames); err != nil {
-		return nil, err
-	}
-	return decodeFrames(payload)
-}
-
-// Open reads the snapshot at path and decodes its corpus and, when
-// present, its frames (nil otherwise). It is the one-call load path the
-// Study and whpcd warm-boot integrations use. Every failure — read,
-// validation, or decode — is wrapped with the file path, and decode
-// failures keep their *FormatError section context underneath.
-func Open(path string) (*dataset.Dataset, *query.FrameSet, error) {
-	return OpenInjected(path, chaos.None)
-}
-
-// OpenInjected is Open with a chaos injector consulted at the snap.read
-// point (after the bytes arrive: torn-read faults truncate the buffer,
-// every other kind fails the read typed) and at the snap.decode point
-// once per decoded section. Production callers use Open.
-func OpenInjected(path string, inj chaos.Injector) (*dataset.Dataset, *query.FrameSet, error) {
-	d, fs, _, err := OpenCitedInjected(path, inj)
-	return d, fs, err
-}
-
-// Read decodes a complete snapshot from an io.Reader: the corpus and,
-// when present, the frames (nil otherwise).
-func Read(rd io.Reader) (*dataset.Dataset, *query.FrameSet, error) {
-	r, err := ReadFrom(rd)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, fs, _, err := decodeAll(r)
-	return d, fs, err
-}
-
-func decodeAll(r *Reader) (*dataset.Dataset, *query.FrameSet, *cite.Graph, error) {
-	if r.IsDelta() {
-		return nil, nil, nil, &FormatError{Section: SectionDelta, Msg: "snapshot is a delta, not a full corpus; apply it through OpenDelta and internal/delta", Err: ErrCorrupt}
-	}
-	// The frames section decodes concurrently with the corpus: the two
-	// payloads are independent and together dominate warm-boot latency.
-	// decodeFrames is a pure function of its payload; the frames chaos
-	// step still fires on this goroutine after the corpus steps, so a
-	// scheduled injector sees the exact hit ordinals of a sequential
-	// decode. The citation graph decodes last (it is tiny next to the
-	// other sections), keeping pre-citation chaos hit ordinals intact.
-	payload, hasFrames := r.payloads[SectionFrames]
-	var (
-		fs    *query.FrameSet
-		fsErr error
-	)
-	done := make(chan struct{})
-	if hasFrames {
-		go func() {
-			defer close(done)
-			fs, fsErr = decodeFrames(payload)
-		}()
-	} else {
-		close(done)
-	}
-	d, err := r.Corpus()
-	if err != nil {
-		<-done
-		return nil, nil, nil, err
-	}
-	if hasFrames {
-		if err := r.chaosStep(SectionFrames); err != nil {
-			<-done
-			return nil, nil, nil, err
-		}
-	}
-	<-done
-	if fsErr != nil {
-		return nil, nil, nil, fsErr
-	}
-	var g *cite.Graph
-	if r.HasCitations() {
-		if g, err = r.Citations(); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return d, fs, g, nil
 }

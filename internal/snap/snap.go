@@ -24,8 +24,9 @@
 //
 // # Guarantees
 //
-// Writing is deterministic: the same corpus always serializes to
-// byte-identical snapshots. Reading validates the magic, version, every
+// Write and WriteFile serialize a Snapshot; Open and Read return one,
+// given the Kind the caller expects. Writing is deterministic: the same
+// corpus always serializes to byte-identical snapshots. Reading validates the magic, version, every
 // section CRC, the file checksum, and all structural invariants
 // (dictionary code ranges, column lengths, bitmap sizes) before any
 // value is handed out; truncated, bit-flipped, or future-version inputs
@@ -38,6 +39,10 @@ package snap
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/cite"
+	"repro/internal/dataset"
+	"repro/internal/query"
 )
 
 // Magic identifies a .whpcsnap file; it is the first 8 bytes.
@@ -111,13 +116,32 @@ func fileErr(offset int64, msg string, cause error) *FormatError {
 	return &FormatError{Offset: offset, Msg: msg, Err: cause}
 }
 
-// SectionInfo describes one directory entry, for diagnostics and tests.
-type SectionInfo struct {
-	Name   string
-	Offset int64 // absolute file offset of the payload
-	Length int64
-	CRC32  uint32
+// Snapshot is the content of one .whpcsnap file. Write serializes it;
+// Open and Read return it. A nil field means the section is absent.
+type Snapshot struct {
+	// Corpus is the full corpus, or a delta's self-contained mini-corpus.
+	// Always present.
+	Corpus *dataset.Dataset
+	// Frames is the pre-built columnar FrameSet (full snapshots only).
+	Frames *query.FrameSet
+	// Citations is the corpus's citation graph (full snapshots only).
+	Citations *cite.Graph
+	// Delta is non-nil exactly when the snapshot is a delta: one
+	// conference-year's contribution to the base corpus it identifies.
+	Delta *DeltaInfo
 }
+
+// Kind is the snapshot kind a caller expects Open or Read to find. The
+// two kinds are mutually unreadable: asking for one and finding the other
+// is a *FormatError naming the delta section.
+type Kind uint8
+
+const (
+	// Full is a complete corpus, optionally with frames and citations.
+	Full Kind = iota
+	// Delta is one conference-year appended to a base corpus.
+	Delta
+)
 
 // CorpusFileName is the naming convention the whpcd warm-boot path looks
 // up inside its -snapshot-dir: one file per (corpus, seed) study key,

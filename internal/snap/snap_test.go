@@ -3,11 +3,14 @@ package snap
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/affil"
+	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/gender"
 	"repro/internal/query"
@@ -103,7 +106,7 @@ func tinySnapshot(t testing.TB, withFrames bool) []byte {
 		fs = query.NewFrameSet(d)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, d, fs); err != nil {
+	if err := Write(&buf, Snapshot{Corpus: d, Frames: fs}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	return buf.Bytes()
@@ -127,20 +130,17 @@ func datasetCSV(t *testing.T, d *dataset.Dataset) string {
 }
 
 func TestRoundTripCorpus(t *testing.T) {
-	data := tinySnapshot(t, false)
-	r, err := NewReader(data)
+	s, err := Read(tinySnapshot(t, false), Full, nil)
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
-	if r.HasFrames() {
-		t.Error("HasFrames = true for a corpus-only snapshot")
+	if s.Frames != nil || s.Citations != nil || s.Delta != nil {
+		t.Errorf("corpus-only snapshot decoded extra sections: frames %v, citations %v, delta %v",
+			s.Frames != nil, s.Citations != nil, s.Delta != nil)
 	}
-	if p, c, pa := r.Counts(); p != 4 || c != 2 || pa != 3 {
-		t.Errorf("Counts = (%d, %d, %d), want (4, 2, 3)", p, c, pa)
-	}
-	got, err := r.Corpus()
-	if err != nil {
-		t.Fatalf("Corpus: %v", err)
+	got := s.Corpus
+	if p, c, pa := len(got.Persons), len(got.Conferences), len(got.Papers); p != 4 || c != 2 || pa != 3 {
+		t.Errorf("counts = (%d, %d, %d), want (4, 2, 3)", p, c, pa)
 	}
 	if want, have := datasetCSV(t, tinyDataset()), datasetCSV(t, got); want != have {
 		t.Errorf("decoded corpus differs from original:\nwant:\n%s\ngot:\n%s", want, have)
@@ -151,19 +151,15 @@ func TestRoundTripFrames(t *testing.T) {
 	d := tinyDataset()
 	fs := query.NewFrameSet(d)
 	var buf bytes.Buffer
-	if err := Write(&buf, d, fs); err != nil {
+	if err := Write(&buf, Snapshot{Corpus: d, Frames: fs}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	r, err := NewReader(buf.Bytes())
+	s, err := Read(buf.Bytes(), Full, nil)
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
-	if !r.HasFrames() {
-		t.Fatal("HasFrames = false for a snapshot written with frames")
-	}
-	got, err := r.Frames()
-	if err != nil {
-		t.Fatalf("Frames: %v", err)
+	if s.Frames == nil {
+		t.Fatal("no frames decoded from a snapshot written with frames")
 	}
 	q := &query.Query{
 		Frame:   query.FrameSlots,
@@ -172,7 +168,7 @@ func TestRoundTripFrames(t *testing.T) {
 		Format:  query.FormatCSV,
 	}
 	want := runQuery(t, fs, q)
-	have := runQuery(t, got, q)
+	have := runQuery(t, s.Frames, q)
 	if want != have {
 		t.Errorf("query over decoded frames differs:\nwant:\n%s\ngot:\n%s", want, have)
 	}
@@ -202,7 +198,7 @@ func TestWriteDeterministic(t *testing.T) {
 func TestBadMagicRejected(t *testing.T) {
 	data := tinySnapshot(t, false)
 	data[0] ^= 0xff
-	_, err := NewReader(data)
+	_, err := Read(data, Full, nil)
 	if !errors.Is(err, ErrBadMagic) {
 		t.Errorf("err = %v, want ErrBadMagic", err)
 	}
@@ -213,7 +209,7 @@ func TestVersionSkewRejected(t *testing.T) {
 	// A future format version must surface ErrVersion, not a checksum
 	// mismatch, even though the flip also breaks the file CRC.
 	data[8], data[9] = 0xff, 0x7f
-	_, err := NewReader(data)
+	_, err := Read(data, Full, nil)
 	if !errors.Is(err, ErrVersion) {
 		t.Errorf("err = %v, want ErrVersion", err)
 	}
@@ -225,8 +221,8 @@ func TestVersionSkewRejected(t *testing.T) {
 func TestTruncationsRejected(t *testing.T) {
 	data := tinySnapshot(t, true)
 	for n := 0; n < len(data); n++ {
-		if _, err := NewReader(data[:n]); err == nil {
-			t.Fatalf("NewReader accepted a %d-byte prefix of a %d-byte snapshot", n, len(data))
+		if _, err := Read(data[:n], Full, nil); err == nil {
+			t.Fatalf("Read accepted a %d-byte prefix of a %d-byte snapshot", n, len(data))
 		}
 	}
 }
@@ -239,30 +235,30 @@ func TestEveryByteFlipRejected(t *testing.T) {
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xff
-		if _, err := NewReader(mut); err == nil {
-			t.Fatalf("NewReader accepted a snapshot with byte %d flipped", i)
+		if _, err := Read(mut, Full, nil); err == nil {
+			t.Fatalf("Read accepted a snapshot with byte %d flipped", i)
 		}
 	}
 }
 
 func TestChecksumErrorNamesSection(t *testing.T) {
 	data := tinySnapshot(t, false)
-	r, err := NewReader(data)
+	r, err := parse(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var persons SectionInfo
-	for _, s := range r.Sections() {
-		if s.Name == SectionPersons {
+	var persons section
+	for _, s := range r.sections {
+		if s.name == SectionPersons {
 			persons = s
 		}
 	}
-	if persons.Length == 0 {
+	if persons.length == 0 {
 		t.Fatal("no persons section in directory")
 	}
 	mut := append([]byte(nil), data...)
-	mut[persons.Offset+persons.Length/2] ^= 0x01
-	_, err = NewReader(mut)
+	mut[persons.offset+persons.length/2] ^= 0x01
+	_, err = Read(mut, Full, nil)
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
@@ -276,61 +272,64 @@ func TestChecksumErrorNamesSection(t *testing.T) {
 }
 
 func TestFramesAbsent(t *testing.T) {
-	r, err := NewReader(tinySnapshot(t, false))
+	s, err := Read(tinySnapshot(t, false), Full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Frames(); !errors.Is(err, ErrNoSection) {
-		t.Errorf("Frames err = %v, want ErrNoSection", err)
+	if s.Frames != nil {
+		t.Error("frames decoded from a snapshot written without them")
 	}
 }
 
+// TestWriterMisuse: Write rejects a snapshot without a corpus, and a
+// rejected snapshot writes no bytes at all.
 func TestWriterMisuse(t *testing.T) {
 	d := tinyDataset()
-	var buf bytes.Buffer
-	sw := NewWriter(&buf)
-	if err := sw.AddCorpus(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AddCorpus(d); err == nil {
-		t.Error("second AddCorpus succeeded")
-	}
-	if err := sw.AddFrames(nil); err == nil {
-		t.Error("AddFrames(nil) succeeded")
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err == nil {
-		t.Error("second Close succeeded")
-	}
-
-	empty := NewWriter(&bytes.Buffer{})
-	if err := empty.Close(); err == nil {
-		t.Error("Close without AddCorpus succeeded")
+	for _, tc := range []struct {
+		name string
+		s    Snapshot
+	}{
+		{"empty", Snapshot{}},
+		{"frames only", Snapshot{Frames: query.NewFrameSet(d)}},
+		{"delta identity only", Snapshot{Delta: &DeltaInfo{Year: 2018, ConfID: "SC18"}}},
+		{"frames and citations", Snapshot{Frames: query.NewFrameSet(d), Citations: cite.Synthesize(d)}},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, tc.s); err == nil {
+			t.Errorf("%s: Write without a corpus succeeded", tc.name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: rejected Write emitted %d bytes", tc.name, buf.Len())
+		}
 	}
 }
 
 func TestOpenMissingFile(t *testing.T) {
-	if _, _, err := Open(t.TempDir() + "/nope.whpcsnap"); err == nil {
+	if _, err := Open(t.TempDir()+"/nope.whpcsnap", Full, nil); err == nil {
 		t.Error("Open of a missing file succeeded")
 	}
 }
 
+// TestWriteFileAndOpen: WriteFile lands exactly one file — the temp
+// sibling is renamed away — and Open decodes it.
 func TestWriteFileAndOpen(t *testing.T) {
 	d := tinyDataset()
-	path := t.TempDir() + "/tiny" + FileExt
-	if err := WriteFile(path, d, query.NewFrameSet(d)); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tiny"+FileExt)
+	if err := WriteFile(path, Snapshot{Corpus: d, Frames: query.NewFrameSet(d)}); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, fs, err := Open(path)
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("directory after WriteFile holds %d entries (err %v), want just the snapshot", len(ents), err)
+	}
+	s, err := Open(path, Full, nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if fs == nil {
+	if s.Frames == nil {
 		t.Error("Open returned nil frames for a snapshot written with frames")
 	}
-	if want, have := datasetCSV(t, d), datasetCSV(t, got); want != have {
+	if want, have := datasetCSV(t, d), datasetCSV(t, s.Corpus); want != have {
 		t.Error("corpus loaded from file differs from original")
 	}
 }

@@ -7,117 +7,79 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"repro/internal/dataset"
-	"repro/internal/query"
 )
-
-// Writer assembles a snapshot and streams it to an io.Writer in one pass:
-// sections are encoded in memory as they are added (the directory at the
-// head of the file needs their offsets and checksums), then Close emits
-// header, directory, payloads and the trailing whole-file checksum.
-//
-// Usage:
-//
-//	sw := snap.NewWriter(f)
-//	sw.AddCorpus(study.Dataset())
-//	sw.AddFrames(study.Frames()) // optional
-//	err := sw.Close()
-type Writer struct {
-	dst       io.Writer
-	sections  []wsection
-	counts    [3]int // persons, conferences, papers (for the meta section)
-	corpus    bool
-	frames    bool
-	delta     bool
-	citations bool
-	closed    bool
-}
 
 type wsection struct {
 	name    string
 	payload []byte
 }
 
-// NewWriter returns a Writer that will emit the snapshot to dst on Close.
-func NewWriter(dst io.Writer) *Writer { return &Writer{dst: dst} }
-
-// AddCorpus encodes the three entity tables. It must be called exactly
-// once per snapshot. Encoding is deterministic: person rows are sorted by
-// ID, everything else follows the dataset's slice order.
-func (sw *Writer) AddCorpus(d *dataset.Dataset) error {
-	if sw.closed {
-		return fmt.Errorf("snap: AddCorpus on closed Writer")
-	}
-	if sw.corpus {
-		return fmt.Errorf("snap: AddCorpus called twice")
-	}
+// Write validates s and emits it to w as one snapshot: header, section
+// directory, payloads, and the whole-file CRC-32 trailer. Encoding is
+// deterministic: person rows are sorted by ID, everything else follows
+// the dataset's slice order. The corpus is required; a delta snapshot
+// (s.Delta non-nil) carries neither frames nor citations, since the base
+// study's frames are patched in place and its graph regrown on apply;
+// a citation graph must be valid and cover exactly the corpus's papers.
+func Write(w io.Writer, s Snapshot) error {
+	d := s.Corpus
 	if d == nil {
 		return fmt.Errorf("snap: nil dataset")
 	}
+	var flags uint64
+	var sections []wsection
+	if s.Delta != nil {
+		switch {
+		case s.Frames != nil:
+			return fmt.Errorf("snap: delta snapshots cannot carry frames")
+		case s.Citations != nil:
+			return fmt.Errorf("snap: delta snapshots cannot carry citations")
+		case s.Delta.ConfID == "":
+			return fmt.Errorf("snap: delta conference ID is empty")
+		}
+		flags |= flagIsDelta
+		sections = append(sections, wsection{SectionDelta, encodeDelta(*s.Delta)})
+	}
+	if g := s.Citations; g != nil {
+		if g.Papers != len(d.Papers) {
+			return fmt.Errorf("snap: citation graph covers %d papers, corpus has %d", g.Papers, len(d.Papers))
+		}
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("snap: %w", err)
+		}
+	}
+
 	ids := sortedPersonIDs(d)
 	personIdx := make(map[string]int, len(ids))
 	for i, id := range ids {
 		personIdx[id] = i
 	}
-	sw.counts = [3]int{len(d.Persons), len(d.Conferences), len(d.Papers)}
-	sw.sections = append(sw.sections,
+	sections = append(sections,
 		wsection{SectionPersons, encodePersons(d, ids)},
 		wsection{SectionConferences, encodeConferences(d, personIdx)},
 		wsection{SectionPapers, encodePapers(d, personIdx)},
 	)
-	sw.corpus = true
-	return nil
-}
-
-// AddFrames encodes a pre-built columnar FrameSet so a warm boot can skip
-// the flattening pass. Optional; at most once.
-func (sw *Writer) AddFrames(fs *query.FrameSet) error {
-	if sw.closed {
-		return fmt.Errorf("snap: AddFrames on closed Writer")
-	}
-	if sw.frames {
-		return fmt.Errorf("snap: AddFrames called twice")
-	}
-	if sw.delta {
-		return fmt.Errorf("snap: delta snapshots cannot carry frames")
-	}
-	if fs == nil {
-		return fmt.Errorf("snap: nil frame set")
-	}
-	sw.sections = append(sw.sections, wsection{SectionFrames, encodeFrames(fs)})
-	sw.frames = true
-	return nil
-}
-
-// Close writes the assembled snapshot: header, section directory,
-// payloads, and the whole-file CRC-32 trailer. The Writer is unusable
-// afterwards.
-func (sw *Writer) Close() error {
-	if sw.closed {
-		return fmt.Errorf("snap: Close called twice")
-	}
-	sw.closed = true
-	if !sw.corpus {
-		return fmt.Errorf("snap: Close without AddCorpus")
-	}
-
-	meta := &enc{}
-	var flags uint64
-	if sw.frames {
+	if s.Frames != nil {
 		flags |= flagHasFrames
+		sections = append(sections, wsection{SectionFrames, encodeFrames(s.Frames)})
 	}
-	if sw.delta {
-		flags |= flagIsDelta
-	}
-	if sw.citations {
+	if s.Citations != nil {
 		flags |= flagHasCitations
+		sections = append(sections, wsection{SectionCitations, encodeCitations(s.Citations)})
 	}
+	return emit(w, flags, [3]int{len(d.Persons), len(d.Conferences), len(d.Papers)}, sections)
+}
+
+// emit writes the container around already-encoded sections: the meta
+// section (flags and the persons/conferences/papers counts) first, then
+// sections in the given order.
+func emit(w io.Writer, flags uint64, counts [3]int, sections []wsection) error {
+	meta := &enc{}
 	meta.uvarint(flags)
-	meta.uvarint(uint64(sw.counts[0]))
-	meta.uvarint(uint64(sw.counts[1]))
-	meta.uvarint(uint64(sw.counts[2]))
-	sections := append([]wsection{{SectionMeta, meta.bytesOut()}}, sw.sections...)
+	for _, n := range counts {
+		meta.uvarint(uint64(n))
+	}
+	sections = append([]wsection{{SectionMeta, meta.bytesOut()}}, sections...)
 
 	// Directory size depends only on the (fixed-size) entries.
 	dirSize := 0
@@ -141,7 +103,7 @@ func (sw *Writer) Close() error {
 	}
 
 	sum := crc32.NewIEEE()
-	out := io.MultiWriter(sw.dst, sum)
+	out := io.MultiWriter(w, sum)
 	if _, err := out.Write(head); err != nil {
 		return fmt.Errorf("snap: writing header: %w", err)
 	}
@@ -152,31 +114,17 @@ func (sw *Writer) Close() error {
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], sum.Sum32())
-	if _, err := sw.dst.Write(trailer[:]); err != nil {
+	if _, err := w.Write(trailer[:]); err != nil {
 		return fmt.Errorf("snap: writing checksum trailer: %w", err)
 	}
 	return nil
 }
 
-// Write emits a complete snapshot of d (and fs, when non-nil) to w.
-func Write(w io.Writer, d *dataset.Dataset, fs *query.FrameSet) error {
-	sw := NewWriter(w)
-	if err := sw.AddCorpus(d); err != nil {
-		return err
-	}
-	if fs != nil {
-		if err := sw.AddFrames(fs); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
-// WriteFile writes a snapshot to path atomically: the bytes land in a
-// temporary sibling first and are renamed into place only after a clean
-// Close, so a crash mid-write never leaves a truncated snapshot behind
-// for a warm-boot path to trip over.
-func WriteFile(path string, d *dataset.Dataset, fs *query.FrameSet) error {
+// WriteFile writes s to path atomically and durably: the bytes land in a
+// temporary sibling, are fsynced, and only then renamed into place, so
+// neither a crash mid-write nor one right after the rename can leave a
+// short snapshot at path for a warm-boot path to trip over.
+func WriteFile(path string, s Snapshot) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -189,7 +137,11 @@ func WriteFile(path string, d *dataset.Dataset, fs *query.FrameSet) error {
 		//whpcvet:ignore errcheck best-effort cleanup of the temp file on the error paths; the success path renamed it away
 		os.Remove(tmp.Name())
 	}()
-	if err := Write(tmp, d, fs); err != nil {
+	if err := Write(tmp, s); err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		_ = tmp.Close()
 		return err
 	}

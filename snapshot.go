@@ -1,12 +1,11 @@
 package repro
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 
 	"repro/internal/chaos"
-	"repro/internal/cite"
-	"repro/internal/dataset"
-	"repro/internal/query"
 	"repro/internal/snap"
 )
 
@@ -16,31 +15,44 @@ import (
 // byte-identical reports and query results (see
 // TestSnapshotRoundTripReport).
 func (s *Study) WriteSnapshot(w io.Writer) error {
-	return snap.WriteCited(w, s.data, s.Frames(), s.CitationGraph())
+	return snap.Write(w, s.snapshot())
 }
 
-// SaveSnapshot writes the snapshot atomically to path; a crash mid-write
-// never leaves a partial file behind.
+// SaveSnapshot writes the snapshot atomically and durably to path; a
+// crash mid-write never leaves a partial file behind.
 func (s *Study) SaveSnapshot(path string) error {
-	return snap.WriteCitedFile(path, s.data, s.Frames(), s.CitationGraph())
+	return snap.WriteFile(path, s.snapshot())
+}
+
+func (s *Study) snapshot() snap.Snapshot {
+	return snap.Snapshot{Corpus: s.data, Frames: s.Frames(), Citations: s.CitationGraph()}
 }
 
 // OpenSnapshot reads a snapshot written by WriteSnapshot from r. The
 // snapshot is fully validated (checksums, format version, structural
 // invariants, dataset referential integrity) before a Study is returned.
 func OpenSnapshot(r io.Reader) (*Study, error) {
-	d, fs, g, err := snap.ReadCited(r)
+	var buf bytes.Buffer
+	// Size hint (bytes.Reader, bytes.Buffer, strings.Reader) avoids the
+	// doubling-regrowth copies that io.ReadAll would pay on a large file.
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + 1)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("repro: reading snapshot: %w", err)
+	}
+	sn, err := snap.Read(buf.Bytes(), snap.Full, nil)
 	if err != nil {
 		return nil, err
 	}
-	return studyFromSnapshot(d, fs, g), nil
+	return studyFromSnapshot(sn), nil
 }
 
 // OpenSnapshotFile reads a snapshot file written by SaveSnapshot. Errors
 // carry the file path, and decode failures keep their *FormatError
 // section context underneath.
 func OpenSnapshotFile(path string) (*Study, error) {
-	return OpenSnapshotFileInjected(path, chaos.None)
+	return OpenSnapshotFileInjected(path, nil)
 }
 
 // OpenSnapshotFileInjected is OpenSnapshotFile with a chaos injector
@@ -49,23 +61,23 @@ func OpenSnapshotFile(path string) (*Study, error) {
 // synthesis — never to a wrong answer — under torn reads and injected
 // decode faults; production callers use OpenSnapshotFile.
 func OpenSnapshotFileInjected(path string, inj chaos.Injector) (*Study, error) {
-	d, fs, g, err := snap.OpenCitedInjected(path, inj)
+	sn, err := snap.Open(path, snap.Full, inj)
 	if err != nil {
 		return nil, err
 	}
-	return studyFromSnapshot(d, fs, g), nil
+	return studyFromSnapshot(sn), nil
 }
 
-func studyFromSnapshot(d *dataset.Dataset, fs *query.FrameSet, g *cite.Graph) *Study {
-	s := &Study{data: d, scID: findSC(d)}
-	if fs != nil {
+func studyFromSnapshot(sn snap.Snapshot) *Study {
+	s := &Study{data: sn.Corpus, scID: findSC(sn.Corpus)}
+	if sn.Frames != nil {
 		// Install the deserialized FrameSet where the lazy builder would
 		// have put it; Frames() then returns it without rebuilding.
-		s.framesOnce.Do(func() { s.frames = fs })
+		s.framesOnce.Do(func() { s.frames = sn.Frames })
 	}
 	// Likewise for the citation graph; snapshots written before the
 	// citations section existed leave it nil and CitationGraph
 	// resynthesizes (deterministically identical).
-	s.citeGraph = g
+	s.citeGraph = sn.Citations
 	return s
 }
