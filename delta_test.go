@@ -17,27 +17,36 @@ import (
 // from the start. Built once; tests that mutate a study build their own
 // copy via newBase.
 var deltaFix = func() *deltaFixture {
-	cfg := synth.FlagshipSeries(2021)
-	spec, err := synth.YearSpec(cfg, "SC", 2021)
+	fx, err := newDeltaFixture(synth.FlagshipSeries(2021), 2021)
 	if err != nil {
 		panic(err)
+	}
+	return fx
+}()
+
+// newDeltaFixture synthesizes the delta appending SC's year edition to
+// cfg's corpus, packs it, and resynthesizes the grown corpus from scratch.
+func newDeltaFixture(cfg synth.Config, year int) (*deltaFixture, error) {
+	spec, err := synth.YearSpec(cfg, "SC", year)
+	if err != nil {
+		return nil, err
 	}
 	yd, base, err := synth.GenerateYearDelta(cfg, spec)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	info, mini, err := delta.Pack(yd, base.Data)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	full := cfg
 	full.Confs = append(append([]synth.ConfSpec(nil), cfg.Confs...), spec)
 	resynth, err := NewStudyFromConfig(full)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return &deltaFixture{cfg: cfg, spec: spec, info: info, mini: mini, resynth: resynth}
-}()
+	return &deltaFixture{cfg: cfg, spec: spec, info: info, mini: mini, resynth: resynth}, nil
+}
 
 type deltaFixture struct {
 	cfg     synth.Config
@@ -74,40 +83,62 @@ func snapshotBytes(t *testing.T, s *Study) []byte {
 }
 
 // TestDeltaApplyMatchesResynthesis is the tentpole guarantee of the delta
-// subsystem: a warm study patched with the SC'21 delta is byte-identical
-// to a study synthesized from scratch with SC'21 in its calibration — at
+// subsystem: a warm study patched with a year delta is byte-identical to a
+// study synthesized from scratch with that year in its calibration — at
 // snapshot level (corpus + canonical frame encoding), at report level, and
-// at every exhibit query.
+// at every exhibit query. The default-corpus SC'18 rows are the delta the
+// CI e2e job serves; their editions mint persons who hold no role, which
+// the delta must carry too.
 func TestDeltaApplyMatchesResynthesis(t *testing.T) {
-	applied := deltaFix.newBase(t)
-	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+	cases := []struct {
+		name string
+		cfg  synth.Config
+		year int
+	}{
+		{"default/SC18/seed2021", synth.Default2017(2021), 2018},
+		{"default/SC18/seed2022", synth.Default2017(2022), 2018},
+		{"flagship/SC21/seed2021", synth.FlagshipSeries(2021), 2021},
 	}
-	if applied.Revision() != 1 {
-		t.Errorf("Revision() = %d after one delta, want 1", applied.Revision())
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fx, err := newDeltaFixture(tc.cfg, tc.year)
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied := fx.newBase(t)
+			if err := applied.ApplyDelta(fx.info, fx.mini); err != nil {
+				t.Fatalf("ApplyDelta: %v", err)
+			}
+			if applied.Revision() != 1 {
+				t.Errorf("Revision() = %d after one delta, want 1", applied.Revision())
+			}
+			if got, want := delta.Fingerprint(applied.Dataset()), delta.Fingerprint(fx.resynth.Dataset()); got != want {
+				t.Errorf("fingerprint %#x after apply, resynthesis has %#x", got, want)
+			}
 
-	if got, want := snapshotBytes(t, applied), snapshotBytes(t, deltaFix.resynth); !bytes.Equal(got, want) {
-		t.Errorf("snapshot (corpus + frames) differs between delta-applied and resynthesized study")
-	}
+			if got, want := snapshotBytes(t, applied), snapshotBytes(t, fx.resynth); !bytes.Equal(got, want) {
+				t.Errorf("snapshot (corpus + frames) differs between delta-applied and resynthesized study")
+			}
 
-	var gotRep, wantRep bytes.Buffer
-	if err := applied.WriteReport(&gotRep); err != nil {
-		t.Fatalf("report on delta-applied study: %v", err)
-	}
-	if err := deltaFix.resynth.WriteReport(&wantRep); err != nil {
-		t.Fatalf("report on resynthesized study: %v", err)
-	}
-	if !bytes.Equal(gotRep.Bytes(), wantRep.Bytes()) {
-		t.Errorf("report differs between delta-applied and resynthesized study")
-	}
+			var gotRep, wantRep bytes.Buffer
+			if err := applied.WriteReport(&gotRep); err != nil {
+				t.Fatalf("report on delta-applied study: %v", err)
+			}
+			if err := fx.resynth.WriteReport(&wantRep); err != nil {
+				t.Fatalf("report on resynthesized study: %v", err)
+			}
+			if !bytes.Equal(gotRep.Bytes(), wantRep.Bytes()) {
+				t.Errorf("report differs between delta-applied and resynthesized study")
+			}
 
-	for _, eq := range ExhibitQueries() {
-		got := runExhibitQuery(t, applied, eq)
-		want := runExhibitQuery(t, deltaFix.resynth, eq)
-		if !bytes.Equal(got, want) {
-			t.Errorf("exhibit query %q differs between delta-applied and resynthesized study", eq.Name)
-		}
+			for _, eq := range ExhibitQueries() {
+				got := runExhibitQuery(t, applied, eq)
+				want := runExhibitQuery(t, fx.resynth, eq)
+				if !bytes.Equal(got, want) {
+					t.Errorf("exhibit query %q differs between delta-applied and resynthesized study", eq.Name)
+				}
+			}
+		})
 	}
 }
 
@@ -221,6 +252,26 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkDeltaApply measures applying the flagship SC'21 delta to a
+// warm study whose frames are built. Building each base study, and
+// collecting its garbage, is set-up outside the timed window.
+func BenchmarkDeltaApply(b *testing.B) {
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewStudyFromConfig(deltaFix.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Frames()
+		runtime.GC()
+		b.StartTimer()
+		if err := s.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+	}
+}
+
 // TestDeltaApplyBeatsResynthesis is the incremental-maintenance perf
 // floor: patching a warm study with one year must be at least 10x faster
 // than resynthesizing the grown corpus and rebuilding its frames.
@@ -234,24 +285,7 @@ func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 	full := deltaFix.cfg
 	full.Confs = append(append([]synth.ConfSpec(nil), deltaFix.cfg.Confs...), deltaFix.spec)
 
-	apply := testing.Benchmark(func(b *testing.B) {
-		b.StopTimer()
-		for i := 0; i < b.N; i++ {
-			s, err := NewStudyFromConfig(deltaFix.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Frames()
-			// Settle the setup's garbage outside the timed window; the
-			// gate measures the apply, not the base synthesis's GC debt.
-			runtime.GC()
-			b.StartTimer()
-			if err := s.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-		}
-	})
+	apply := testing.Benchmark(BenchmarkDeltaApply)
 	resynth := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := NewStudyFromConfig(full)

@@ -125,93 +125,3 @@ func (c *Column) valid(i int) bool { return c.Valid == nil || c.Valid.Get(i) }
 
 // str returns the string value at row i (TStr columns only).
 func (c *Column) str(i int) string { return c.Dict.Value(c.Codes[i]) }
-
-// colBuilder accumulates one column row-at-a-time during frame
-// construction, tracking validity lazily (the bitmap is only materialized
-// when the first null appears).
-type colBuilder struct {
-	col     *Column
-	n       int
-	anyNull bool
-	nulls   []int
-}
-
-func newIntCol(name string) *colBuilder {
-	return &colBuilder{col: &Column{Name: name, Type: TInt}}
-}
-
-func newFloatCol(name string) *colBuilder {
-	return &colBuilder{col: &Column{Name: name, Type: TFloat}}
-}
-
-func newStrCol(name string, dict *Dict) *colBuilder {
-	if dict == nil {
-		dict = NewDict()
-	}
-	return &colBuilder{col: &Column{Name: name, Type: TStr, Dict: dict}}
-}
-
-func newBoolCol(name string) *colBuilder {
-	return &colBuilder{col: &Column{Name: name, Type: TBool}}
-}
-
-func (b *colBuilder) addInt(v int64) {
-	b.col.Ints = append(b.col.Ints, v)
-	b.n++
-}
-
-func (b *colBuilder) addFloat(v float64) {
-	b.col.Floats = append(b.col.Floats, v)
-	b.n++
-}
-
-func (b *colBuilder) addStr(s string) {
-	b.col.Codes = append(b.col.Codes, b.col.Dict.Code(s))
-	b.n++
-}
-
-func (b *colBuilder) addBool(v bool) {
-	// Bools grow as a bitmap; extend on word boundaries.
-	for len(b.col.Bools)*64 <= b.n {
-		b.col.Bools = append(b.col.Bools, 0)
-	}
-	if v {
-		b.col.Bools.Set(b.n)
-	}
-	b.n++
-}
-
-// addNull appends a null row (zero value + validity clear).
-func (b *colBuilder) addNull() {
-	b.anyNull = true
-	b.nulls = append(b.nulls, b.n)
-	switch b.col.Type {
-	case TInt:
-		b.addInt(0)
-	case TFloat:
-		b.addFloat(0)
-	case TStr:
-		b.addStr("")
-	case TBool:
-		b.addBool(false)
-	}
-}
-
-// finish seals the column for n total rows, materializing the validity
-// bitmap if any null was recorded.
-func (b *colBuilder) finish(n int) *Column {
-	if b.n != n {
-		panic("query: column " + b.col.Name + " row count mismatch")
-	}
-	if b.anyNull {
-		v := NewBitmap(n)
-		for i := range v {
-			v[i] = ^uint64(0)
-		}
-		for _, i := range b.nulls {
-			v[i>>6] &^= 1 << (uint(i) & 63)
-		}
-		b.col.Valid = v
-	}
-	return b.col
-}

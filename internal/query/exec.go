@@ -44,9 +44,9 @@ type accSet struct {
 	sparse map[string]*groupAcc
 	order  []*groupAcc
 	// welch sufficient statistics, accumulated in row order within the
-	// partition. Moments merge by field-wise addition, so a coordinator
-	// holding per-partition partials can reproduce this scan's result
-	// exactly by merging them in partition order.
+	// partition. Moments merge by field-wise addition, so merging the
+	// per-partition sets in partition order reproduces a one-pass scan
+	// exactly.
 	cmp [2]stats.Moments
 
 	strides []uint64 // dense strides per key
@@ -639,9 +639,7 @@ func tokensEqual(a, b []uint64) bool {
 // scanGrouped runs the partitioned parallel scan, returning one
 // accumulator set per fixed-width partition, in partition-index order. No
 // merging happens here: the merge order is the single determinism-bearing
-// step and is fixed by mergeGrouped, which lets MergeRun splice partials
-// from many frame slices into the exact global partition sequence a single
-// scan would have walked.
+// step and is fixed by mergeGrouped.
 func scanGrouped(p *plan) []*accSet {
 	n := p.f.NumRows
 	parts := (n + partitionRows - 1) / partitionRows
@@ -814,17 +812,23 @@ type execRow struct {
 }
 
 // Run executes q against fs. The result is deterministic: identical input
-// bytes yield identical output bytes at any GOMAXPROCS. Run is exactly
-// ExecPartial followed by MergeRun over the single resulting partial, so
-// merging the partials of aligned frame slices is byte-identical to one
-// scan by construction, not by coincidence.
+// bytes yield identical output bytes at any GOMAXPROCS, because the scan's
+// per-partition state is merged in partition order before any
+// order-sensitive step runs.
 func Run(fs *FrameSet, q *Query) (*Result, error) {
 	p, err := compile(fs, q)
 	if err != nil {
 		return nil, err
 	}
-	part := execPartial(p, q)
-	return mergeRun(p, q, []*Partial{part})
+	pt := execPartial(p)
+	if !p.grouped {
+		return finalizeSelect(p, pt), nil
+	}
+	acc, err := mergeGrouped(p, pt.parts)
+	if err != nil {
+		return nil, err
+	}
+	return finalizeGrouped(p, acc)
 }
 
 // finalizeGrouped renders a merged accumulator set: optional domain

@@ -116,146 +116,154 @@ func (fs *FrameSet) Schema(name string) []string {
 	return out
 }
 
-// NewFrameSet flattens a corpus into columnar frames. Dictionaries that
-// carry a presentation order (conference, role, population) are pre-seeded
-// so "appearance"-mode sorting reproduces the paper's table order.
+// frameDef declares one frame: its name, its columns in schema order, and
+// the writer of its full-corpus rows that NewFrameSet runs over its empty
+// form.
+type frameDef struct {
+	name  string
+	cols  []colDef
+	build func(*dataset.Dataset, *frameWriter)
+}
+
+// frameDefs lists every frame of a FrameSet, in FrameSet order.
+var frameDefs = []frameDef{
+	{FrameSlots, slotsCols, buildSlots},
+	{FramePeople, peopleCols, buildPeople},
+	{FrameMembers, membersCols, buildMembers},
+	{FramePapers, papersCols, buildPapers},
+	{FrameCohorts, cohortsCols, buildCohorts},
+	{FrameCitations, citationsCols, buildCitations},
+}
+
+// NewFrameSet flattens a corpus into columnar frames: every frame starts
+// empty and its rows are written through the same writer AppendConference
+// uses. Dictionaries that carry a presentation order (conference, role,
+// population) are pre-seeded so "appearance"-mode sorting reproduces the
+// paper's table order.
 func NewFrameSet(d *dataset.Dataset) *FrameSet {
-	return &FrameSet{frames: []*Frame{
-		buildSlots(d),
-		buildPeople(d),
-		buildMembers(d),
-		buildPapers(d),
-		buildCohorts(d),
-		buildCitations(d),
-	}}
-}
-
-// confDicts returns dictionaries for conference IDs and names pre-seeded in
-// Table 1 (dataset) order.
-func confDicts(d *dataset.Dataset) (ids, names *Dict) {
-	ids, names = NewDict(), NewDict()
-	for _, c := range d.Conferences {
-		ids.Code(string(c.ID))
-		names.Code(c.Name)
+	fs := &FrameSet{frames: make([]*Frame, len(frameDefs))}
+	for i, def := range frameDefs {
+		f := emptyFrame(def.name, def.cols)
+		w := newFrameWriter(f, def.cols, d)
+		def.build(d, w)
+		w.close()
+		fs.frames[i] = f
 	}
-	return ids, names
+	return fs
 }
 
-func roleDict() *Dict {
-	seed := make([]string, 0, 6)
+// Dictionary seeds shared by several frames.
+var (
+	genders = fixed("female", "male", "unknown")
+	sectors = fixed("COM", "EDU", "GOV")
+)
+
+// confIDs and confNames seed conference dictionaries in Table 1 (dataset)
+// order.
+func confIDs(d *dataset.Dataset) []string {
+	out := make([]string, len(d.Conferences))
+	for i, c := range d.Conferences {
+		out[i] = string(c.ID)
+	}
+	return out
+}
+
+func confNames(d *dataset.Dataset) []string {
+	out := make([]string, len(d.Conferences))
+	for i, c := range d.Conferences {
+		out[i] = c.Name
+	}
+	return out
+}
+
+func roleNames(*dataset.Dataset) []string {
+	out := make([]string, 0, 6)
 	for _, r := range dataset.Roles() {
-		seed = append(seed, r.String())
+		out = append(out, r.String())
 	}
-	return NewDict(seed...)
+	return out
 }
 
-// personSinks bundles the demographic sinks shared by several frames. It
-// is expressed over colSink so the same emission code drives both a fresh
-// build (colBuilder) and in-place appends (colAppender).
-type personSinks struct {
-	gender, known, female, country, region, sector colSink
+// demographicCols are the six person columns addPerson writes, shared by
+// the frames whose rows carry a person (slots, people, members, cohorts).
+var demographicCols = []colDef{
+	strCol("gender", genders), boolCol("known"), boolCol("female"),
+	strCol("country", nil), strCol("region", nil), strCol("sector", sectors),
 }
 
-// add appends one person's demographics; a nil person (dangling ID) writes
-// gender "unknown" and null demographics, matching the analyses' exclusion
-// convention.
-func (ps personSinks) add(p *dataset.Person) {
+// addPerson writes one person's demographics; a nil person (dangling ID)
+// writes gender "unknown" and null demographics, matching the analyses'
+// exclusion convention.
+func (w *frameWriter) addPerson(p *dataset.Person) {
 	if p == nil {
-		ps.gender.addStr("unknown")
-		ps.known.addBool(false)
-		ps.female.addBool(false)
-		ps.country.addNull()
-		ps.region.addNull()
-		ps.sector.addNull()
+		w.addStr("unknown")
+		w.addBool(false)
+		w.addBool(false)
+		w.addNull()
+		w.addNull()
+		w.addNull()
 		return
 	}
-	ps.gender.addStr(p.Gender.String())
-	ps.known.addBool(p.Gender.Known())
-	ps.female.addBool(p.Gender == gender.Female)
+	w.addStr(p.Gender.String())
+	w.addBool(p.Gender.Known())
+	w.addBool(p.Gender == gender.Female)
 	if p.CountryCode == "" {
-		ps.country.addNull()
+		w.addNull()
 	} else {
-		ps.country.addStr(p.CountryCode)
+		w.addStr(p.CountryCode)
 	}
 	if region := countries.SubregionOf(p.CountryCode); region == "" {
-		ps.region.addNull()
+		w.addNull()
 	} else {
-		ps.region.addStr(region)
+		w.addStr(region)
 	}
 	if p.Sector == affil.SectorUnknown {
-		ps.sector.addNull()
+		w.addNull()
 	} else {
-		ps.sector.addStr(p.Sector.String())
+		w.addStr(p.Sector.String())
 	}
 }
 
-// personCols is the builder-side realization of personSinks.
-type personCols struct {
-	gender, country, region, sector *colBuilder
-	known, female                   *colBuilder
-}
+var slotsCols = concat(
+	[]colDef{
+		strCol("conf", confIDs), strCol("conference", confNames), intCol("year"),
+		strCol("role", roleNames), strCol("person", nil),
+	},
+	demographicCols,
+	[]colDef{
+		boolCol("double_blind"), floatCol("attendance"), boolCol("lead"), boolCol("last"),
+		strCol("paper", nil), intCol("citations36"), boolCol("hpc_topic"),
+	},
+)
 
-func newPersonCols() personCols {
-	return personCols{
-		gender:  newStrCol("gender", NewDict("female", "male", "unknown")),
-		known:   newBoolCol("known"),
-		female:  newBoolCol("female"),
-		country: newStrCol("country", nil),
-		region:  newStrCol("region", nil),
-		sector:  newStrCol("sector", NewDict("COM", "EDU", "GOV")),
-	}
-}
-
-func (pc *personCols) sinks() personSinks {
-	return personSinks{pc.gender, pc.known, pc.female, pc.country, pc.region, pc.sector}
-}
-
-func (pc *personCols) add(p *dataset.Person) { pc.sinks().add(p) }
-
-func (pc *personCols) finish(n int) []*Column {
-	return []*Column{
-		pc.gender.finish(n), pc.known.finish(n), pc.female.finish(n),
-		pc.country.finish(n), pc.region.finish(n), pc.sector.finish(n),
-	}
-}
-
-// slotsSinks names the slots frame's columns in schema order for the
-// shared per-conference emission helper.
-type slotsSinks struct {
-	conf, name, year, role, person                             colSink
-	pc                                                         personSinks
-	doubleBlind, attendance, lead, last, paper, citations, hpc colSink
-}
-
-// emitConfSlots emits every role slot of one conference — roles in the
+// emitConfSlots writes every role slot of one conference — roles in the
 // paper's presentation order, authors via the conference's papers with
-// lead/last flags, other roles via rosters — and returns the row count.
-// Shared verbatim between buildSlots and the append path so an appended
-// conference produces exactly the rows a rebuild would.
-func emitConfSlots(d *dataset.Dataset, c *dataset.Conference, s slotsSinks) int {
-	n := 0
+// lead/last flags, other roles via rosters. Shared verbatim between
+// buildSlots and the append path so an appended conference produces
+// exactly the rows a rebuild would.
+func emitConfSlots(d *dataset.Dataset, c *dataset.Conference, w *frameWriter) {
 	addRow := func(r dataset.Role, id dataset.PersonID, pap *dataset.Paper, isLead, isLast bool) {
-		s.conf.addStr(string(c.ID))
-		s.name.addStr(c.Name)
-		s.year.addInt(int64(c.Year))
-		s.role.addStr(r.String())
-		s.person.addStr(string(id))
+		w.addStr(string(c.ID))
+		w.addStr(c.Name)
+		w.addInt(int64(c.Year))
+		w.addStr(r.String())
+		w.addStr(string(id))
 		p, _ := d.Person(id)
-		s.pc.add(p)
-		s.doubleBlind.addBool(c.DoubleBlind)
-		s.attendance.addFloat(c.WomenAttendance)
-		s.lead.addBool(isLead)
-		s.last.addBool(isLast)
+		w.addPerson(p)
+		w.addBool(c.DoubleBlind)
+		w.addFloat(c.WomenAttendance)
+		w.addBool(isLead)
+		w.addBool(isLast)
 		if pap == nil {
-			s.paper.addNull()
-			s.citations.addNull()
-			s.hpc.addNull()
+			w.addNull()
+			w.addNull()
+			w.addNull()
 		} else {
-			s.paper.addStr(string(pap.ID))
-			s.citations.addInt(int64(pap.Citations36))
-			s.hpc.addBool(pap.HPCTopic)
+			w.addStr(string(pap.ID))
+			w.addInt(int64(pap.Citations36))
+			w.addBool(pap.HPCTopic)
 		}
-		n++
+		w.endRow()
 	}
 	for _, r := range dataset.Roles() {
 		if r == dataset.RoleAuthor {
@@ -270,50 +278,18 @@ func emitConfSlots(d *dataset.Dataset, c *dataset.Conference, s slotsSinks) int 
 			addRow(r, id, nil, false, false)
 		}
 	}
-	return n
 }
 
-// buildSlots emits one row per role slot, with repeats, conference-major
+// buildSlots writes one row per role slot, with repeats, conference-major
 // then role-minor — so appending a conference edition is a pure tail
 // append (the delta path's O(new rows) guarantee). Grouping still surfaces
 // Table 1 / Fig 1 order without an explicit sort because the conference
 // and role dictionaries are pre-seeded in presentation order and
 // "appearance" sorting compares dictionary codes, not row positions.
-func buildSlots(d *dataset.Dataset) *Frame {
-	confIDs, confNames := confDicts(d)
-	conf := newStrCol("conf", confIDs)
-	name := newStrCol("conference", confNames)
-	year := newIntCol("year")
-	role := newStrCol("role", roleDict())
-	person := newStrCol("person", nil)
-	pc := newPersonCols()
-	doubleBlind := newBoolCol("double_blind")
-	attendance := newFloatCol("attendance")
-	lead := newBoolCol("lead")
-	last := newBoolCol("last")
-	paper := newStrCol("paper", nil)
-	citations := newIntCol("citations36")
-	hpc := newBoolCol("hpc_topic")
-
-	s := slotsSinks{
-		conf: conf, name: name, year: year, role: role, person: person,
-		pc:          pc.sinks(),
-		doubleBlind: doubleBlind, attendance: attendance, lead: lead, last: last,
-		paper: paper, citations: citations, hpc: hpc,
-	}
-	n := 0
+func buildSlots(d *dataset.Dataset, w *frameWriter) {
 	for _, c := range d.Conferences {
-		n += emitConfSlots(d, c, s)
+		emitConfSlots(d, c, w)
 	}
-	cols := []*Column{
-		conf.finish(n), name.finish(n), year.finish(n), role.finish(n), person.finish(n),
-	}
-	cols = append(cols, pc.finish(n)...)
-	cols = append(cols,
-		doubleBlind.finish(n), attendance.finish(n), lead.finish(n), last.finish(n),
-		paper.finish(n), citations.finish(n), hpc.finish(n),
-	)
-	return newFrame(FrameSlots, n, cols)
 }
 
 // rolePresence returns, per person, the set of roles held anywhere in the
@@ -347,47 +323,58 @@ func markRole(held map[dataset.PersonID]map[dataset.Role]bool, id dataset.Person
 	m[r] = true
 }
 
-// peopleSinks names the people frame's columns in schema order for the
-// shared per-person emission helper.
-type peopleSinks struct {
-	person                         colSink
-	pc                             personSinks
-	roleFlags                      []colSink
-	papers, gsPubs, hindex, s2Pubs colSink
+// roleFlag names the people frame's flag column for role r ("PC member" →
+// "is_pc_member").
+func roleFlag(r dataset.Role) string {
+	return "is_" + strings.ReplaceAll(strings.ToLower(r.String()), " ", "_")
 }
 
-// emitPersonRow emits one researcher row given the roles they hold and
+var peopleCols = concat(
+	[]colDef{strCol("person", nil)},
+	demographicCols,
+	func() []colDef {
+		var flags []colDef
+		for _, r := range dataset.Roles() {
+			flags = append(flags, boolCol(roleFlag(r)))
+		}
+		return flags
+	}(),
+	[]colDef{intCol("papers"), floatCol("gs_pubs"), floatCol("hindex"), floatCol("s2_pubs")},
+)
+
+// emitPersonRow writes one researcher row given the roles they hold and
 // their authored-paper count. Shared between buildPeople and the append
 // path (which calls it only for persons first appearing in the appended
 // conference).
-func emitPersonRow(d *dataset.Dataset, id dataset.PersonID, roles map[dataset.Role]bool, papers int64, s peopleSinks) {
-	s.person.addStr(string(id))
+func emitPersonRow(d *dataset.Dataset, id dataset.PersonID, roles map[dataset.Role]bool, papers int64, w *frameWriter) {
+	w.addStr(string(id))
 	p, _ := d.Person(id)
-	s.pc.add(p)
-	for ri, r := range dataset.Roles() {
-		s.roleFlags[ri].addBool(roles[r])
+	w.addPerson(p)
+	for _, r := range dataset.Roles() {
+		w.addBool(roles[r])
 	}
-	s.papers.addInt(papers)
+	w.addInt(papers)
 	if p != nil && p.HasGSProfile {
-		s.gsPubs.addFloat(float64(p.GS.Publications))
-		s.hindex.addFloat(float64(p.GS.HIndex))
+		w.addFloat(float64(p.GS.Publications))
+		w.addFloat(float64(p.GS.HIndex))
 	} else {
-		s.gsPubs.addNull()
-		s.hindex.addNull()
+		w.addNull()
+		w.addNull()
 	}
 	if p != nil && p.HasS2 {
-		s.s2Pubs.addFloat(float64(p.S2Pubs))
+		w.addFloat(float64(p.S2Pubs))
 	} else {
-		s.s2Pubs.addNull()
+		w.addNull()
 	}
+	w.endRow()
 }
 
-// buildPeople emits one row per unique researcher holding any role, sorted
-// by person ID. Because the synthesizer mints person IDs in increasing
-// order, researchers first appearing in an appended conference sort after
-// every existing row, keeping this order append-only too (AppendConference
-// verifies that precondition rather than assuming it).
-func buildPeople(d *dataset.Dataset) *Frame {
+// buildPeople writes one row per unique researcher holding any role,
+// sorted by person ID. Because the synthesizer mints person IDs in
+// increasing order, researchers first appearing in an appended conference
+// sort after every existing row, keeping this order append-only too
+// (AppendConference verifies that precondition rather than assuming it).
+func buildPeople(d *dataset.Dataset, w *frameWriter) {
 	held := rolePresence(d)
 	ids := make([]string, 0, len(held))
 	for id := range held {
@@ -395,58 +382,25 @@ func buildPeople(d *dataset.Dataset) *Frame {
 	}
 	sort.Strings(ids)
 
-	person := newStrCol("person", nil)
-	pc := newPersonCols()
-	roleFlags := make([]*colBuilder, 0, 6)
-	for _, r := range dataset.Roles() {
-		roleFlags = append(roleFlags, newBoolCol("is_"+flagName(r)))
-	}
-	papers := newIntCol("papers")
-	gsPubs := newFloatCol("gs_pubs")
-	hindex := newFloatCol("hindex")
-	s2Pubs := newFloatCol("s2_pubs")
-
 	authored := make(map[dataset.PersonID]int64, len(held))
 	for _, p := range d.Papers {
 		for _, id := range p.Authors {
 			authored[id]++
 		}
 	}
-
-	flagSinks := make([]colSink, len(roleFlags))
-	for i, rf := range roleFlags {
-		flagSinks[i] = rf
-	}
-	s := peopleSinks{
-		person: person, pc: pc.sinks(), roleFlags: flagSinks,
-		papers: papers, gsPubs: gsPubs, hindex: hindex, s2Pubs: s2Pubs,
-	}
-	n := 0
 	for _, sid := range ids {
 		id := dataset.PersonID(sid)
-		emitPersonRow(d, id, held[id], authored[id], s)
-		n++
+		emitPersonRow(d, id, held[id], authored[id], w)
 	}
-	cols := []*Column{person.finish(n)}
-	cols = append(cols, pc.finish(n)...)
-	for _, rf := range roleFlags {
-		cols = append(cols, rf.finish(n))
-	}
-	cols = append(cols, papers.finish(n), gsPubs.finish(n), hindex.finish(n), s2Pubs.finish(n))
-	return newFrame(FramePeople, n, cols)
 }
 
-// flagName converts a role label to a column suffix ("PC member" →
-// "pc_member").
-func flagName(r dataset.Role) string {
-	return strings.ReplaceAll(strings.ToLower(r.String()), " ", "_")
-}
-
-// membersSinks names the members frame's columns in schema order.
-type membersSinks struct {
-	role, person colSink
-	pc           personSinks
-}
+var membersCols = concat(
+	[]colDef{
+		strCol("role", fixed(dataset.RoleAuthor.String(), dataset.RolePCMember.String())),
+		strCol("person", nil),
+	},
+	demographicCols,
+)
 
 // confNewMembers returns the members first qualifying at conference c —
 // paper authors not seen at any earlier conference, then PC members
@@ -467,115 +421,77 @@ func confNewMembers(d *dataset.Dataset, c *dataset.Conference, seenAuthor, seenP
 	return authors, members
 }
 
-// emitConfMembers emits the rows conference c contributes to the members
-// frame — its newly-qualifying unique authors followed by its
-// newly-qualifying unique PC members — and returns the row count.
-func emitConfMembers(d *dataset.Dataset, c *dataset.Conference, seenAuthor, seenPC map[dataset.PersonID]bool, s membersSinks) int {
+// emitConfMembers writes the rows conference c contributes to the members
+// frame: its newly-qualifying unique authors followed by its
+// newly-qualifying unique PC members.
+func emitConfMembers(d *dataset.Dataset, c *dataset.Conference, seenAuthor, seenPC map[dataset.PersonID]bool, w *frameWriter) {
 	authors, members := confNewMembers(d, c, seenAuthor, seenPC)
 	emit := func(r dataset.Role, ids []dataset.PersonID) {
 		for _, id := range ids {
-			s.role.addStr(r.String())
-			s.person.addStr(string(id))
+			w.addStr(r.String())
+			w.addStr(string(id))
 			p, _ := d.Person(id)
-			s.pc.add(p)
+			w.addPerson(p)
+			w.endRow()
 		}
 	}
 	emit(dataset.RoleAuthor, authors)
 	emit(dataset.RolePCMember, members)
-	return len(authors) + len(members)
 }
 
-// buildMembers emits one row per (person, population) membership, where the
-// populations are the paper's two §5 demographic bases: unique authors and
-// unique PC members. A person in both populations contributes two rows.
-// Rows are in first-qualification order — conferences in corpus order, and
-// per conference the newly-qualifying unique authors (sorted by ID)
-// followed by the newly-qualifying PC members (sorted by ID) — so the
+// buildMembers writes one row per (person, population) membership, where
+// the populations are the paper's two §5 demographic bases: unique authors
+// and unique PC members. A person in both populations contributes two
+// rows. Rows are in first-qualification order — conferences in corpus
+// order, and per conference the newly-qualifying unique authors (sorted by
+// ID) followed by the newly-qualifying PC members (sorted by ID) — so the
 // membership multiset equals the global unique populations while appending
 // a conference only ever appends rows.
-func buildMembers(d *dataset.Dataset) *Frame {
-	role := newStrCol("role", NewDict(
-		dataset.RoleAuthor.String(), dataset.RolePCMember.String()))
-	person := newStrCol("person", nil)
-	pc := newPersonCols()
-
-	s := membersSinks{role: role, person: person, pc: pc.sinks()}
+func buildMembers(d *dataset.Dataset, w *frameWriter) {
 	seenAuthor := make(map[dataset.PersonID]bool)
 	seenPC := make(map[dataset.PersonID]bool)
-	n := 0
 	for _, c := range d.Conferences {
-		n += emitConfMembers(d, c, seenAuthor, seenPC, s)
+		emitConfMembers(d, c, seenAuthor, seenPC, w)
 	}
-
-	cols := []*Column{role.finish(n), person.finish(n)}
-	cols = append(cols, pc.finish(n)...)
-	return newFrame(FrameMembers, n, cols)
 }
 
-// papersSinks names the papers frame's columns in schema order.
-type papersSinks struct {
-	paper, conf, name, year              colSink
-	leadGender, leadKnown, leadFemale    colSink
-	citations, hpc, authors, doubleBlind colSink
+var papersCols = []colDef{
+	strCol("paper", nil), strCol("conference", confIDs), strCol("conference_name", confNames), intCol("year"),
+	strCol("lead_gender", genders), boolCol("lead_known"), boolCol("lead_female"),
+	intCol("citations36"), boolCol("hpc_topic"), intCol("authors"), boolCol("double_blind"),
 }
 
-// emitPaperRow emits one paper row with lead-author demographics
+// emitPaperRow writes one paper row with lead-author demographics
 // denormalized.
-func emitPaperRow(d *dataset.Dataset, p *dataset.Paper, c *dataset.Conference, s papersSinks) {
-	s.paper.addStr(string(p.ID))
-	s.conf.addStr(string(c.ID))
-	s.name.addStr(c.Name)
-	s.year.addInt(int64(c.Year))
+func emitPaperRow(d *dataset.Dataset, p *dataset.Paper, c *dataset.Conference, w *frameWriter) {
+	w.addStr(string(p.ID))
+	w.addStr(string(c.ID))
+	w.addStr(c.Name)
+	w.addInt(int64(c.Year))
 	g := "unknown"
 	if lead, ok := d.Person(p.Lead()); ok {
 		g = lead.Gender.String()
 	}
-	s.leadGender.addStr(g)
-	s.leadKnown.addBool(g == "female" || g == "male")
-	s.leadFemale.addBool(g == "female")
-	s.citations.addInt(int64(p.Citations36))
-	s.hpc.addBool(p.HPCTopic)
-	s.authors.addInt(int64(len(p.Authors)))
-	s.doubleBlind.addBool(c.DoubleBlind)
+	w.addStr(g)
+	w.addBool(g == "female" || g == "male")
+	w.addBool(g == "female")
+	w.addInt(int64(p.Citations36))
+	w.addBool(p.HPCTopic)
+	w.addInt(int64(len(p.Authors)))
+	w.addBool(c.DoubleBlind)
+	w.endRow()
 }
 
-// buildPapers emits one row per paper in corpus order, with lead-author
+// buildPapers writes one row per paper in corpus order, with lead-author
 // demographics denormalized for reception-style slices. Corpus order keeps
 // each conference's papers contiguous (the synthesizer and the delta merge
 // both append per conference), so appending a conference appends rows.
-func buildPapers(d *dataset.Dataset) *Frame {
-	confIDs, confNames := confDicts(d)
-	paper := newStrCol("paper", nil)
-	conf := newStrCol("conference", confIDs)
-	name := newStrCol("conference_name", confNames)
-	year := newIntCol("year")
-	leadGender := newStrCol("lead_gender", NewDict("female", "male", "unknown"))
-	leadKnown := newBoolCol("lead_known")
-	leadFemale := newBoolCol("lead_female")
-	citations := newIntCol("citations36")
-	hpc := newBoolCol("hpc_topic")
-	authors := newIntCol("authors")
-	doubleBlind := newBoolCol("double_blind")
-
-	s := papersSinks{
-		paper: paper, conf: conf, name: name, year: year,
-		leadGender: leadGender, leadKnown: leadKnown, leadFemale: leadFemale,
-		citations: citations, hpc: hpc, authors: authors, doubleBlind: doubleBlind,
-	}
-	n := 0
+func buildPapers(d *dataset.Dataset, w *frameWriter) {
 	for _, p := range d.Papers {
-		c, ok := d.Conference(p.Conf)
-		if !ok {
-			continue
+		if c, ok := d.Conference(p.Conf); ok {
+			emitPaperRow(d, p, c, w)
 		}
-		emitPaperRow(d, p, c, s)
-		n++
 	}
-	return newFrame(FramePapers, n, []*Column{
-		paper.finish(n), conf.finish(n), name.finish(n), year.finish(n),
-		leadGender.finish(n), leadKnown.finish(n), leadFemale.finish(n),
-		citations.finish(n), hpc.finish(n), authors.finish(n), doubleBlind.finish(n),
-	})
 }
 
 // confParticipants returns the unique participants of one conference —
@@ -628,155 +544,94 @@ func prevEdition(d *dataset.Dataset, c *dataset.Conference) *dataset.Conference 
 	return nil
 }
 
-// cohortsSinks names the cohorts frame's columns in schema order.
-type cohortsSinks struct {
-	conf, series, year, person colSink
-	pc                         personSinks
-	retained, observed         colSink
-}
+var cohortsCols = concat(
+	[]colDef{strCol("conf", confIDs), strCol("series", confNames), intCol("year"), strCol("person", nil)},
+	demographicCols,
+	[]colDef{boolCol("retained"), boolCol("observed")},
+)
 
-// emitConfCohorts emits one row per unique participant of conference c,
+// emitConfCohorts writes one row per unique participant of conference c,
 // sorted by ID, with the retention outcome against the next edition of the
 // same series: observed reports whether that edition exists in the corpus,
-// retained whether the participant appears in it. Returns the row count.
-func emitConfCohorts(d *dataset.Dataset, c *dataset.Conference, s cohortsSinks) int {
+// retained whether the participant appears in it.
+func emitConfCohorts(d *dataset.Dataset, c *dataset.Conference, w *frameWriter) {
 	next := nextEdition(d, c)
 	var nextSet map[dataset.PersonID]bool
 	if next != nil {
 		nextSet = participantSet(d, next)
 	}
-	n := 0
 	for _, id := range confParticipants(d, c) {
-		s.conf.addStr(string(c.ID))
-		s.series.addStr(c.Name)
-		s.year.addInt(int64(c.Year))
-		s.person.addStr(string(id))
+		w.addStr(string(c.ID))
+		w.addStr(c.Name)
+		w.addInt(int64(c.Year))
+		w.addStr(string(id))
 		p, _ := d.Person(id)
-		s.pc.add(p)
-		s.retained.addBool(next != nil && nextSet[id])
-		s.observed.addBool(next != nil)
-		n++
+		w.addPerson(p)
+		w.addBool(next != nil && nextSet[id])
+		w.addBool(next != nil)
+		w.endRow()
 	}
-	return n
 }
 
-// buildCohorts emits one row per (conference, unique participant) pair —
+// buildCohorts writes one row per (conference, unique participant) pair —
 // the cohort-retention base of the trend workload. Rows are
 // conference-major in corpus order with participants sorted by ID, so an
 // appended conference contributes a pure tail block; its arrival also
 // flips the previous edition's observed/retained bits, which the append
 // path patches in place.
-func buildCohorts(d *dataset.Dataset) *Frame {
-	confIDs, confNames := confDicts(d)
-	conf := newStrCol("conf", confIDs)
-	series := newStrCol("series", confNames)
-	year := newIntCol("year")
-	person := newStrCol("person", nil)
-	pc := newPersonCols()
-	retained := newBoolCol("retained")
-	observed := newBoolCol("observed")
-
-	s := cohortsSinks{
-		conf: conf, series: series, year: year, person: person,
-		pc:       pc.sinks(),
-		retained: retained, observed: observed,
-	}
-	n := 0
+func buildCohorts(d *dataset.Dataset, w *frameWriter) {
 	for _, c := range d.Conferences {
-		n += emitConfCohorts(d, c, s)
+		emitConfCohorts(d, c, w)
 	}
-	cols := []*Column{conf.finish(n), series.finish(n), year.finish(n), person.finish(n)}
-	cols = append(cols, pc.finish(n)...)
-	cols = append(cols, retained.finish(n), observed.finish(n))
-	return newFrame(FrameCohorts, n, cols)
 }
 
-// citeSinks names the citations frame's columns in schema order.
-type citeSinks struct {
-	srcPaper, srcConf, srcYear colSink
-	dstPaper, dstConf, dstYear colSink
-	team, srcLead, dstLead     colSink
-	dstKnown, dstFemale        colSink
-	sameConf, crossYear        colSink
-	nullFemale, nullKnown      colSink
-	region                     colSink
+var citationsCols = []colDef{
+	strCol("src_paper", nil), strCol("src_conf", confIDs), intCol("src_year"),
+	strCol("dst_paper", nil), strCol("dst_conf", confIDs), intCol("dst_year"),
+	strCol("team", fixed(cite.TeamCategories()...)),
+	strCol("src_lead_gender", genders), strCol("dst_lead_gender", genders),
+	boolCol("dst_lead_known"), boolCol("dst_lead_female"),
+	boolCol("same_conf"), boolCol("cross_year"),
+	boolCol("null_female"), boolCol("null_known"),
+	strCol("src_region", nil),
 }
 
-// emitCitationEdges emits one row per citation edge — src attributes, dst
+// emitCitationEdges writes one row per citation edge — src attributes, dst
 // attributes, the citing-team category, and the paired null draw's gender
-// bits — and returns the row count. Shared between buildCitations and the
-// append path, which passes only the appended conference's edge tail.
-func emitCitationEdges(d *dataset.Dataset, m *cite.Meta, edges []cite.Edge, s citeSinks) int {
+// bits. Shared between buildCitations and the append path, which passes
+// only the appended conference's edge tail.
+func emitCitationEdges(d *dataset.Dataset, m *cite.Meta, edges []cite.Edge, w *frameWriter) {
 	for _, e := range edges {
 		src, dst := d.Papers[e.Src], d.Papers[e.Dst]
-		s.srcPaper.addStr(string(src.ID))
-		s.srcConf.addStr(string(src.Conf))
-		s.srcYear.addInt(int64(m.Year[e.Src]))
-		s.dstPaper.addStr(string(dst.ID))
-		s.dstConf.addStr(string(dst.Conf))
-		s.dstYear.addInt(int64(m.Year[e.Dst]))
-		s.team.addStr(m.Team[e.Src])
-		s.srcLead.addStr(m.Lead[e.Src].String())
-		s.dstLead.addStr(m.Lead[e.Dst].String())
-		s.dstKnown.addBool(m.Lead[e.Dst].Known())
-		s.dstFemale.addBool(m.Lead[e.Dst] == gender.Female)
-		s.sameConf.addBool(src.Conf == dst.Conf)
-		s.crossYear.addBool(m.Year[e.Dst] != m.Year[e.Src])
-		s.nullFemale.addBool(m.Lead[e.Null] == gender.Female)
-		s.nullKnown.addBool(m.Lead[e.Null].Known())
+		w.addStr(string(src.ID))
+		w.addStr(string(src.Conf))
+		w.addInt(int64(m.Year[e.Src]))
+		w.addStr(string(dst.ID))
+		w.addStr(string(dst.Conf))
+		w.addInt(int64(m.Year[e.Dst]))
+		w.addStr(m.Team[e.Src])
+		w.addStr(m.Lead[e.Src].String())
+		w.addStr(m.Lead[e.Dst].String())
+		w.addBool(m.Lead[e.Dst].Known())
+		w.addBool(m.Lead[e.Dst] == gender.Female)
+		w.addBool(src.Conf == dst.Conf)
+		w.addBool(m.Year[e.Dst] != m.Year[e.Src])
+		w.addBool(m.Lead[e.Null] == gender.Female)
+		w.addBool(m.Lead[e.Null].Known())
 		if region := countries.SubregionOf(m.Country[e.Src]); region == "" {
-			s.region.addNull()
+			w.addNull()
 		} else {
-			s.region.addStr(region)
+			w.addStr(region)
 		}
+		w.endRow()
 	}
-	return len(edges)
 }
 
 // buildCitations synthesizes the citation graph (internal/cite, a pure
-// function of the corpus) and emits one row per directed edge, in graph
+// function of the corpus) and writes one row per directed edge, in graph
 // order: source papers in corpus order, draws in selection order. Because
 // candidate pools only reach same-conference or earlier-year papers,
 // appending a newest-year conference contributes a pure tail block.
-func buildCitations(d *dataset.Dataset) *Frame {
-	g := cite.Synthesize(d)
-	m := cite.NewMeta(d)
-	srcConfIDs, _ := confDicts(d)
-	dstConfIDs, _ := confDicts(d)
-	srcPaper := newStrCol("src_paper", nil)
-	srcConf := newStrCol("src_conf", srcConfIDs)
-	srcYear := newIntCol("src_year")
-	dstPaper := newStrCol("dst_paper", nil)
-	dstConf := newStrCol("dst_conf", dstConfIDs)
-	dstYear := newIntCol("dst_year")
-	team := newStrCol("team", NewDict(cite.TeamCategories()...))
-	srcLead := newStrCol("src_lead_gender", NewDict("female", "male", "unknown"))
-	dstLead := newStrCol("dst_lead_gender", NewDict("female", "male", "unknown"))
-	dstKnown := newBoolCol("dst_lead_known")
-	dstFemale := newBoolCol("dst_lead_female")
-	sameConf := newBoolCol("same_conf")
-	crossYear := newBoolCol("cross_year")
-	nullFemale := newBoolCol("null_female")
-	nullKnown := newBoolCol("null_known")
-	region := newStrCol("src_region", nil)
-
-	s := citeSinks{
-		srcPaper: srcPaper, srcConf: srcConf, srcYear: srcYear,
-		dstPaper: dstPaper, dstConf: dstConf, dstYear: dstYear,
-		team: team, srcLead: srcLead, dstLead: dstLead,
-		dstKnown: dstKnown, dstFemale: dstFemale,
-		sameConf: sameConf, crossYear: crossYear,
-		nullFemale: nullFemale, nullKnown: nullKnown,
-		region: region,
-	}
-	n := emitCitationEdges(d, m, g.Edges, s)
-	return newFrame(FrameCitations, n, []*Column{
-		srcPaper.finish(n), srcConf.finish(n), srcYear.finish(n),
-		dstPaper.finish(n), dstConf.finish(n), dstYear.finish(n),
-		team.finish(n), srcLead.finish(n), dstLead.finish(n),
-		dstKnown.finish(n), dstFemale.finish(n),
-		sameConf.finish(n), crossYear.finish(n),
-		nullFemale.finish(n), nullKnown.finish(n),
-		region.finish(n),
-	})
+func buildCitations(d *dataset.Dataset, w *frameWriter) {
+	emitCitationEdges(d, cite.NewMeta(d), cite.Synthesize(d).Edges, w)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Projections are late-materialized: the scan keeps only matching row
-// indexes, ordering works on (partial, row) refs through a typed cell
-// comparator, and Values are built for the emitted rows alone.
+// indexes, ordering works on those rows through a typed cell comparator,
+// and Values are built for the emitted rows alone.
 
 // scanSelect evaluates a projection's filter column-wise, one partition at
 // a time, into a frame-wide selection bitmap and returns the matching row
@@ -43,28 +43,21 @@ func scanSelect(p *plan) []int32 {
 	return rows
 }
 
-// ref addresses one projected row across partials: the partial's index in
-// the high 32 bits, its frame row in the low 32. Integer order on refs is
-// therefore merge order — partials as given, rows in frame order.
-func ref(part int, row int32) uint64 { return uint64(part)<<32 | uint64(uint32(row)) }
-
-// selOrder orders refs by a projection's order_by keys.
+// selOrder orders matching rows by a projection's order_by keys.
 type selOrder struct {
 	keys []orderRef
-	cols [][]*Column // per partial, the projected columns in select order
+	cols []*Column // the projected columns, in select order
 }
 
-// cmp orders two refs by the order_by keys and breaks every remaining tie
-// on the refs themselves. A stable sort of the merged rows keeps tied rows
-// in merge order, which is ref order, so sorting under this total order —
-// with any algorithm — reproduces sort.SliceStable row for row.
+// cmp orders two rows by the order_by keys and breaks every remaining tie
+// on row order. A stable sort of the matching rows keeps tied rows in row
+// order, so sorting under this total order — with any algorithm —
+// reproduces sort.SliceStable row for row.
 //
 //whpcvet:hot
-func (o *selOrder) cmp(a, b uint64) int {
-	ca, cb := o.cols[a>>32], o.cols[b>>32]
-	ra, rb := int(uint32(a)), int(uint32(b))
+func (o *selOrder) cmp(a, b int32) int {
 	for _, k := range o.keys {
-		if c := cmpCell(ca[k.slot], ra, cb[k.slot], rb, k.appearance); c != 0 {
+		if c := cmpCell(o.cols[k.slot], int(a), int(b), k.appearance); c != 0 {
 			if k.desc {
 				return -c
 			}
@@ -74,15 +67,14 @@ func (o *selOrder) cmp(a, b uint64) int {
 	return cmp.Compare(a, b)
 }
 
-// cmpCell orders row ra of column a against row rb of column b (the same
-// projected column, possibly of two partials) by cmpValue's rules without
+// cmpCell orders rows ra and rb of column c by cmpValue's rules without
 // building a Value: nulls first, NaN before any number, strings by
 // dictionary value — or by code, which is appearance order, when
 // appearance is set — and false before true.
 //
 //whpcvet:hot
-func cmpCell(a *Column, ra int, b *Column, rb int, appearance bool) int {
-	va, vb := a.valid(ra), b.valid(rb)
+func cmpCell(c *Column, ra, rb int, appearance bool) int {
+	va, vb := c.valid(ra), c.valid(rb)
 	if va != vb {
 		if va {
 			return 1
@@ -92,24 +84,21 @@ func cmpCell(a *Column, ra int, b *Column, rb int, appearance bool) int {
 	if !va {
 		return 0
 	}
-	switch a.Type {
+	switch c.Type {
 	case TInt:
-		return cmp.Compare(a.Ints[ra], b.Ints[rb])
+		return cmp.Compare(c.Ints[ra], c.Ints[rb])
 	case TFloat:
 		// cmp.Compare puts NaN first, equates NaNs and equates -0 with +0:
 		// cmpValue's float order exactly.
-		return cmp.Compare(a.Floats[ra], b.Floats[rb])
+		return cmp.Compare(c.Floats[ra], c.Floats[rb])
 	case TStr:
-		x, y := a.Codes[ra], b.Codes[rb]
-		if appearance {
+		x, y := c.Codes[ra], c.Codes[rb]
+		if appearance || x == y {
 			return cmp.Compare(x, y)
 		}
-		if x == y && a.Dict == b.Dict {
-			return 0
-		}
-		return strings.Compare(a.Dict.Value(x), b.Dict.Value(y))
+		return strings.Compare(c.Dict.Value(x), c.Dict.Value(y))
 	default:
-		x, y := a.Bools.Get(ra), b.Bools.Get(rb)
+		x, y := c.Bools.Get(ra), c.Bools.Get(rb)
 		if x == y {
 			return 0
 		}
@@ -120,66 +109,42 @@ func cmpCell(a *Column, ra int, b *Column, rb int, appearance bool) int {
 	}
 }
 
-// finalizeSelect orders, limits and materializes the merged projection.
-// With an order and a cutting limit only the top refs are kept (topK);
-// without an order the first refs in merge order are the result.
-func finalizeSelect(p *plan, partials []*Partial) *Result {
-	o := &selOrder{keys: p.orderBy, cols: make([][]*Column, len(partials))}
-	total := 0
-	for pi, pt := range partials {
-		o.cols[pi] = pt.cols
-		total += len(pt.rows)
-	}
-	keep := total
-	if p.limit > 0 && p.limit < total {
+// finalizeSelect orders, limits and materializes the projection. With an
+// order and a cutting limit only the top rows are kept (topK); without an
+// order the first matching rows are the result.
+func finalizeSelect(p *plan, pt *Partial) *Result {
+	o := &selOrder{keys: p.orderBy, cols: pt.cols}
+	keep := len(pt.rows)
+	if p.limit > 0 && p.limit < keep {
 		keep = p.limit
 	}
-	var refs []uint64
-	if len(o.keys) > 0 && keep < total {
-		refs = o.topK(partials, keep)
+	var rows []int32
+	if len(o.keys) > 0 && keep < len(pt.rows) {
+		rows = o.topK(pt.rows, keep)
 	} else {
-		refs = firstRefs(partials, keep)
+		rows = pt.rows[:keep]
 		if len(o.keys) > 0 {
-			slices.SortFunc(refs, o.cmp)
+			slices.SortFunc(rows, o.cmp)
 		}
 	}
-	return materialize(p, o.cols, refs)
+	return materialize(p, o.cols, rows)
 }
 
-// firstRefs returns the first n refs in merge order.
-//
-//whpcvet:hot
-func firstRefs(partials []*Partial, n int) []uint64 {
-	refs := make([]uint64, 0, n)
-	for pi, pt := range partials {
-		for _, row := range pt.rows {
-			if len(refs) == n {
-				return refs
-			}
-			refs = append(refs, ref(pi, row))
-		}
-	}
-	return refs
-}
-
-// topK returns the k smallest refs under o.cmp, sorted, in O(n log k): a
-// bounded max-heap holds the best k seen so far, and a later ref enters
+// topK returns the k smallest rows under o.cmp, sorted, in O(n log k): a
+// bounded max-heap holds the best k seen so far, and a later row enters
 // only by ordering before the heap's root.
 //
 //whpcvet:hot
-func (o *selOrder) topK(partials []*Partial, k int) []uint64 {
-	h := make([]uint64, 0, k)
-	for pi, pt := range partials {
-		for _, row := range pt.rows {
-			r := ref(pi, row)
-			switch {
-			case len(h) < k:
-				h = append(h, r)
-				o.siftUp(h)
-			case o.cmp(r, h[0]) < 0:
-				h[0] = r
-				o.siftDown(h)
-			}
+func (o *selOrder) topK(rows []int32, k int) []int32 {
+	h := make([]int32, 0, k)
+	for _, r := range rows {
+		switch {
+		case len(h) < k:
+			h = append(h, r)
+			o.siftUp(h)
+		case o.cmp(r, h[0]) < 0:
+			h[0] = r
+			o.siftDown(h)
 		}
 	}
 	slices.SortFunc(h, o.cmp)
@@ -189,7 +154,7 @@ func (o *selOrder) topK(partials []*Partial, k int) []uint64 {
 // siftUp restores the max-heap order after an append to h.
 //
 //whpcvet:hot
-func (o *selOrder) siftUp(h []uint64) {
+func (o *selOrder) siftUp(h []int32) {
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if o.cmp(h[i], h[parent]) <= 0 {
@@ -203,7 +168,7 @@ func (o *selOrder) siftUp(h []uint64) {
 // siftDown restores the max-heap order after h's root was replaced.
 //
 //whpcvet:hot
-func (o *selOrder) siftDown(h []uint64) {
+func (o *selOrder) siftDown(h []int32) {
 	for i := 0; ; {
 		top := i
 		if l := 2*i + 1; l < len(h) && o.cmp(h[l], h[top]) > 0 {
@@ -224,16 +189,15 @@ func (o *selOrder) siftDown(h []uint64) {
 // every row from one Value arena.
 //
 //whpcvet:hot
-func materialize(p *plan, cols [][]*Column, refs []uint64) *Result {
+func materialize(p *plan, cols []*Column, rows []int32) *Result {
 	res := newResult(p)
 	width := len(p.selects)
-	arena := make([]Value, len(refs)*width)
-	res.Rows = make([][]Value, len(refs))
-	for i, r := range refs {
+	arena := make([]Value, len(rows)*width)
+	res.Rows = make([][]Value, len(rows))
+	for i, row := range rows {
 		vals := arena[i*width : (i+1)*width : (i+1)*width]
-		pc, row := cols[r>>32], int(uint32(r))
 		for s := range vals {
-			vals[s] = columnValue(pc[s], row)
+			vals[s] = columnValue(cols[s], int(row))
 		}
 		res.Rows[i] = vals
 	}

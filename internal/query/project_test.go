@@ -121,49 +121,51 @@ func mixedFrames() *FrameSet {
 	const n = 3*partitionRows + 77
 	rng := rand.New(rand.NewPCG(14, 2021))
 	words := []string{"pear", "apple", "fig", "", "Zebra", "apple pie", "é", "<b>"}
-	ints := newIntCol("i")
-	floats := newFloatCol("f")
-	strs := newStrCol("s", NewDict("pear", "fig", "apple"))
-	bools := newBoolCol("b")
-	tie := newStrCol("tie", NewDict("x", "y"))
+	schema := []colDef{
+		intCol("i"), floatCol("f"), strCol("s", fixed("pear", "fig", "apple")),
+		boolCol("b"), strCol("tie", fixed("x", "y")),
+	}
+	f := emptyFrame("mixed", schema)
+	w := newFrameWriter(f, schema, nil)
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e-7, 5e-324}
 	for i := 0; i < n; i++ {
 		switch r := rng.IntN(20); {
 		case r == 0:
-			ints.addNull()
+			w.addNull()
 		case r == 1:
-			ints.addInt(math.MinInt64)
+			w.addInt(math.MinInt64)
 		case r == 2:
-			ints.addInt(math.MaxInt64)
+			w.addInt(math.MaxInt64)
 		default:
-			ints.addInt(int64(rng.IntN(200)) - 100)
+			w.addInt(int64(rng.IntN(200)) - 100)
 		}
 		switch r := rng.IntN(10); {
 		case r == 0:
-			floats.addNull()
+			w.addNull()
 		case r < 3:
-			floats.addFloat(specials[rng.IntN(len(specials))])
+			w.addFloat(specials[rng.IntN(len(specials))])
 		default:
-			floats.addFloat(float64(rng.IntN(1000))/8 - 40)
+			w.addFloat(float64(rng.IntN(1000))/8 - 40)
 		}
 		if rng.IntN(12) == 0 {
-			strs.addNull()
+			w.addNull()
 		} else {
-			strs.addStr(words[rng.IntN(len(words))])
+			w.addStr(words[rng.IntN(len(words))])
 		}
 		if rng.IntN(9) == 0 {
-			bools.addNull()
+			w.addNull()
 		} else {
-			bools.addBool(rng.IntN(2) == 0)
+			w.addBool(rng.IntN(2) == 0)
 		}
 		if rng.IntN(50) == 0 {
-			tie.addNull()
+			w.addNull()
 		} else {
-			tie.addStr([]string{"x", "y"}[rng.IntN(2)])
+			w.addStr([]string{"x", "y"}[rng.IntN(2)])
 		}
+		w.endRow()
 	}
-	cols := []*Column{ints.finish(n), floats.finish(n), strs.finish(n), bools.finish(n), tie.finish(n)}
-	return AssembleFrameSet([]*Frame{newFrame("mixed", n, cols)})
+	w.close()
+	return AssembleFrameSet([]*Frame{f})
 }
 
 // TestProjectionMatchesNaiveReference holds Run's late-materialized

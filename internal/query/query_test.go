@@ -428,17 +428,56 @@ func TestJSONEncodingHandlesNaN(t *testing.T) {
 func TestFloatCellOrderMatchesCmpValue(t *testing.T) {
 	vals := []float64{math.NaN(), math.Inf(-1), -1.5, -math.SmallestNonzeroFloat64,
 		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e-300, 2, math.MaxFloat64, math.Inf(1)}
-	b := newFloatCol("f")
-	b.addNull()
+	schema := []colDef{floatCol("f")}
+	f := emptyFrame("f", schema)
+	w := newFrameWriter(f, schema, nil)
+	w.addNull()
+	w.endRow()
 	for _, v := range vals {
-		b.addFloat(v)
+		w.addFloat(v)
+		w.endRow()
 	}
-	col := b.finish(len(vals) + 1)
+	w.close()
+	col := f.cols[0]
 	for i := 0; i <= len(vals); i++ {
 		for j := 0; j <= len(vals); j++ {
 			want := cmpValue(columnValue(col, i), columnValue(col, j))
-			if got := cmpCell(col, i, col, j, false); got != want {
+			if got := cmpCell(col, i, j, false); got != want {
 				t.Errorf("cmpCell(%v, %v) = %d, want %d", columnValue(col, i), columnValue(col, j), got, want)
+			}
+		}
+	}
+}
+
+// TestAppendConferenceChecksSchema: a frame set that does not match the
+// declared schemas — a missing frame, or a frame missing a column, as a
+// snapshot from an older generation may be — is refused before any frame
+// is touched.
+func TestAppendConferenceChecksSchema(t *testing.T) {
+	last := testData.Conferences[len(testData.Conferences)-1].ID
+	dropColumn := testFrames.Clone()
+	slots := dropColumn.frames[0]
+	dropColumn.frames[0] = newFrame(slots.Name, slots.NumRows, slots.cols[:len(slots.cols)-1])
+	dropFrame := AssembleFrameSet(testFrames.Clone().frames[:5])
+	for _, tc := range []struct {
+		name string
+		fs   *FrameSet
+		want string
+	}{
+		{"missing column", dropColumn, `frame "slots" has 17 columns, want 18`},
+		{"missing frame", dropFrame, `frame "citations" missing`},
+	} {
+		rows := make([]int, len(tc.fs.frames))
+		for i, f := range tc.fs.frames {
+			rows[i] = f.NumRows
+		}
+		err := tc.fs.AppendConference(testData, last)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		for i, f := range tc.fs.frames {
+			if f.NumRows != rows[i] {
+				t.Errorf("%s: frame %s grew from %d to %d rows on a refused append", tc.name, f.Name, rows[i], f.NumRows)
 			}
 		}
 	}

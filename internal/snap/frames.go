@@ -48,11 +48,12 @@ func encodeFrames(fs *query.FrameSet) []byte {
 	return e.bytesOut()
 }
 
-// canonicalBitmap returns b with any bits at or beyond row n cleared. The
-// frame builder seeds validity bitmaps with all-ones words, leaving tail
-// bits set past the row count; the engine never reads rows >= n, so the
-// serialized form clears them to give every logical bitmap exactly one
-// byte representation (which the decoder then enforces).
+// canonicalBitmap returns b as exactly one word per 64 rows with any bits
+// at or beyond row n cleared. The query package's one frame writer leaves
+// no bit set past the row count, but the engine never reads rows >= n, so
+// the codec does not rely on that: the serialized form gives every
+// logical bitmap exactly one byte representation (which the decoder then
+// enforces).
 func canonicalBitmap(b []uint64, n int) []uint64 {
 	want := bitmapWords(n)
 	out := make([]uint64, want)

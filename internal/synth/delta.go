@@ -9,15 +9,18 @@ import (
 )
 
 // YearDelta is one conference-year's standalone contribution to a corpus:
-// the new conference, its papers, and the full record of every participant
-// — researchers minted for this edition and base researchers it reuses
-// alike, so the delta is self-contained (a delta snapshot's mini-corpus
-// passes dataset.Validate on its own) and the apply path can verify reused
-// records instead of trusting them.
+// the new conference, its papers, and the full record of every person the
+// grown corpus holds that the delta needs — each participant, whether
+// minted for this edition or a reused base researcher, plus every person
+// minted while synthesizing this edition even if seated in no role. The
+// delta is therefore self-contained (a delta snapshot's mini-corpus passes
+// dataset.Validate on its own), the apply path can verify reused records
+// instead of trusting them, and the applied corpus holds exactly the
+// persons a resynthesis does.
 type YearDelta struct {
 	Conf    *dataset.Conference
 	Papers  []*dataset.Paper
-	Persons []*dataset.Person // every participant, sorted by ID
+	Persons []*dataset.Person // participants and unseated newcomers, sorted by ID
 }
 
 // YearSpec derives the calibration for a new edition of an existing series
@@ -100,19 +103,24 @@ func GenerateYearDelta(cfg Config, spec ConfSpec) (*YearDelta, *Corpus, error) {
 		Conf:   c,
 		Papers: append([]*dataset.Paper(nil), grown.Data.PapersOf(c.ID)...),
 	}
-	seen := make(map[dataset.PersonID]bool)
+	carry := make(map[dataset.PersonID]bool)
+	for id := range grown.Data.Persons {
+		if _, ok := base.Data.Person(id); !ok {
+			carry[id] = true
+		}
+	}
 	for _, p := range delta.Papers {
 		for _, id := range p.Authors {
-			seen[id] = true
+			carry[id] = true
 		}
 	}
 	for _, r := range dataset.Roles() {
 		for _, id := range c.RoleHolders(r) {
-			seen[id] = true
+			carry[id] = true
 		}
 	}
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
+	ids := make([]string, 0, len(carry))
+	for id := range carry {
 		ids = append(ids, string(id))
 	}
 	sort.Strings(ids)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/synth"
 )
 
 // TestSnapshotRoundTripReport is the tentpole guarantee of the snapshot
@@ -170,6 +171,34 @@ func BenchmarkStudyRegeneration(b *testing.B) {
 		s.Frames()
 	}
 }
+
+// BenchmarkNewFrameSet measures flattening a synthesized corpus into its
+// columnar frames, per corpus family; synthesis is set-up, untimed.
+func BenchmarkNewFrameSet(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  synth.Config
+	}{
+		{"default", synth.Default2017(2021)},
+		{"flagship", synth.FlagshipSeries(2021)},
+		{"extended", synth.ExtendedSystems(2021)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			corpus, err := synth.Generate(c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchFrames = query.NewFrameSet(corpus.Data)
+			}
+		})
+	}
+}
+
+// benchFrames keeps BenchmarkNewFrameSet's result live.
+var benchFrames *query.FrameSet
 
 // BenchmarkSnapshotWrite measures serialization (encode + checksums).
 func BenchmarkSnapshotWrite(b *testing.B) {
