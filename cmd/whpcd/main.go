@@ -18,9 +18,15 @@
 //
 // With -snapshot-dir, pristine studies warm-boot from <corpus>-<seed>.whpcsnap
 // files (written by synthgen -snap or whpc -snapshot-out) instead of
-// synthesizing; missing or invalid snapshots fall back to synthesis. A
-// snapshot that fails validation twice is quarantined in place (renamed to
-// *.whpcsnap.quarantined) and never re-read; the study synthesizes instead.
+// synthesizing, and apply the <corpus>-<seed>.delta-<year>.whpcsnap year
+// deltas beside them; missing or invalid snapshots fall back to synthesis.
+// whpcd writes to the directory too. A snapshot that fails validation
+// twice is quarantined in place (renamed to *.whpcsnap.quarantined) and
+// never re-read; the study synthesizes instead. A base that absorbed all
+// its deltas is written back as one compacted snapshot,
+// <corpus>-<seed>.compact-<lineage>.whpcsnap, which later materializations
+// open with no delta apply; a new, replaced or removed delta changes the
+// lineage, and the outdated file is deleted once its successor is written.
 //
 // Fault handling is fail-operational: a panicking handler is contained to
 // its request (500 + whpcd_panics_total), and a failed re-render of an
@@ -57,7 +63,7 @@ func run() error {
 		addr        = flag.String("addr", ":8171", "listen address")
 		seed        = flag.Uint64("seed", 2021, "default corpus seed for requests without ?seed=")
 		profile     = flag.String("fault-profile", "none", "default harvest fault profile for requests without ?profile= (none, clean, flaky, degraded, outage)")
-		snapDir     = flag.String("snapshot-dir", "", "directory of <corpus>-<seed>.whpcsnap files to warm-boot studies from")
+		snapDir     = flag.String("snapshot-dir", "", "directory of <corpus>-<seed>.whpcsnap files (and their year deltas) to warm-boot studies from; whpcd writes compacted snapshots and quarantine renames there")
 		cacheSize   = flag.Int("cache-size", 256, "max memoized exhibit renders")
 		studyCache  = flag.Int("study-cache", 4, "max resident materialized studies")
 		maxInflight = flag.Int("max-inflight", 64, "max concurrently served requests (excess get 503)")

@@ -57,7 +57,8 @@ func (s *Study) applyDelta(info snap.DeltaInfo, mini *dataset.Dataset, inj chaos
 	if s.frames != nil {
 		fs = s.frames.Clone()
 	}
-	if err := delta.Apply(d, fs, info, mini, inj); err != nil {
+	edges, err := delta.Apply(d, fs, info, mini, inj)
+	if err != nil {
 		return err
 	}
 	s.data = d
@@ -69,16 +70,21 @@ func (s *Study) applyDelta(info snap.DeltaInfo, mini *dataset.Dataset, inj chaos
 	s.exhibitsMu.Lock()
 	s.exhibitsByID = nil
 	s.exhibitsMu.Unlock()
-	// Drop the memoized citation graph: the next CitationGraph call
-	// resynthesizes over the grown corpus, which extends the old graph
-	// edge-for-edge (the year precondition AppendConference verifies).
+	// Grow the memoized citation graph by the appended conference's edges,
+	// the ones the citations frame just gained: by the year precondition
+	// AppendConference verifies, that equals a resynthesis over the grown
+	// corpus. An unbuilt graph stays unbuilt for the lazy path.
 	s.citeMu.Lock()
-	s.citeGraph = nil
+	if s.citeGraph != nil {
+		s.citeGraph = s.citeGraph.Extend(len(d.Papers), edges)
+	}
 	s.citeMu.Unlock()
 	return nil
 }
 
-// Revision counts the deltas applied to the study since construction. The
+// Revision counts the deltas applied to the study since construction, or
+// absorbed before a compacted snapshot of it was written (see
+// OpenCompactedSnapshotFile). The
 // serve layer keys its memoized exhibit cache on it, so applying a delta
 // invalidates exactly the cached renders whose inputs changed.
 func (s *Study) Revision() uint64 { return s.revision }

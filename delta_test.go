@@ -3,8 +3,10 @@ package repro
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/delta"
 	"repro/internal/snap"
@@ -153,6 +155,36 @@ func runExhibitQuery(t *testing.T, s *Study, eq ExhibitQuery) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestDeltaApplyExtendsCitationGraph: a study whose citation graph is
+// built keeps it through an apply, grown by the appended conference's
+// edges instead of dropped for resynthesis, and the grown graph equals a
+// synthesis over the grown corpus: the same edges in the same order. The
+// pre-delta graph value is left as it was.
+func TestDeltaApplyExtendsCitationGraph(t *testing.T) {
+	applied := deltaFix.newBase(t)
+	before := applied.CitationGraph()
+	beforeEdges := slices.Clone(before.Edges)
+	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	applied.citeMu.Lock()
+	got := applied.citeGraph
+	applied.citeMu.Unlock()
+	if got == nil {
+		t.Fatal("ApplyDelta dropped the built citation graph")
+	}
+	want := cite.Synthesize(deltaFix.resynth.Dataset())
+	if got.Papers != want.Papers {
+		t.Errorf("grown graph covers %d papers, synthesis %d", got.Papers, want.Papers)
+	}
+	if !slices.Equal(got.Edges, want.Edges) {
+		t.Errorf("grown graph has %d edges, synthesis of the grown corpus %d, or they differ in order", len(got.Edges), len(want.Edges))
+	}
+	if before.Papers == got.Papers || !slices.Equal(before.Edges, beforeEdges) {
+		t.Error("ApplyDelta mutated the pre-delta citation graph")
+	}
 }
 
 // TestDeltaApplyColdFrames covers the lazy path: applying a delta before

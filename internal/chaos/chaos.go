@@ -55,6 +55,11 @@ const (
 	// are touched (internal/delta apply path) — so an injected fault
 	// leaves the base study exactly as it was.
 	PointDeltaApply = "delta.apply"
+	// PointCompact fires once per compacted-snapshot write, before the
+	// file is written (internal/serve materialize path). Every fault kind
+	// fails the write, which whpcd logs and counts while serving the
+	// study from memory.
+	PointCompact = "serve.compact"
 )
 
 // Points lists every injection point in a fixed order (for profiles,
@@ -63,7 +68,7 @@ func Points() []string {
 	return []string{
 		PointRequest, PointRender, PointMaterialize,
 		PointSnapRead, PointSnapDecode, PointClock,
-		PointIngestLookup, PointDeltaApply,
+		PointIngestLookup, PointDeltaApply, PointCompact,
 	}
 }
 

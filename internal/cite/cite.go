@@ -245,6 +245,15 @@ func ConferenceEdges(d *dataset.Dataset, confID dataset.ConfID) []Edge {
 	return edges
 }
 
+// Extend returns the graph of a corpus grown to papers papers by appending
+// one newest-year conference whose edges (ConferenceEdges over the grown
+// corpus) are given. By the year-delta precondition the result equals
+// Synthesize of the grown corpus. g is left unchanged.
+func (g *Graph) Extend(papers int, edges []Edge) *Graph {
+	all := make([]Edge, 0, len(g.Edges)+len(edges))
+	return &Graph{Papers: papers, Edges: append(append(all, g.Edges...), edges...)}
+}
+
 // appendPaperEdges draws source paper src's citations and paired null
 // picks, appending them to dst. Candidate pools admit same-conference
 // papers and papers from strictly earlier years — a paper can only cite

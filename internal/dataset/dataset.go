@@ -224,16 +224,32 @@ func (d *Dataset) memo() *populations {
 		authors:   d.uniqueAuthors(nil),
 		pcMembers: d.uniqueRoleHolders(RolePCMember, nil),
 	}
-	seen := make(map[PersonID]bool, len(m.authors)+len(m.pcMembers))
-	for _, id := range m.authors {
-		seen[id] = true
-	}
-	for _, id := range m.pcMembers {
-		seen[id] = true
-	}
-	m.authorsAndPC = sortedIDs(seen)
+	m.authorsAndPC = mergeSorted(m.authors, m.pcMembers)
 	d.populations.Store(m)
 	return m
+}
+
+// mergeSorted returns the sorted union of two sorted, duplicate-free ID
+// lists in one linear pass.
+func mergeSorted(a, b []PersonID) []PersonID {
+	out := make([]PersonID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // HPCPapers returns the manually HPC-tagged subset (§4.1) across the given

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
@@ -145,5 +147,60 @@ func testConcurrentFirstUse(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+	}
+}
+
+// TestMergeSortedMatchesMapUnion checks the memo's linear merge against
+// the map-and-sort union it replaced, over hand-picked edge cases and
+// seeded random lists with overlaps of every density.
+func TestMergeSortedMatchesMapUnion(t *testing.T) {
+	union := func(a, b []PersonID) []PersonID {
+		seen := map[PersonID]bool{}
+		for _, id := range a {
+			seen[id] = true
+		}
+		for _, id := range b {
+			seen[id] = true
+		}
+		return sortedIDs(seen)
+	}
+	ids := func(xs ...string) []PersonID {
+		out := make([]PersonID, len(xs))
+		for i, x := range xs {
+			out[i] = PersonID(x)
+		}
+		return out
+	}
+	cases := [][2][]PersonID{
+		{nil, nil},
+		{ids("a"), nil},
+		{nil, ids("a")},
+		{ids("a", "b"), ids("a", "b")},
+		{ids("a", "c", "e"), ids("b", "d", "f")},
+		{ids("b", "c"), ids("a", "d")},
+		{ids("a", "b", "c"), ids("c", "d")},
+	}
+	rng := rand.New(rand.NewPCG(2021, 18))
+	for i := 0; i < 200; i++ {
+		var a, b []PersonID
+		n := rng.IntN(60)
+		for id := 0; id < n; id++ {
+			name := PersonID(fmt.Sprintf("p%03d", id))
+			switch rng.IntN(4) {
+			case 0:
+				a = append(a, name)
+			case 1:
+				b = append(b, name)
+			case 2:
+				a, b = append(a, name), append(b, name)
+			}
+		}
+		cases = append(cases, [2][]PersonID{a, b})
+	}
+	for i, c := range cases {
+		got, want := mergeSorted(c[0], c[1]), union(c[0], c[1])
+		if !slices.Equal(got, want) {
+			t.Errorf("case %d: mergeSorted(%v, %v) = %v, want %v", i, c[0], c[1], got, want)
+		}
 	}
 }

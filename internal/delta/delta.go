@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"repro/internal/chaos"
+	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/snap"
@@ -91,35 +92,40 @@ func WriteFile(path string, yd *synth.YearDelta, base *dataset.Dataset) error {
 // that have not flattened frames yet — the lazy build then sees the merged
 // corpus. See the package comment for the atomicity contract.
 //
+// On success Apply returns the appended conference's citation edges,
+// synthesized once over the merged corpus: the same edges the citations
+// frame gained, and the tail a full cite.Synthesize of the merged corpus
+// appends after the base graph's edges.
+//
 // inj (nil means none) is consulted at the delta.apply point first —
 // after the mini-corpus is decoded, before the base is touched — so an
 // injected fault always leaves the base exactly as it was.
-func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) error {
+func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) ([]cite.Edge, error) {
 	if f := chaos.Or(inj).Fire(chaos.PointDeltaApply); f != nil {
-		return chaos.Injected(chaos.PointDeltaApply, f)
+		return nil, chaos.Injected(chaos.PointDeltaApply, f)
 	}
 	if d == nil {
-		return fmt.Errorf("delta: nil base dataset")
+		return nil, fmt.Errorf("delta: nil base dataset")
 	}
 	if mini == nil {
-		return fmt.Errorf("delta: nil delta mini-corpus")
+		return nil, fmt.Errorf("delta: nil delta mini-corpus")
 	}
 	if len(mini.Conferences) != 1 {
-		return fmt.Errorf("delta: mini-corpus carries %d conferences, want exactly 1", len(mini.Conferences))
+		return nil, fmt.Errorf("delta: mini-corpus carries %d conferences, want exactly 1", len(mini.Conferences))
 	}
 	c := mini.Conferences[0]
 	if string(c.ID) != info.ConfID {
-		return fmt.Errorf("delta: mini-corpus conference %q does not match delta identity %q", c.ID, info.ConfID)
+		return nil, fmt.Errorf("delta: mini-corpus conference %q does not match delta identity %q", c.ID, info.ConfID)
 	}
 	if c.Year != info.Year {
-		return fmt.Errorf("delta: conference %q year %d does not match delta identity year %d", c.ID, c.Year, info.Year)
+		return nil, fmt.Errorf("delta: conference %q year %d does not match delta identity year %d", c.ID, c.Year, info.Year)
 	}
 	if got := Fingerprint(d); got != info.BaseFingerprint {
-		return fmt.Errorf("delta: base fingerprint %#x does not match the delta's %#x (%s %d was generated against a different base)",
+		return nil, fmt.Errorf("delta: base fingerprint %#x does not match the delta's %#x (%s %d was generated against a different base)",
 			got, info.BaseFingerprint, info.ConfID, info.Year)
 	}
 	if _, ok := d.Conference(c.ID); ok {
-		return fmt.Errorf("delta: conference %q already in the base corpus", c.ID)
+		return nil, fmt.Errorf("delta: conference %q already in the base corpus", c.ID)
 	}
 	basePapers := make(map[dataset.PaperID]bool, len(d.Papers))
 	for _, p := range d.Papers {
@@ -127,7 +133,7 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	}
 	for _, p := range mini.Papers {
 		if basePapers[p.ID] {
-			return fmt.Errorf("delta: paper %q already in the base corpus", p.ID)
+			return nil, fmt.Errorf("delta: paper %q already in the base corpus", p.ID)
 		}
 	}
 
@@ -148,7 +154,7 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 			continue
 		}
 		if err := samePerson(base, p); err != nil {
-			return fmt.Errorf("delta: reused participant %q does not match the base record: %w", p.ID, err)
+			return nil, fmt.Errorf("delta: reused participant %q does not match the base record: %w", p.ID, err)
 		}
 	}
 
@@ -158,23 +164,24 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	// byte-identical to the resynthesized one.
 	for _, p := range newcomers {
 		if err := d.AddPerson(p); err != nil {
-			return fmt.Errorf("delta: merging participant %q: %w", p.ID, err)
+			return nil, fmt.Errorf("delta: merging participant %q: %w", p.ID, err)
 		}
 	}
 	if err := d.AddConference(c); err != nil {
-		return fmt.Errorf("delta: merging conference %q: %w", c.ID, err)
+		return nil, fmt.Errorf("delta: merging conference %q: %w", c.ID, err)
 	}
 	for _, p := range mini.Papers {
 		if err := d.AddPaper(p); err != nil {
-			return fmt.Errorf("delta: merging paper %q: %w", p.ID, err)
+			return nil, fmt.Errorf("delta: merging paper %q: %w", p.ID, err)
 		}
 	}
+	edges := cite.ConferenceEdges(d, c.ID)
 	if fs != nil {
-		if err := fs.AppendConference(d, c.ID); err != nil {
-			return fmt.Errorf("delta: patching frames for %q: %w", c.ID, err)
+		if err := fs.AppendConference(d, c.ID, edges); err != nil {
+			return nil, fmt.Errorf("delta: patching frames for %q: %w", c.ID, err)
 		}
 	}
-	return nil
+	return edges, nil
 }
 
 // samePerson checks the analysis-relevant fields of a reused participant

@@ -19,8 +19,10 @@ import (
 
 // AppendConference grows the frame set in place with the rows contributed
 // by conference confID of d, which must be the last conference of the
-// corpus and absent from the frames. On success the frame set is
-// byte-identical (under the snapshot codec's canonical encoding) to
+// corpus and absent from the frames. edges are the conference's citation
+// edges, cite.ConferenceEdges(d, confID): the caller synthesizes them once
+// and shares them with the study's citation graph. On success the frame
+// set is byte-identical (under the snapshot codec's canonical encoding) to
 // NewFrameSet(d); repro_test pins that postcondition corpus-wide.
 //
 // Preconditions, verified before any mutation:
@@ -41,7 +43,7 @@ import (
 // caller rebuilds on error: delta.Apply returns it, Study.ApplyDelta
 // discards the clones it appended to, and whpcd quarantines the delta
 // file.
-func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID) error {
+func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID, edges []cite.Edge) error {
 	c, ok := d.Conference(confID)
 	if !ok {
 		return fmt.Errorf("query: append: conference %q not in dataset", confID)
@@ -107,13 +109,12 @@ func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID) 
 	}
 	w.close()
 	fs.appendCohorts(d, c)
-	// Only the new conference's citation edges are synthesized (pool scans
-	// see the whole corpus) and appended. Existing rows are untouched: the
-	// year precondition guarantees no appended paper enters an existing
-	// paper's candidate pool, so the result matches a full graph
-	// resynthesis edge-for-edge.
+	// Only the new conference's citation edges are appended. Existing rows
+	// are untouched: the year precondition guarantees no appended paper
+	// enters an existing paper's candidate pool, so the result matches a
+	// full graph resynthesis edge-for-edge.
 	w = fs.writer(FrameCitations, d)
-	emitCitationEdges(d, cite.NewMeta(d), cite.ConferenceEdges(d, c.ID), w)
+	emitCitationEdges(d, cite.NewMeta(d), edges, w)
 	w.close()
 	return nil
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -179,6 +180,7 @@ type plan struct {
 	totals   string
 	limit    int
 	complete bool
+	cells    uint64 // complete: product of the key domains
 	compare  *comparePlan
 	grouped  bool
 }
@@ -519,10 +521,19 @@ func compile(fs *FrameSet, q *Query) (*plan, error) {
 		if !p.grouped || len(p.keys) == 0 {
 			return nil, invalidf("complete needs a grouped query with at least one key")
 		}
+		p.cells = 1
 		for i, k := range p.keys {
 			if k.col.Type == TInt {
 				return nil, invalidf("group_by[%d]: cannot complete over int column %q (no finite domain)", i, k.col.Name)
 			}
+			hi, lo := bits.Mul64(p.cells, domainSize(k.col))
+			if hi != 0 {
+				lo = math.MaxUint64
+			}
+			p.cells = lo
+		}
+		if p.cells > MaxCompleteGroups {
+			return nil, &TooLargeError{Groups: p.cells, Limit: MaxCompleteGroups}
 		}
 	}
 

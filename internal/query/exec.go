@@ -700,24 +700,11 @@ func mergeGrouped(p *plan, partitions []*accSet) (*accSet, error) {
 }
 
 // completeGroups replaces the observed group list with the full cross
-// product of the key domains (dictionary order for strings, false/true for
-// bools), zero-filling cells for unobserved combinations.
+// product of the key domains (see domainSize), zero-filling cells for
+// unobserved combinations.
 func completeGroups(p *plan, a *accSet) []*groupAcc {
-	domains := make([][]uint64, len(p.keys))
-	total := 1
-	for ki, k := range p.keys {
-		var d []uint64
-		if k.col.Type == TStr {
-			for c := 0; c < k.col.Dict.Len(); c++ {
-				d = append(d, uint64(c)+1)
-			}
-		} else {
-			d = []uint64{1, 2}
-		}
-		domains[ki] = d
-		total *= len(d)
-	}
-	out := make([]*groupAcc, 0, total)
+	// compile bounded p.cells by MaxCompleteGroups.
+	out := make([]*groupAcc, 0, p.cells)
 	tokens := make([]uint64, len(p.keys))
 	var walk func(ki int)
 	walk = func(ki int) {
@@ -732,13 +719,23 @@ func completeGroups(p *plan, a *accSet) []*groupAcc {
 			}
 			return
 		}
-		for _, t := range domains[ki] {
+		for t := uint64(1); t <= domainSize(p.keys[ki].col); t++ {
 			tokens[ki] = t
 			walk(ki + 1)
 		}
 	}
 	walk(0)
 	return out
+}
+
+// domainSize is the number of group tokens of a completable key column:
+// tokens run 1..domainSize, in dictionary order for strings and
+// false/true for bools.
+func domainSize(c *Column) uint64 {
+	if c.Type != TStr {
+		return 2
+	}
+	return uint64(c.Dict.Len())
 }
 
 // cellValue renders an accumulator cell as an output value.

@@ -471,7 +471,7 @@ func TestAppendConferenceChecksSchema(t *testing.T) {
 		for i, f := range tc.fs.frames {
 			rows[i] = f.NumRows
 		}
-		err := tc.fs.AppendConference(testData, last)
+		err := tc.fs.AppendConference(testData, last, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}

@@ -19,6 +19,33 @@ var ErrInvalid = errors.New("query: invalid query")
 // (mapped to 422) rather than a server fault.
 var ErrEmpty = errors.New("query: no rows matched; nothing to group")
 
+// ErrTooLarge marks a query refused at compile time because its estimated
+// output exceeds a fixed bound (see MaxCompleteGroups). The error carrying
+// it is a *TooLargeError with the estimate; the serving layer maps it to a
+// structured 422.
+var ErrTooLarge = errors.New("query: result too large")
+
+// MaxCompleteGroups bounds a complete group-by's output: the product of its
+// key domains, every cell of which the result materializes before limit
+// applies. Every exhibit query spans a few thousand cells at most.
+const MaxCompleteGroups = 100_000
+
+// TooLargeError is the ErrTooLarge failure with the estimate behind it.
+type TooLargeError struct {
+	// Groups is the estimated output group count, saturated at
+	// math.MaxUint64 when the domain product overflows.
+	Groups uint64
+	// Limit is the bound it exceeded.
+	Limit uint64
+}
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("%v: complete group-by spans %d key combinations, over the limit of %d", ErrTooLarge, e.Groups, e.Limit)
+}
+
+// Unwrap exposes ErrTooLarge to errors.Is.
+func (e *TooLargeError) Unwrap() error { return ErrTooLarge }
+
 // Output formats accepted in Query.Format.
 const (
 	FormatJSON = "json"

@@ -22,25 +22,8 @@ func writeDeltaDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := synth.FlagshipSeries(testSeed)
-	base, err := repro.NewStudyFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := base.SaveSnapshot(filepath.Join(dir, snap.CorpusFileName(CorpusFlagship, testSeed))); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := synth.YearSpec(cfg, "SC", 2021)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yd, baseCorpus, err := synth.GenerateYearDelta(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snap.DeltaFileName(CorpusFlagship, testSeed, 2021))
-	if err := delta.WriteFile(path, yd, baseCorpus.Data); err != nil {
-		t.Fatal(err)
-	}
+	writeBase(t, dir, CorpusFlagship, cfg)
+	writeDelta(t, dir, CorpusFlagship, cfg, scSpec(t, cfg, 2021))
 	return dir
 }
 
@@ -50,16 +33,49 @@ func writeDeltaDir(t *testing.T) string {
 func grownFlagship(t *testing.T) *repro.Study {
 	t.Helper()
 	cfg := synth.FlagshipSeries(testSeed)
-	spec, err := synth.YearSpec(cfg, "SC", 2021)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Confs = append(append([]synth.ConfSpec(nil), cfg.Confs...), spec)
+	cfg.Confs = append(append([]synth.ConfSpec(nil), cfg.Confs...), scSpec(t, cfg, 2021))
 	s, err := repro.NewStudyFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// writeBase saves cfg's synthesized corpus as the key's base snapshot.
+func writeBase(t *testing.T, dir, corpus string, cfg synth.Config) {
+	t.Helper()
+	st, err := repro.NewStudyFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveSnapshot(filepath.Join(dir, snap.CorpusFileName(corpus, cfg.Seed))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeDelta writes the year delta appending spec to cfg's corpus under
+// the key's delta naming convention and returns cfg grown by spec.
+func writeDelta(t *testing.T, dir, corpus string, cfg synth.Config, spec synth.ConfSpec) synth.Config {
+	t.Helper()
+	yd, base, err := synth.GenerateYearDelta(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := delta.WriteFile(filepath.Join(dir, snap.DeltaFileName(corpus, cfg.Seed, spec.Year)), yd, base.Data); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Confs = append(append([]synth.ConfSpec(nil), cfg.Confs...), spec)
+	return cfg
+}
+
+// scSpec derives the SC edition of year from cfg's calibration.
+func scSpec(t *testing.T, cfg synth.Config, year int) synth.ConfSpec {
+	t.Helper()
+	spec, err := synth.YearSpec(cfg, "SC", year)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }
 
 // exhibitQueryCSV renders one exhibit query directly on a study.

@@ -30,7 +30,7 @@ const QuarantineSuffix = ".quarantined"
 // countingInjector wraps a chaos.Injector so every fault that actually
 // fires is counted in whpcd_chaos_injected_total{point}. It is the only
 // injector handle the server keeps, so snap-layer firings (threaded
-// through OpenSnapshotFileInjected) are counted the same as serve-layer
+// through OpenCompactedSnapshotFile) are counted the same as serve-layer
 // ones.
 type countingInjector struct {
 	inner chaos.Injector
@@ -143,13 +143,15 @@ func (s *Server) logError(msg string) {
 // retry absorbs a torn read caught mid-rotation). A second corrupt read
 // quarantines the file. Missing files return fs.ErrNotExist untouched and
 // are never retried or quarantined — missing is the normal cold-start
-// state, not damage.
-func (s *Server) loadSnapshot(path string) (*repro.Study, error) {
+// state, not damage. deltas is the number of year deltas the file has
+// absorbed (non-zero only for a compacted snapshot), which the study
+// reports as its revision.
+func (s *Server) loadSnapshot(path string, deltas uint64) (*repro.Study, error) {
 	var study *repro.Study
 	r := resilience.Retryer{MaxAttempts: 2, Clock: s.clock}
 	//whpcvet:ignore ctxflow snapshot loads are boot/registry work shared across requests, deliberately detached from any one request's deadline
 	err := r.Do(context.Background(), func(context.Context) error {
-		st, err := repro.OpenSnapshotFileInjected(path, s.inj)
+		st, err := repro.OpenCompactedSnapshotFile(path, deltas, s.inj)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				return resilience.Permanent(err)
@@ -168,23 +170,66 @@ func (s *Server) loadSnapshot(path string) (*repro.Study, error) {
 	return study, nil
 }
 
-// applyDeltas extends a freshly materialized pristine study with every
-// year delta present in the snapshot directory for its (corpus, seed)
-// stem, in ascending year order (the lexicographic sort of the fixed-stem
-// file names orders four-digit years correctly). Each apply is attempted
-// twice — the retry absorbs a torn read caught mid-rotation, and
-// Study.ApplyDelta is atomic, so a failed attempt leaves the base study
-// exactly as it was. A delta that still fails is quarantined like a
-// corrupt base snapshot and the scan continues: the study serves without
-// that year rather than not at all. Runs during materialization, before
-// the registry publishes the study, so request handlers only ever observe
-// fully patched studies.
-func (s *Server) applyDeltas(key StudyKey, st *repro.Study) {
+// loadFromDir materializes a pristine study from the snapshot directory.
+// When year deltas sit beside the key's base snapshot, the compacted
+// snapshot of their lineage (snap.CompactFileName) is opened first: it is
+// the base with every delta already applied, so the visit costs one
+// decode and no apply. Without one, the base is opened and the deltas
+// applied, and a study that absorbed all of them is compacted for later
+// visits. A compacted file takes the base's retry-then-quarantine policy;
+// a quarantined one is rebuilt from base and deltas and rewritten. Errors
+// are the base's: fs.ErrNotExist when it is missing, the decode failure
+// otherwise.
+func (s *Server) loadFromDir(key StudyKey) (*repro.Study, error) {
+	base := filepath.Join(s.cfg.SnapshotDir, snap.CorpusFileName(key.Corpus, key.Seed))
+	deltas := s.deltaFiles(key)
+	compact := ""
+	if len(deltas) > 0 {
+		// No lineage (a file vanished or is shorter than its trailer)
+		// means no compaction; the base open and the applies below report
+		// the cause.
+		if name, err := snap.CompactFileName(key.Corpus, key.Seed, base, deltas); err == nil {
+			compact = filepath.Join(s.cfg.SnapshotDir, name)
+			if st, err := s.loadSnapshot(compact, uint64(len(deltas))); err == nil {
+				s.met.compactedLoads.Inc()
+				return st, nil
+			}
+		}
+	}
+	st, err := s.loadSnapshot(base, 0)
+	if err != nil {
+		return nil, err
+	}
+	if s.applyDeltas(st, deltas) == len(deltas) && compact != "" {
+		s.compact(key, st, compact)
+	}
+	return st, nil
+}
+
+// deltaFiles lists the year deltas present in the snapshot directory for
+// a key's (corpus, seed) stem, in ascending year order (the lexicographic
+// sort of the fixed-stem file names orders four-digit years correctly).
+func (s *Server) deltaFiles(key StudyKey) []string {
 	paths, err := filepath.Glob(filepath.Join(s.cfg.SnapshotDir, snap.DeltaFilePattern(key.Corpus, key.Seed)))
-	if err != nil || len(paths) == 0 {
-		return
+	if err != nil {
+		return nil
 	}
 	sort.Strings(paths)
+	return paths
+}
+
+// applyDeltas extends a freshly materialized pristine study with the year
+// deltas at paths, in order, and returns how many applied. Each apply is
+// attempted twice — the retry absorbs a torn read caught mid-rotation, and
+// Study.ApplyDelta is atomic, so a failed attempt leaves the study exactly
+// as it was. A delta that still fails is quarantined like a corrupt base
+// snapshot and the scan continues: the study serves without that year
+// rather than not at all, and is not compacted, so the next
+// materialization retries without the quarantined file. Runs during
+// materialization, before the registry publishes the study, so request
+// handlers only ever observe fully patched studies.
+func (s *Server) applyDeltas(st *repro.Study, paths []string) int {
+	applied := 0
 	for _, path := range paths {
 		r := resilience.Retryer{MaxAttempts: 2, Clock: s.clock}
 		//whpcvet:ignore ctxflow delta application is materialization work shared across requests, deliberately detached from any one request's deadline
@@ -202,6 +247,46 @@ func (s *Server) applyDeltas(key StudyKey, st *repro.Study) {
 			continue
 		}
 		s.met.deltaApplies.Inc()
+		applied++
+	}
+	return applied
+}
+
+// Compaction outcomes, the labels of whpcd_snapshot_compactions_total.
+const (
+	compactWritten = "written"
+	compactFailed  = "failed"
+)
+
+// compact writes a study grown from the directory's base and deltas back
+// as the compacted snapshot at path. It runs synchronously, before the
+// registry publishes the study, through snap.WriteFile (atomic and
+// fsynced, so no reader ever sees a partial file). A failed write is
+// logged and counted, and the study serves from memory; the next
+// materialization of the key tries again. After a successful write the
+// key's compacted files of other lineages are removed: no delta set in
+// the directory names them any more.
+func (s *Server) compact(key StudyKey, st *repro.Study, path string) {
+	var err error
+	if f := s.fire(chaos.PointCompact); f != nil {
+		err = chaos.Injected(chaos.PointCompact, f)
+	} else {
+		err = st.SaveSnapshot(path)
+	}
+	if err != nil {
+		s.met.compactions.With(compactFailed).Inc()
+		s.logError(fmt.Sprintf("compacting study (%s) to %s: %v; serving it from memory", key, path, err))
+		return
+	}
+	s.met.compactions.With(compactWritten).Inc()
+	stale, _ := filepath.Glob(filepath.Join(s.cfg.SnapshotDir, snap.CompactFilePattern(key.Corpus, key.Seed)))
+	for _, old := range stale {
+		if old == path {
+			continue
+		}
+		if err := os.Remove(old); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			s.logError(fmt.Sprintf("removing stale compacted snapshot %s: %v", old, err))
+		}
 	}
 }
 

@@ -25,11 +25,20 @@ const maxQueryBytes = 64 << 10
 type queryErrorDTO struct {
 	Error  string `json:"error"`
 	Status int    `json:"status"`
+	// Estimate and Limit are set only on a query refused as too large:
+	// its estimated output groups and the bound they exceed.
+	Estimate uint64 `json:"estimate,omitempty"`
+	Limit    uint64 `json:"limit,omitempty"`
 }
 
 // writeQueryError emits the JSON error envelope with the given status.
 func writeQueryError(w http.ResponseWriter, status int, msg string) {
-	body, err := marshalJSON(queryErrorDTO{Error: msg, Status: status})
+	writeQueryErrorDTO(w, queryErrorDTO{Error: msg, Status: status})
+}
+
+func writeQueryErrorDTO(w http.ResponseWriter, dto queryErrorDTO) {
+	status, msg := dto.Status, dto.Error
+	body, err := marshalJSON(dto)
 	if err != nil {
 		http.Error(w, msg, status)
 		return
@@ -42,13 +51,18 @@ func writeQueryError(w http.ResponseWriter, status int, msg string) {
 }
 
 // writeQueryFailure is the POST routes' error writer for serveCached: spec
-// validation failures are the client's 400, queries that match no rows
-// 422, and everything else takes writeError's status mapping — all inside
-// the JSON envelope.
+// validation failures are the client's 400, queries that match no rows or
+// whose estimated output exceeds the engine's bound 422 (the latter with
+// the estimate in the envelope), and everything else takes writeError's
+// status mapping — all inside the JSON envelope.
 func writeQueryFailure(w http.ResponseWriter, err error) {
+	var tooLarge *query.TooLargeError
 	switch {
 	case errors.Is(err, query.ErrInvalid):
 		writeQueryError(w, http.StatusBadRequest, err.Error())
+	case errors.As(err, &tooLarge):
+		writeQueryErrorDTO(w, queryErrorDTO{Error: err.Error(), Status: http.StatusUnprocessableEntity,
+			Estimate: tooLarge.Groups, Limit: tooLarge.Limit})
 	case errors.Is(err, query.ErrEmpty):
 		writeQueryError(w, http.StatusUnprocessableEntity, err.Error())
 	default:

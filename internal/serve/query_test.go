@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/query"
 )
 
 // postQuery drives one /v1/query request through the full middleware chain.
@@ -147,6 +148,24 @@ func TestQueryOversizedSpecRejected(t *testing.T) {
 		t.Fatalf("status = %d, want 413: %s", rec.Code, rec.Body.String())
 	}
 	decodeQueryError(t, rec)
+}
+
+// TestQueryTooLargeRejected: a complete group-by whose key-domain product
+// exceeds the engine's bound is the client's structured 422, and the
+// envelope carries the estimate and the bound.
+func TestQueryTooLargeRejected(t *testing.T) {
+	s := newTestServer(t, nil)
+	rec := postQuery(t, s, `{"frame":"slots","group_by":[{"col":"person"},{"col":"paper"}],"aggs":[{"op":"count","as":"n"}],"complete":true,"limit":1}`)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422: %s", rec.Code, rec.Body.String())
+	}
+	dto := decodeQueryError(t, rec)
+	if dto.Limit != query.MaxCompleteGroups || dto.Estimate <= dto.Limit {
+		t.Errorf("envelope estimate %d, limit %d: want an estimate over the limit %d", dto.Estimate, dto.Limit, query.MaxCompleteGroups)
+	}
+	if !strings.Contains(dto.Error, "too large") {
+		t.Errorf("error %q does not say the result is too large", dto.Error)
+	}
 }
 
 // TestQueryErrorsNotCached proves a failing spec is re-evaluated on every

@@ -20,7 +20,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/faulty"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/snap"
 	"repro/internal/synth"
 )
 
@@ -49,10 +47,19 @@ type Config struct {
 	// SnapshotDir, when set, is checked before synthesizing a pristine
 	// (profile-less) study: a file named <corpus>-<seed>.whpcsnap there is
 	// loaded instead of regenerating, which skips corpus synthesis and
-	// frame building. A missing or invalid snapshot falls back to
-	// synthesis (counted by whpcd_snapshot_fallbacks_total); harvested
-	// studies always synthesize, since the harvest is what's being asked
-	// for.
+	// frame building, and the year deltas beside it
+	// (<corpus>-<seed>.delta-<year>.whpcsnap) are applied. A missing or
+	// invalid snapshot falls back to synthesis (counted by
+	// whpcd_snapshot_fallbacks_total); harvested studies always
+	// synthesize, since the harvest is what's being asked for.
+	//
+	// The server also writes here: a file that fails validation twice is
+	// renamed aside with QuarantineSuffix, and a loaded base that absorbed
+	// all its deltas is written back as one compacted snapshot
+	// (<corpus>-<seed>.compact-<lineage>.whpcsnap), which later
+	// materializations of the key open instead of applying the deltas
+	// again. A directory the server cannot write to still serves; the
+	// failed writes are logged and counted.
 	SnapshotDir string
 	// CacheCap bounds memoized exhibit renders (default 256).
 	CacheCap int
@@ -82,8 +89,9 @@ type Config struct {
 	ErrorLog io.Writer
 	// Chaos, when non-nil, injects scheduled faults at the server's named
 	// injection points (serve.request, serve.render, serve.materialize,
-	// snap.read, snap.decode, delta.apply). Production servers leave it
-	// nil (chaos.None); the chaos suite arms it with a seeded schedule.
+	// serve.compact, snap.read, snap.decode, delta.apply). Production
+	// servers leave it nil (chaos.None); the chaos suite arms it with a
+	// seeded schedule.
 	Chaos chaos.Injector
 }
 
@@ -110,6 +118,8 @@ type metrics struct {
 	snapshotFallbacks   *obs.Counter
 	snapshotQuarantines *obs.Counter
 	deltaApplies        *obs.Counter
+	compactedLoads      *obs.Counter
+	compactions         *obs.CounterVec // outcome
 
 	panics        *obs.Counter
 	staleServes   *obs.Counter
@@ -153,6 +163,10 @@ func newMetrics(r *obs.Registry) *metrics {
 			"Snapshot files renamed aside after failing decode twice; quarantined files are never re-read."),
 		deltaApplies: r.Counter("whpcd_delta_applies_total",
 			"Year deltas from the snapshot directory applied to materialized studies."),
+		compactedLoads: r.Counter("whpcd_snapshot_compacted_loads_total",
+			"Studies materialized from a compacted snapshot (a base with its year deltas already applied), with no delta apply; also counted in whpcd_snapshot_loads_total."),
+		compactions: r.CounterVec("whpcd_snapshot_compactions_total",
+			"Compacted snapshots written to the snapshot directory after a base absorbed all its year deltas, by outcome (written, failed).", "outcome"),
 		panics: r.Counter("whpcd_panics_total",
 			"Handler panics contained by the recovery middleware; the daemon kept serving."),
 		staleServes: r.Counter("whpcd_stale_serves_total",
@@ -160,6 +174,10 @@ func newMetrics(r *obs.Registry) *metrics {
 		chaosInjected: r.CounterVec("whpcd_chaos_injected_total",
 			"Faults actually fired by the chaos injector, by injection point (always 0 in production).", "point"),
 	}
+	// Both outcomes render from the start, so a healthy daemon shows them
+	// at zero.
+	m.compactions.With(compactWritten)
+	m.compactions.With(compactFailed)
 	r.GaugeFunc("whpcd_exhibit_cache_hit_ratio",
 		"Fraction of exhibit-cache lookups served without rendering (hits+coalesced over all lookups); NaN before the first lookup.",
 		func() float64 {
@@ -416,11 +434,9 @@ func (s *Server) buildStudy(key StudyKey) (*repro.Study, error) {
 	}
 	if key.Profile == "" {
 		if s.cfg.SnapshotDir != "" {
-			path := filepath.Join(s.cfg.SnapshotDir, snap.CorpusFileName(key.Corpus, key.Seed))
-			study, err := s.loadSnapshot(path)
+			study, err := s.loadFromDir(key)
 			if err == nil {
 				s.met.snapshotLoads.Inc()
-				s.applyDeltas(key, study)
 				return study, nil
 			}
 			// Missing, truncated, corrupt, or version-skewed snapshots all
@@ -436,9 +452,10 @@ func (s *Server) buildStudy(key StudyKey) (*repro.Study, error) {
 			return nil, err
 		}
 		// A synthesized base is byte-identical to the snapshot it replaced,
-		// so the snapshot dir's year deltas apply to it just the same.
+		// so the snapshot dir's year deltas apply to it just the same. It
+		// is not compacted: only a base loaded from the dir is.
 		if s.cfg.SnapshotDir != "" {
-			s.applyDeltas(key, study)
+			s.applyDeltas(study, s.deltaFiles(key))
 		}
 		return study, nil
 	}

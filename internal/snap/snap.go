@@ -37,8 +37,12 @@
 package snap
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"repro/internal/cite"
 	"repro/internal/dataset"
@@ -149,4 +153,61 @@ const (
 // never served from snapshots — a snapshot freezes data, not services.
 func CorpusFileName(corpus string, seed uint64) string {
 	return fmt.Sprintf("%s-%d%s", corpus, seed, FileExt)
+}
+
+// CompactFileName names the compacted snapshot of a base snapshot file
+// grown by year delta files (paths, in apply order): the full snapshot of
+// the study the base becomes once every delta is applied, written by
+// whpcd beside them as "<corpus>-<seed>.compact-<lineage>.whpcsnap". The
+// 16-hex-digit lineage hashes the base's whole-file CRC-32 and, per delta,
+// its file name and whole-file CRC-32, each read from the file's 4-byte
+// trailer without decoding. Adding, replacing or removing a delta, or
+// replacing the base, changes the lineage, so a compacted file is never
+// opened for inputs other than the ones it was built from. The name
+// matches neither CorpusFileName nor DeltaFilePattern.
+func CompactFileName(corpus string, seed uint64, base string, deltas []string) (string, error) {
+	crc, err := fileChecksum(base)
+	if err != nil {
+		return "", err
+	}
+	lineage := binary.LittleEndian.AppendUint32(nil, crc)
+	for _, d := range deltas {
+		if crc, err = fileChecksum(d); err != nil {
+			return "", err
+		}
+		lineage = append(append(lineage, filepath.Base(d)...), 0)
+		lineage = binary.LittleEndian.AppendUint32(lineage, crc)
+	}
+	sum := sha256.Sum256(lineage)
+	return fmt.Sprintf("%s-%d.compact-%x%s", corpus, seed, sum[:8], FileExt), nil
+}
+
+// CompactFilePattern is the glob matching every compacted snapshot of one
+// (corpus, seed) base, whatever its lineage.
+func CompactFilePattern(corpus string, seed uint64) string {
+	return fmt.Sprintf("%s-%d.compact-*%s", corpus, seed, FileExt)
+}
+
+// fileChecksum reads a snapshot file's trailing whole-file CRC-32 without
+// reading or verifying the rest of the file.
+func fileChecksum(path string) (uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	var tail [4]byte
+	info, err := f.Stat()
+	switch {
+	case err != nil:
+	case info.Size() < headerSize+4:
+		err = fmt.Errorf("%s: %w", path, fileErr(info.Size(), "file is shorter than the header and checksum trailer", ErrTruncated))
+	default:
+		if _, rerr := f.ReadAt(tail[:], info.Size()-4); rerr != nil {
+			err = fmt.Errorf("%s: reading checksum trailer: %w", path, rerr)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return binary.LittleEndian.Uint32(tail[:]), err
 }

@@ -3,6 +3,8 @@ package repro
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -118,6 +120,58 @@ func TestQueryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for name, want := range serial {
 		if !bytes.Equal(parallel[name], want) {
 			t.Errorf("%s: output differs between GOMAXPROCS=1 and 8", name)
+		}
+	}
+}
+
+// TestCompleteGroupByBounded pins the cost bound on complete group-bys.
+// The 122-byte person×paper spec below once built a 1.9M-cell cross
+// product (688 ms, 423 MB) to return one row; it is now refused at
+// compile time with ErrTooLarge carrying the exact domain product, before
+// any scan and with a handful of allocations. A domain product that
+// overflows uint64 saturates instead of wrapping under the bound. Every
+// exhibit query stays under the bound.
+func TestCompleteGroupByBounded(t *testing.T) {
+	const spec = `{"frame":"slots","group_by":[{"col":"person"},{"col":"paper"}],"aggs":[{"op":"count","as":"n"}],"complete":true,"limit":1}`
+	if len(spec) != 122 {
+		t.Fatalf("pinned spec is %d bytes, want 122", len(spec))
+	}
+	st, err := NewStudy(2021)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, _ := st.Frames().Frame(query.FrameSlots)
+	person, _ := slots.Column("person")
+	paper, _ := slots.Column("paper")
+	want := uint64(person.Dict.Len()) * uint64(paper.Dict.Len())
+
+	q, err := query.Parse([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.Query(q)
+	var tl *query.TooLargeError
+	if !errors.Is(err, query.ErrTooLarge) || !errors.As(err, &tl) {
+		t.Fatalf("person×paper complete group-by: err = %v, want a *TooLargeError", err)
+	}
+	if tl.Groups != want || tl.Limit != query.MaxCompleteGroups {
+		t.Errorf("estimate %d (limit %d), want %d (limit %d)", tl.Groups, tl.Limit, want, query.MaxCompleteGroups)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = st.Query(q) }); allocs > 100 {
+		t.Errorf("refusing the spec allocates %.0f times per run, want at most 100", allocs)
+	}
+
+	wide := &query.Query{Frame: query.FrameSlots, Complete: true, Aggs: []query.Agg{{Op: "count", As: "n"}}}
+	for _, as := range []string{"a", "b", "c", "d", "e", "f"} {
+		wide.GroupBy = append(wide.GroupBy, query.Key{Col: "person", As: as})
+	}
+	if _, err := st.Query(wide); !errors.As(err, &tl) || tl.Groups != math.MaxUint64 {
+		t.Errorf("six person keys: err = %v, want a saturated *TooLargeError", err)
+	}
+
+	for _, eq := range ExhibitQueries() {
+		if _, err := st.Query(eq.Query); errors.Is(err, query.ErrTooLarge) {
+			t.Errorf("exhibit query %q: %v", eq.Name, err)
 		}
 	}
 }

@@ -2,10 +2,15 @@ package repro
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/delta"
 	"repro/internal/query"
+	"repro/internal/snap"
 	"repro/internal/synth"
 )
 
@@ -213,5 +218,124 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 		if err := s.WriteSnapshot(&buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// materializeBytes holds the files of whpcd's two ways to materialize the
+// flagship study grown by SC'21: the base snapshot, the year delta, and
+// the compacted snapshot whpcd writes after applying it (the base opened,
+// the delta applied, the result saved).
+var materializeBytes = sync.OnceValues(func() (map[string][]byte, error) {
+	dir, err := os.MkdirTemp("", "whpc-materialize")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	base, err := NewStudyFromConfig(deltaFix.cfg)
+	if err != nil {
+		return nil, err
+	}
+	yd, baseCorpus, err := synth.GenerateYearDelta(deltaFix.cfg, deltaFix.spec)
+	if err != nil {
+		return nil, err
+	}
+	paths := map[string]string{
+		"base":      filepath.Join(dir, snap.CorpusFileName("flagship", 2021)),
+		"delta":     filepath.Join(dir, snap.DeltaFileName("flagship", 2021, 2021)),
+		"compacted": filepath.Join(dir, "compacted"+snap.FileExt),
+	}
+	if err := base.SaveSnapshot(paths["base"]); err != nil {
+		return nil, err
+	}
+	if err := delta.WriteFile(paths["delta"], yd, baseCorpus.Data); err != nil {
+		return nil, err
+	}
+	grown, err := OpenSnapshotFile(paths["base"])
+	if err != nil {
+		return nil, err
+	}
+	if err := grown.ApplyDeltaFile(paths["delta"]); err != nil {
+		return nil, err
+	}
+	if err := grown.SaveSnapshot(paths["compacted"]); err != nil {
+		return nil, err
+	}
+	out := make(map[string][]byte, len(paths))
+	for name, path := range paths {
+		if out[name], err = os.ReadFile(path); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+})
+
+// materializeFiles writes materializeBytes into a fresh directory and
+// returns the path of each file.
+func materializeFiles(tb testing.TB) map[string]string {
+	tb.Helper()
+	files, err := materializeBytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	paths := make(map[string]string, len(files))
+	for name, data := range files {
+		paths[name] = filepath.Join(dir, name+snap.FileExt)
+		if err := os.WriteFile(paths[name], data, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return paths
+}
+
+// BenchmarkMaterializeDelta measures materializing the grown flagship
+// study the long way: open the base snapshot, then apply the SC'21 delta
+// file.
+func BenchmarkMaterializeDelta(b *testing.B) {
+	paths := materializeFiles(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := OpenSnapshotFile(paths["base"])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.ApplyDeltaFile(paths["delta"]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaterializeCompacted measures materializing the same study
+// from its compacted snapshot: one open, no apply.
+func BenchmarkMaterializeCompacted(b *testing.B) {
+	paths := materializeFiles(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := OpenCompactedSnapshotFile(paths["compacted"], 1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestCompactedOpenBeatsDeltaApply is the compaction perf floor: opening
+// the compacted snapshot of a base and its delta must be at least 1.5x
+// faster than opening the base and applying the delta, or compacting
+// buys nothing for the disk it takes.
+func TestCompactedOpenBeatsDeltaApply(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing gate disabled under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("timing gate disabled with -short")
+	}
+	apply := testing.Benchmark(BenchmarkMaterializeDelta)
+	compacted := testing.Benchmark(BenchmarkMaterializeCompacted)
+	applyNs := float64(apply.NsPerOp())
+	compactedNs := float64(compacted.NsPerOp())
+	t.Logf("base open + delta apply: %.2fms, compacted open: %.2fms (%.2fx)",
+		applyNs/1e6, compactedNs/1e6, applyNs/compactedNs)
+	if compactedNs*1.5 > applyNs {
+		t.Errorf("compacted open (%.2fms) is not 1.5x faster than base open + delta apply (%.2fms)",
+			compactedNs/1e6, applyNs/1e6)
 	}
 }

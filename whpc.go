@@ -62,8 +62,8 @@ type Study struct {
 	exhibitsByID map[string]Exhibit
 	revision     uint64
 	// citeMu/citeGraph lazily hold the synthesized citation graph (see
-	// CitationGraph). ApplyDelta drops it — the next use resynthesizes
-	// over the grown corpus, which by construction extends the old graph.
+	// CitationGraph). ApplyDelta extends it with the appended conference's
+	// edges, which by construction equals a resynthesis of the grown corpus.
 	citeMu    sync.Mutex
 	citeGraph *cite.Graph
 }
