@@ -149,13 +149,14 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "delta saved to %s\n", o.deltaOut)
 	}
 	if o.deltaIn != "" {
-		for _, path := range strings.Split(o.deltaIn, ",") {
+		paths := strings.Split(o.deltaIn, ",")
+		for _, path := range paths {
 			if err := study.ApplyDeltaFile(strings.TrimSpace(path)); err != nil {
 				return err
 			}
 		}
 		fmt.Fprintf(os.Stderr, "applied %d delta(s); corpus now has %d conferences\n",
-			study.Revision(), len(study.Dataset().Conferences))
+			len(paths), len(study.Dataset().Conferences))
 	}
 	if o.save != "" {
 		if err := study.Save(o.save); err != nil {

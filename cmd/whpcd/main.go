@@ -1,8 +1,9 @@
 // Command whpcd serves the reproduction's analyses over HTTP: JSON
 // endpoints for the headline statistics, plain-text exhibits and the full
 // report, CSV exports, and Prometheus metrics. Responses are memoized per
-// (seed, corpus, fault-profile) study, deduplicated with singleflight, and
-// byte-identical to what the library renders directly.
+// study and the inputs it was materialized from, rendered once among
+// concurrent requests, and byte-identical to what the library renders
+// directly.
 //
 // Usage:
 //

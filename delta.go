@@ -66,7 +66,6 @@ func (s *Study) applyDelta(info snap.DeltaInfo, mini *dataset.Dataset, inj chaos
 		s.frames = fs
 	}
 	s.scID = findSC(d)
-	s.revision++
 	s.exhibitsMu.Lock()
 	s.exhibitsByID = nil
 	s.exhibitsMu.Unlock()
@@ -81,10 +80,3 @@ func (s *Study) applyDelta(info snap.DeltaInfo, mini *dataset.Dataset, inj chaos
 	s.citeMu.Unlock()
 	return nil
 }
-
-// Revision counts the deltas applied to the study since construction, or
-// absorbed before a compacted snapshot of it was written (see
-// OpenCompactedSnapshotFile). The
-// serve layer keys its memoized exhibit cache on it, so applying a delta
-// invalidates exactly the cached renders whose inputs changed.
-func (s *Study) Revision() uint64 { return s.revision }

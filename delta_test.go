@@ -111,9 +111,6 @@ func TestDeltaApplyMatchesResynthesis(t *testing.T) {
 			if err := applied.ApplyDelta(fx.info, fx.mini); err != nil {
 				t.Fatalf("ApplyDelta: %v", err)
 			}
-			if applied.Revision() != 1 {
-				t.Errorf("Revision() = %d after one delta, want 1", applied.Revision())
-			}
 			if got, want := delta.Fingerprint(applied.Dataset()), delta.Fingerprint(fx.resynth.Dataset()); got != want {
 				t.Errorf("fingerprint %#x after apply, resynthesis has %#x", got, want)
 			}
@@ -250,17 +247,19 @@ func TestDeltaApplyRejectsWrongBase(t *testing.T) {
 }
 
 // TestDeltaApplyRejectsDoubleApply proves a delta cannot be absorbed
-// twice: after one apply the fingerprint has moved on.
+// twice: after one apply the fingerprint has moved on, and the rejected
+// re-apply leaves the study's bytes as they were.
 func TestDeltaApplyRejectsDoubleApply(t *testing.T) {
 	applied := deltaFix.newBase(t)
 	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
 		t.Fatalf("first ApplyDelta: %v", err)
 	}
+	before := snapshotBytes(t, applied)
 	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err == nil {
 		t.Fatal("second ApplyDelta of the same delta succeeded")
 	}
-	if applied.Revision() != 1 {
-		t.Errorf("Revision() = %d after a rejected re-apply, want 1", applied.Revision())
+	if !bytes.Equal(before, snapshotBytes(t, applied)) {
+		t.Errorf("rejected re-apply mutated the study")
 	}
 }
 
@@ -306,7 +305,8 @@ func BenchmarkDeltaApply(b *testing.B) {
 
 // TestDeltaApplyBeatsResynthesis is the incremental-maintenance perf
 // floor: patching a warm study with one year must be at least 10x faster
-// than resynthesizing the grown corpus and rebuilding its frames.
+// than resynthesizing the grown corpus and rebuilding its frames, in the
+// medians of alternating rounds (floorMedians).
 func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing gate disabled under the race detector")
@@ -317,8 +317,7 @@ func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 	full := deltaFix.cfg
 	full.Confs = append(append([]synth.ConfSpec(nil), deltaFix.cfg.Confs...), deltaFix.spec)
 
-	apply := testing.Benchmark(BenchmarkDeltaApply)
-	resynth := testing.Benchmark(func(b *testing.B) {
+	applyNs, resynthNs := floorMedians(t, BenchmarkDeltaApply, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := NewStudyFromConfig(full)
 			if err != nil {
@@ -327,8 +326,6 @@ func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 			s.Frames()
 		}
 	})
-	applyNs := float64(apply.NsPerOp())
-	resynthNs := float64(resynth.NsPerOp())
 	t.Logf("delta apply: %.2fms, full resynthesis + frame build: %.2fms (%.1fx)",
 		applyNs/1e6, resynthNs/1e6, resynthNs/applyNs)
 	if applyNs*10 > resynthNs {

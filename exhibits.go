@@ -108,7 +108,7 @@ func (s *Study) Exhibits() []Exhibit {
 
 // Exhibit returns the exhibit with the given stable ID, or ok=false when
 // the study has no exhibit by that name (harvest exhibits exist only on
-// harvested studies). The ID index is built once per study revision — the
+// harvested studies). The ID index is built once per applied delta — the
 // serve layer resolves an exhibit per request, and a linear re-enumeration
 // of Exhibits() (which rebuilds every closure) was measurable on that path.
 // ApplyDelta invalidates the index, since its closures capture the

@@ -20,7 +20,7 @@ import (
 // exists — so each fails vet.
 //
 // Serving code routinely wraps the raw injector (s.fire(point),
-// renderFault(ctx, point), counting decorators), so the pass computes a
+// fault(ctx, point), counting decorators), so the pass computes a
 // per-package forwarding summary over the call graph: any function that
 // passes a string parameter through to a Fire sink is itself treated as a
 // fire site for the constants its callers pass. Dynamic call targets are

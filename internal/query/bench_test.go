@@ -122,8 +122,8 @@ func BenchmarkNaiveGroupBy(b *testing.B) {
 }
 
 // TestColumnarBeatsNaive is the acceptance gate behind the benchmarks: the
-// columnar group-by must be at least 2x faster than the naive row loop.
-// It mirrors the benchmark bodies at fixed iteration counts so `go test`
+// columnar group-by must be at least 2x faster than the naive row loop, in
+// the medians of alternating rounds (floorMedians). It mirrors the benchmark bodies at fixed iteration counts so `go test`
 // enforces the perf floor without requiring a -bench run.
 func TestColumnarBeatsNaive(t *testing.T) {
 	if testing.Short() {
@@ -132,21 +132,15 @@ func TestColumnarBeatsNaive(t *testing.T) {
 	if raceEnabled {
 		t.Skip("perf floor not meaningful under the race detector's instrumentation")
 	}
-	colRes := testing.Benchmark(BenchmarkQueryGroupBy)
-	naiveRes := testing.Benchmark(BenchmarkNaiveGroupBy)
-	col, naive := colRes.NsPerOp(), naiveRes.NsPerOp()
-	t.Logf("columnar %d ns/op, naive %d ns/op (%.1fx)", col, naive, float64(naive)/float64(col))
+	col, naive := floorMedians(t, BenchmarkQueryGroupBy, BenchmarkNaiveGroupBy)
+	t.Logf("columnar %.0f ns/op, naive %.0f ns/op (%.1fx)", col, naive, naive/col)
 	if col*2 > naive {
-		t.Errorf("columnar group-by %d ns/op not 2x faster than naive %d ns/op", col, naive)
+		t.Errorf("columnar group-by %.0f ns/op not 2x faster than naive %.0f ns/op", col, naive)
 	}
-	colFAR := testing.Benchmark(BenchmarkQueryFAR)
-	naiveFAR := testing.Benchmark(BenchmarkNaiveFAR)
-	t.Logf("FAR: columnar %d ns/op, naive %d ns/op (%.1fx)",
-		colFAR.NsPerOp(), naiveFAR.NsPerOp(),
-		float64(naiveFAR.NsPerOp())/float64(colFAR.NsPerOp()))
-	if colFAR.NsPerOp() > naiveFAR.NsPerOp() {
-		t.Errorf("columnar FAR %d ns/op slower than naive %d ns/op",
-			colFAR.NsPerOp(), naiveFAR.NsPerOp())
+	colFAR, naiveFAR := floorMedians(t, BenchmarkQueryFAR, BenchmarkNaiveFAR)
+	t.Logf("FAR: columnar %.0f ns/op, naive %.0f ns/op (%.1fx)", colFAR, naiveFAR, naiveFAR/colFAR)
+	if colFAR > naiveFAR {
+		t.Errorf("columnar FAR %.0f ns/op slower than naive %.0f ns/op", colFAR, naiveFAR)
 	}
 }
 
@@ -189,7 +183,8 @@ func BenchmarkNaiveProjection(b *testing.B) {
 
 // TestProjectionBeatsNaive is the perf floor for projections: the
 // late-materialized path must be at least 2x faster than the naive
-// materialize-then-sort reference.
+// materialize-then-sort reference, in the medians of alternating rounds
+// (floorMedians).
 func TestProjectionBeatsNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf floor skipped in -short")
@@ -197,10 +192,9 @@ func TestProjectionBeatsNaive(t *testing.T) {
 	if raceEnabled {
 		t.Skip("perf floor not meaningful under the race detector's instrumentation")
 	}
-	proj := testing.Benchmark(BenchmarkQueryProjection).NsPerOp()
-	naive := testing.Benchmark(BenchmarkNaiveProjection).NsPerOp()
-	t.Logf("projection %d ns/op, naive %d ns/op (%.1fx)", proj, naive, float64(naive)/float64(proj))
+	proj, naive := floorMedians(t, BenchmarkQueryProjection, BenchmarkNaiveProjection)
+	t.Logf("projection %.0f ns/op, naive %.0f ns/op (%.1fx)", proj, naive, naive/proj)
 	if proj*2 > naive {
-		t.Errorf("projection %d ns/op not 2x faster than naive %d ns/op", proj, naive)
+		t.Errorf("projection %.0f ns/op not 2x faster than naive %.0f ns/op", proj, naive)
 	}
 }

@@ -1,13 +1,19 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"sync"
 
 	"repro/internal/obs"
 )
+
+// ErrRenderPanicked is what coalesced waiters receive when the caller
+// actually executing their shared render panicked. The panic itself
+// propagates up the executing caller's stack (where the middleware recover
+// counts it in whpcd_panics_total); waiters get this typed error instead
+// of a hang or a second panic.
+var ErrRenderPanicked = errors.New("serve: shared render panicked")
 
 // Cache outcomes, exposed to clients in the X-Cache response header and to
 // the access log.
@@ -17,7 +23,7 @@ const (
 	// CacheMiss: this request rendered the exhibit.
 	CacheMiss = "miss"
 	// CacheCoalesced: another in-flight request was already rendering the
-	// same exhibit; this one waited for its bytes (singleflight).
+	// same exhibit; this one waited for its bytes.
 	CacheCoalesced = "coalesced"
 	// CacheStale: the render failed, but a previously rendered copy was
 	// still held in the stale store and was served instead (degraded mode;
@@ -28,40 +34,29 @@ const (
 	CacheStale = "stale"
 )
 
-// ExhibitCache memoizes rendered exhibit bytes under an LRU bound, with
-// singleflight deduplication: concurrent requests for the same uncached key
-// trigger exactly one render. Because every exhibit render is deterministic
-// for a given study, a cached response is byte-identical to a fresh one —
-// the cache changes latency, never content.
+// ExhibitCache memoizes rendered exhibit bytes in a memo: concurrent
+// requests for the same uncached key trigger exactly one render, and the
+// resident renders are LRU-bounded. Because every exhibit render is
+// deterministic for its cache key (which carries the study's identity), a
+// cached response is byte-identical to a fresh one — the cache changes
+// latency, never content.
 //
 // A secondary stale store (same capacity) retains bytes evicted or purged
-// from the primary LRU. It is consulted only when a re-render fails: the
-// stale copy is served with the CacheStale outcome instead of surfacing
-// the error (stale-while-revalidate degraded mode). Context errors are
-// exempt — a caller whose deadline expired gets the context error, not a
+// from the memo. It is consulted only when a re-render fails: the stale
+// copy is served with the CacheStale outcome instead of surfacing the
+// error (stale-while-revalidate degraded mode). Context errors are exempt
+// — a caller whose deadline expired gets the context error, not a
 // consolation payload.
 type ExhibitCache struct {
-	flight group
+	m *memo[string, []byte]
 
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used; values are *cacheEntry
-
-	stale    map[string]*list.Element
-	staleLRU *list.List // same discipline as lru; values are *cacheEntry
+	staleMu sync.Mutex
+	stale   lru[string, []byte] // bounded to the memo's cap
 
 	hits        *obs.Counter
 	misses      *obs.Counter
 	coalesced   *obs.Counter
-	evictions   *obs.Counter
 	staleServes *obs.Counter
-	resident    *obs.Gauge
-}
-
-type cacheEntry struct {
-	key string
-	val []byte
 }
 
 // cacheCounters bundles the cache's metrics; any field may be nil.
@@ -73,40 +68,20 @@ type cacheCounters struct {
 // NewExhibitCache returns a cache bounded to capacity rendered exhibits
 // (minimum 1).
 func NewExhibitCache(capacity int, c cacheCounters) *ExhibitCache {
-	if capacity < 1 {
-		capacity = 1
+	for _, ctr := range []**obs.Counter{&c.hits, &c.misses, &c.coalesced, &c.staleServes} {
+		if *ctr == nil {
+			*ctr = new(obs.Counter)
+		}
 	}
-	if c.hits == nil {
-		c.hits = new(obs.Counter)
-	}
-	if c.misses == nil {
-		c.misses = new(obs.Counter)
-	}
-	if c.coalesced == nil {
-		c.coalesced = new(obs.Counter)
-	}
-	if c.evictions == nil {
-		c.evictions = new(obs.Counter)
-	}
-	if c.staleServes == nil {
-		c.staleServes = new(obs.Counter)
-	}
-	if c.resident == nil {
-		c.resident = new(obs.Gauge)
-	}
-	return &ExhibitCache{
-		cap:         capacity,
-		entries:     make(map[string]*list.Element),
-		lru:         list.New(),
-		stale:       make(map[string]*list.Element),
-		staleLRU:    list.New(),
+	e := &ExhibitCache{
+		stale:       newLRU[string, []byte](),
 		hits:        c.hits,
 		misses:      c.misses,
 		coalesced:   c.coalesced,
-		evictions:   c.evictions,
 		staleServes: c.staleServes,
-		resident:    c.resident,
 	}
+	e.m = newMemo(capacity, ErrRenderPanicked, e.spill, c.evictions, c.resident)
+	return e
 }
 
 // Get returns the bytes for key, invoking compute at most once across all
@@ -122,25 +97,16 @@ func NewExhibitCache(capacity int, c cacheCounters) *ExhibitCache {
 // stale store still holds bytes for key, those bytes are served with the
 // CacheStale outcome instead of the error.
 func (c *ExhibitCache) Get(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (val []byte, outcome string, err error) {
-	if b, ok := c.lookup(key); ok {
-		c.hits.Inc()
-		return b, CacheHit, nil
-	}
-	computed := false
-	val, shared, err := c.flight.Do(ctx, key, func() ([]byte, error) {
-		// Re-check under the flight: a render that completed between our
-		// lookup and Do has already inserted the bytes.
-		if b, ok := c.lookup(key); ok {
-			return b, nil
-		}
-		computed = true
+	val, how, err := c.m.get(ctx, key, func() ([]byte, error) {
 		c.misses.Inc()
 		b, err := compute(ctx)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			// A fresh render supersedes any stale copy of the same key.
+			c.staleMu.Lock()
+			c.stale.remove(key)
+			c.staleMu.Unlock()
 		}
-		c.insert(key, b)
-		return b, nil
+		return b, err
 	})
 	if err != nil {
 		if !isContextError(err) {
@@ -151,15 +117,15 @@ func (c *ExhibitCache) Get(ctx context.Context, key string, compute func(context
 		}
 		return nil, CacheMiss, err
 	}
-	switch {
-	case shared:
-		c.coalesced.Inc()
-		return val, CacheCoalesced, nil
-	case computed:
-		return val, CacheMiss, nil
-	default:
+	switch how {
+	case fetchHit:
 		c.hits.Inc()
 		return val, CacheHit, nil
+	case fetchJoined:
+		c.coalesced.Inc()
+		return val, CacheCoalesced, nil
+	default:
+		return val, CacheMiss, nil
 	}
 }
 
@@ -170,19 +136,14 @@ func isContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Len returns the number of resident entries.
-func (c *ExhibitCache) Len() int {
-	c.mu.Lock()
-	n := c.lru.Len()
-	c.mu.Unlock()
-	return n
-}
+// Len returns the number of resident entries, renders in flight included.
+func (c *ExhibitCache) Len() int { return c.m.len() }
 
 // StaleLen returns the number of entries held only in the stale store.
 func (c *ExhibitCache) StaleLen() int {
-	c.mu.Lock()
-	n := c.staleLRU.Len()
-	c.mu.Unlock()
+	c.staleMu.Lock()
+	n := c.stale.len()
+	c.staleMu.Unlock()
 	return n
 }
 
@@ -190,87 +151,21 @@ func (c *ExhibitCache) StaleLen() int {
 // renders); in-flight computes are unaffected. Purged bytes move to the
 // stale store, so a purge never degrades fail-operational coverage — it
 // only forces the next request per key to re-render.
-func (c *ExhibitCache) Purge() {
-	c.mu.Lock()
-	// Walk the LRU list (deterministic order), not the map, spilling each
-	// entry into the stale store before dropping the primary.
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		c.spill(el.Value.(*cacheEntry))
-	}
-	c.entries = make(map[string]*list.Element)
-	c.lru = list.New()
-	c.resident.Set(0)
-	c.mu.Unlock()
-}
-
-// lookup returns the cached bytes for key, refreshing its recency.
-func (c *ExhibitCache) lookup(key string) ([]byte, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	b := el.Value.(*cacheEntry).val
-	c.mu.Unlock()
-	return b, true
-}
+func (c *ExhibitCache) Purge() { c.m.purge(c.spill) }
 
 // staleLookup returns the stale-store bytes for key, if any.
 func (c *ExhibitCache) staleLookup(key string) ([]byte, bool) {
-	c.mu.Lock()
-	el, ok := c.stale[key]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.staleLRU.MoveToFront(el)
-	b := el.Value.(*cacheEntry).val
-	c.mu.Unlock()
-	return b, true
+	c.staleMu.Lock()
+	b, ok := c.stale.get(key)
+	c.staleMu.Unlock()
+	return b, ok
 }
 
-// insert stores key's bytes, evicting least-recently-used entries over
-// capacity (evicted bytes spill into the stale store). A fresh render
-// supersedes any stale copy of the same key.
-func (c *ExhibitCache) insert(key string, val []byte) {
-	c.mu.Lock()
-	if el, ok := c.stale[key]; ok {
-		c.staleLRU.Remove(el)
-		delete(c.stale, key)
-	}
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
-		c.mu.Unlock()
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		entry := oldest.Value.(*cacheEntry)
-		delete(c.entries, entry.key)
-		c.spill(entry)
-		c.evictions.Inc()
-	}
-	c.resident.Set(int64(c.lru.Len()))
-	c.mu.Unlock()
-}
-
-// spill moves an entry into the stale store, bounded to the same capacity.
-// Callers must hold c.mu.
-func (c *ExhibitCache) spill(e *cacheEntry) {
-	if el, ok := c.stale[e.key]; ok {
-		c.staleLRU.MoveToFront(el)
-		el.Value.(*cacheEntry).val = e.val
-		return
-	}
-	c.stale[e.key] = c.staleLRU.PushFront(e)
-	for c.staleLRU.Len() > c.cap {
-		oldest := c.staleLRU.Back()
-		c.staleLRU.Remove(oldest)
-		delete(c.stale, oldest.Value.(*cacheEntry).key)
-	}
+// spill moves bytes the memo dropped into the stale store, bounded to the
+// same capacity.
+func (c *ExhibitCache) spill(key string, val []byte) {
+	c.staleMu.Lock()
+	c.stale.put(key, val)
+	c.stale.trim(c.m.cap, nil)
+	c.staleMu.Unlock()
 }

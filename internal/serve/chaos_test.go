@@ -13,8 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro"
-
 	"repro/internal/chaos"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
@@ -343,12 +341,13 @@ func TestChaosRequestCancel(t *testing.T) {
 	}
 }
 
-// TestSingleflightPanicReleasesWaiters: when the executing caller's fn
-// panics, every coalesced waiter receives ErrRenderPanicked instead of
-// hanging, and the panic still propagates on the executing goroutine.
+// TestSingleflightPanicReleasesWaiters: when the building caller's build
+// panics, every coalesced waiter receives the memo's panicked error
+// (ErrRenderPanicked for the exhibit cache) instead of hanging, the panic
+// still propagates on the building goroutine, and the key is released.
 func TestSingleflightPanicReleasesWaiters(t *testing.T) {
 	leakcheck.Check(t)
-	var g group
+	m := newMemo[string, []byte](4, ErrRenderPanicked, nil, nil, nil)
 	executing := make(chan struct{})
 	release := make(chan struct{})
 
@@ -359,11 +358,11 @@ func TestSingleflightPanicReleasesWaiters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-executing
-			_, shared, err := g.Do(context.Background(), "k", func() ([]byte, error) {
-				t.Error("waiter executed fn; singleflight broke")
+			_, how, err := m.get(context.Background(), "k", func() ([]byte, error) {
+				t.Error("waiter executed the build; singleflight broke")
 				return nil, nil
 			})
-			if !shared {
+			if how != fetchJoined {
 				// The executor's slot was already released; this waiter
 				// re-executed. That must not happen before release closes.
 				t.Error("waiter was not coalesced")
@@ -375,7 +374,7 @@ func TestSingleflightPanicReleasesWaiters(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		_, _, _ = g.Do(context.Background(), "k", func() ([]byte, error) {
+		_, _, _ = m.get(context.Background(), "k", func() ([]byte, error) {
 			close(executing)
 			<-release
 			panic("render exploded")
@@ -395,6 +394,9 @@ func TestSingleflightPanicReleasesWaiters(t *testing.T) {
 			t.Errorf("waiter %d err = %v, want ErrRenderPanicked", i, err)
 		}
 	}
+	if n := m.len(); n != 0 {
+		t.Errorf("panicked build left %d entries behind, want 0", n)
+	}
 }
 
 // TestRegistryBuildPanicReleasesWaiters: a panicking build fails waiters
@@ -410,7 +412,7 @@ func TestRegistryBuildPanicReleasesWaiters(t *testing.T) {
 	calls := 0
 	building := make(chan struct{})
 	release := make(chan struct{})
-	reg := NewStudyRegistry(2, func(StudyKey) (*repro.Study, error) {
+	reg := NewStudyRegistry(2, func(StudyKey) (Resident, error) {
 		calls++
 		if calls == 1 {
 			close(building)
@@ -463,7 +465,7 @@ func TestRegistryWaitCancel(t *testing.T) {
 
 	building := make(chan struct{})
 	release := make(chan struct{})
-	reg := NewStudyRegistry(2, func(StudyKey) (*repro.Study, error) {
+	reg := NewStudyRegistry(2, func(StudyKey) (Resident, error) {
 		close(building)
 		<-release
 		return st, nil

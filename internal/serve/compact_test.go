@@ -66,13 +66,30 @@ func dirServer(t *testing.T, dir string, mut func(*Config)) *Server {
 }
 
 // materialize builds (or finds) the study for a pristine key.
-func materialize(t *testing.T, s *Server, corpus string, seed uint64) *repro.Study {
+func materialize(t *testing.T, s *Server, corpus string, seed uint64) Resident {
 	t.Helper()
-	st, err := s.studies.Get(context.Background(), StudyKey{Seed: seed, Corpus: corpus})
+	res, err := s.studies.Get(context.Background(), StudyKey{Seed: seed, Corpus: corpus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return res
+}
+
+// dirID is the cache identity of a pristine key grown from the base and
+// every delta now in dir, in apply order.
+func dirID(t *testing.T, s *Server, corpus string, seed uint64) string {
+	t.Helper()
+	key := StudyKey{Seed: seed, Corpus: corpus}
+	lineage, err := snap.BaseLineage(filepath.Join(s.cfg.SnapshotDir, snap.CorpusFileName(corpus, seed)))
+	for _, d := range s.deltaFiles(key) {
+		if err == nil {
+			lineage, err = lineage.WithDelta(d)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newResident(key, nil, lineage).ID
 }
 
 // wantCounters checks counter values on a server's /metrics.
@@ -93,8 +110,8 @@ const (
 // TestCompactedSnapshotMatchesResynthesis: a base that absorbed its year
 // delta is written back as one compacted snapshot, SHA-256-identical to
 // SaveSnapshot of the grown corpus synthesized in one go, and a second
-// server over the same dir opens it with no delta apply, at the revision
-// the base plus its delta had, serving identical bytes. No fallback or
+// server over the same dir opens it with no delta apply, under the cache
+// identity the base plus its delta had, serving identical bytes. No fallback or
 // quarantine happens on the way.
 func TestCompactedSnapshotMatchesResynthesis(t *testing.T) {
 	for _, tc := range []struct {
@@ -133,8 +150,8 @@ func TestCompactedSnapshotMatchesResynthesis(t *testing.T) {
 			})
 
 			second := dirServer(t, dir, nil)
-			if st := materialize(t, second, tc.corpus, cfg.Seed); st.Revision() != 1 {
-				t.Errorf("compacted study at revision %d, want 1 (one delta absorbed)", st.Revision())
+			if got, want := materialize(t, second, tc.corpus, cfg.Seed).ID, materialize(t, first, tc.corpus, cfg.Seed).ID; got != want {
+				t.Errorf("compacted study's identity %q, want base + delta's %q", got, want)
 			}
 			if !bytes.Equal(post(t, second, target, "").Body.Bytes(), firstBody) {
 				t.Error("/v1/trend from the compacted snapshot differs from base + delta")
@@ -306,8 +323,8 @@ func TestCompactionStaleLineage(t *testing.T) {
 	check := func(stage string, grown synth.Config, applies string) {
 		t.Helper()
 		s := dirServer(t, dir, nil)
-		if st := materialize(t, s, CorpusFlagship, testSeed); st.Revision() != uint64(len(grown.Confs)-len(cfg.Confs)) {
-			t.Errorf("%s: revision %d, want %d", stage, st.Revision(), len(grown.Confs)-len(cfg.Confs))
+		if got, want := materialize(t, s, CorpusFlagship, testSeed).ID, dirID(t, s, CorpusFlagship, testSeed); got != want {
+			t.Errorf("%s: identity %q, want the base and current deltas' %q", stage, got, want)
 		}
 		wantCounters(t, s, map[string]string{
 			"whpcd_snapshot_compacted_loads_total": "0",
@@ -336,7 +353,7 @@ func TestCompactionStaleLineage(t *testing.T) {
 
 // TestRevisionSurvivesCompaction: one key served before a delta lands,
 // after it, and again from the compacted snapshot never gets pre-delta
-// bytes from the exhibit cache: the compacted study carries the revision
+// bytes from the exhibit cache: the compacted study carries the identity
 // of the base plus its delta, not the base's.
 func TestRevisionSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
@@ -358,15 +375,58 @@ func TestRevisionSurvivesCompaction(t *testing.T) {
 	if bytes.Equal(base.Body.Bytes(), want) {
 		t.Fatal("fixture: the delta does not change the trend")
 	}
+	ids := map[string]string{"base": materialize(t, s, CorpusFlagship, testSeed).ID}
 	for _, stage := range []string{"base + delta", "compacted"} {
 		// Evict the resident study; the exhibit cache keeps its renders.
 		s.studies = NewStudyRegistry(1, s.buildStudy, nil, nil, nil)
 		if got := post(t, s, target, ""); !bytes.Equal(got.Body.Bytes(), want) {
 			t.Errorf("%s: /v1/trend served pre-delta bytes (X-Cache %s)", stage, got.Header().Get("X-Cache"))
 		}
+		ids[stage] = materialize(t, s, CorpusFlagship, testSeed).ID
+	}
+	if ids["base"] == ids["base + delta"] || ids["compacted"] != ids["base + delta"] {
+		t.Errorf("identities %v: want the compacted study's equal to base + delta's and both unlike the base's", ids)
 	}
 	wantCounters(t, s, map[string]string{
 		"whpcd_snapshot_compacted_loads_total": "1",
 		"whpcd_delta_applies_total":            "1",
 	})
+}
+
+// TestCacheKeyedOnMaterializedInputs: a delta replaced by another of the
+// same year — same file name, same delta count — is a different input, so
+// the re-materialized study gets a new cache identity and the exhibit
+// cache re-renders instead of serving the replaced delta's bytes.
+func TestCacheKeyedOnMaterializedInputs(t *testing.T) {
+	dir := t.TempDir()
+	cfg := synth.FlagshipSeries(testSeed)
+	writeBase(t, dir, CorpusFlagship, cfg)
+	sc21 := scSpec(t, cfg, 2021)
+	writeDelta(t, dir, CorpusFlagship, cfg, sc21)
+	s := dirServer(t, dir, nil)
+	const target = "/v1/trend?corpus=flagship"
+	first := post(t, s, target, "")
+	if first.Code != http.StatusOK {
+		t.Fatalf("trend: %d: %s", first.Code, first.Body.String())
+	}
+
+	sc21.Papers++
+	regrown := writeDelta(t, dir, CorpusFlagship, cfg, sc21)
+	st, err := repro.NewStudyFromConfig(regrown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := exhibitQueryCSV(t, st, "trend")
+	if bytes.Equal(first.Body.Bytes(), want) {
+		t.Fatal("fixture: the replaced delta does not change the trend")
+	}
+	// Evict the resident study; the exhibit cache keeps its renders.
+	s.studies = NewStudyRegistry(1, s.buildStudy, nil, nil, nil)
+	got := post(t, s, target, "")
+	if outcome := got.Header().Get("X-Cache"); outcome != CacheMiss {
+		t.Errorf("X-Cache after the delta was replaced = %q, want %q", outcome, CacheMiss)
+	}
+	if !bytes.Equal(got.Body.Bytes(), want) {
+		t.Error("/v1/trend after the delta was replaced differs from the regrown corpus's trend")
+	}
 }

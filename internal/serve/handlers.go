@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -62,30 +61,18 @@ func (s *Server) parseStudyKey(r *http.Request) (StudyKey, error) {
 // (400 for bad parameters, mapped status for a failed materialization) and
 // returning ok=false when the handler should bail. The request context
 // bounds the wait on a shared in-flight materialization.
-func (s *Server) study(w http.ResponseWriter, r *http.Request) (*repro.Study, StudyKey, bool) {
+func (s *Server) study(w http.ResponseWriter, r *http.Request) (Resident, StudyKey, bool) {
 	key, err := s.parseStudyKey(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, key, false
+		return Resident{}, key, false
 	}
-	st, err := s.studies.Get(r.Context(), key)
+	res, err := s.studies.Get(r.Context(), key)
 	if err != nil {
 		s.writeError(w, fmt.Errorf("materializing study (%s): %w", key, err))
-		return nil, key, false
+		return Resident{}, key, false
 	}
-	return st, key, true
-}
-
-// cacheID extends a study key's canonical string with the study's delta
-// revision. A StudyKey alone no longer determines a study's bytes once the
-// snapshot directory can hold year deltas: a study evicted and then
-// re-materialized under the same key picks up any delta files that landed
-// in the meantime, and a cached render of the smaller corpus must not be
-// served for the grown one. The revision is fixed at materialization time
-// (deltas only apply before the registry publishes a study), so one
-// resident study always yields one cache identity.
-func cacheID(key StudyKey, st *repro.Study) string {
-	return key.String() + ",rev=" + strconv.FormatUint(st.Revision(), 10)
+	return res, key, true
 }
 
 // serveCached answers the request from the exhibit cache, rendering with
@@ -100,7 +87,7 @@ func cacheID(key StudyKey, st *repro.Study) string {
 // on the POST routes. It reports whether it served the bytes.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cacheKey, contentType string, fail func(http.ResponseWriter, error), compute func() ([]byte, error)) bool {
 	body, outcome, err := s.cache.Get(r.Context(), cacheKey, func(ctx context.Context) ([]byte, error) {
-		if injected, ferr := s.renderFault(ctx, chaos.PointRender); injected {
+		if injected, ferr := s.fault(ctx, chaos.PointRender); injected {
 			return nil, ferr
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -247,12 +234,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleFAR serves the §3.1 female author ratios as JSON.
 func (s *Server) handleFAR(w http.ResponseWriter, r *http.Request) {
-	st, key, ok := s.study(w, r)
+	res, key, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "far|"+cacheID(key, st), "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
-		far := st.FAR()
+	s.serveCached(w, r, "far|"+res.ID, "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
+		far := res.Study.FAR()
 		dto := farDTO{
 			Study:         dtoStudy(key),
 			Overall:       dtoProportion(far.Overall),
@@ -275,12 +262,12 @@ func (s *Server) handleFAR(w http.ResponseWriter, r *http.Request) {
 // overall map iterates dataset.Roles() order so the payload is
 // byte-deterministic.
 func (s *Server) handleRoles(w http.ResponseWriter, r *http.Request) {
-	st, key, ok := s.study(w, r)
+	res, key, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "roles|"+cacheID(key, st), "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
-		tab := st.Roles()
+	s.serveCached(w, r, "roles|"+res.ID, "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
+		tab := res.Study.Roles()
 		dto := rolesDTO{
 			Study:       dtoStudy(key),
 			Overall:     make([]roleOverallDTO, 0, len(tab.Overall)),
@@ -305,12 +292,12 @@ func (s *Server) handleRoles(w http.ResponseWriter, r *http.Request) {
 
 // handleSensitivity serves the unknown-gender sensitivity analysis as JSON.
 func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
-	st, key, ok := s.study(w, r)
+	res, key, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "sensitivity|"+cacheID(key, st), "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
-		res, err := st.Sensitivity()
+	s.serveCached(w, r, "sensitivity|"+res.ID, "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
+		res, err := res.Study.Sensitivity()
 		if err != nil {
 			return nil, err
 		}
@@ -332,12 +319,12 @@ func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
 
 // handleExhibitList serves the study's exhibit catalog (IDs and titles).
 func (s *Server) handleExhibitList(w http.ResponseWriter, r *http.Request) {
-	st, key, ok := s.study(w, r)
+	res, key, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "exhibits|"+cacheID(key, st), "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
-		exhibits := st.Exhibits()
+	s.serveCached(w, r, "exhibits|"+res.ID, "application/json; charset=utf-8", s.writeError, func() ([]byte, error) {
+		exhibits := res.Study.Exhibits()
 		out := make([]exhibitDTO, 0, len(exhibits))
 		for _, e := range exhibits {
 			out = append(out, exhibitDTO{ID: e.ID, Title: e.Title})
@@ -352,17 +339,17 @@ func (s *Server) handleExhibitList(w http.ResponseWriter, r *http.Request) {
 // handleExhibit serves one exhibit as text, exactly as WriteReport would
 // print its section body.
 func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
-	st, key, ok := s.study(w, r)
+	res, _, ok := s.study(w, r)
 	if !ok {
 		return
 	}
 	id := r.PathValue("id")
-	ex, ok := st.Exhibit(id)
+	ex, ok := res.Study.Exhibit(id)
 	if !ok {
 		http.Error(w, fmt.Sprintf("unknown exhibit %q (list them at /v1/exhibits)", id), http.StatusNotFound)
 		return
 	}
-	s.serveCached(w, r, "exhibit|"+id+"|"+cacheID(key, st), "text/plain; charset=utf-8", s.writeError, func() ([]byte, error) {
+	s.serveCached(w, r, "exhibit|"+id+"|"+res.ID, "text/plain; charset=utf-8", s.writeError, func() ([]byte, error) {
 		var buf bytes.Buffer
 		if err := ex.Render(&buf); err != nil {
 			return nil, err
@@ -374,13 +361,13 @@ func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 // handleReport serves the complete report — byte-identical to
 // Study.WriteReport on the same study.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	st, key, ok := s.study(w, r)
+	res, _, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	s.serveCached(w, r, "report|"+cacheID(key, st), "text/plain; charset=utf-8", s.writeError, func() ([]byte, error) {
+	s.serveCached(w, r, "report|"+res.ID, "text/plain; charset=utf-8", s.writeError, func() ([]byte, error) {
 		var buf bytes.Buffer
-		if err := st.WriteReport(&buf); err != nil {
+		if err := res.Study.WriteReport(&buf); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
@@ -391,21 +378,21 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // segment matches the file stems ExportCSVs writes (with or without the
 // .csv suffix).
 func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
-	st, key, ok := s.study(w, r)
+	res, _, ok := s.study(w, r)
 	if !ok {
 		return
 	}
 	name := strings.TrimSuffix(r.PathValue("name"), ".csv")
-	exp, ok := report.CSVExportByName(st.Dataset(), name)
+	exp, ok := report.CSVExportByName(res.Study.Dataset(), name)
 	if !ok {
 		names := make([]string, 0, 8)
-		for _, e := range report.CSVExports(st.Dataset()) {
+		for _, e := range report.CSVExports(res.Study.Dataset()) {
 			names = append(names, e.Name)
 		}
 		http.Error(w, fmt.Sprintf("unknown csv export %q (have %v)", name, names), http.StatusNotFound)
 		return
 	}
-	s.serveCached(w, r, "csv|"+name+"|"+cacheID(key, st), "text/csv; charset=utf-8", s.writeError, func() ([]byte, error) {
+	s.serveCached(w, r, "csv|"+name+"|"+res.ID, "text/csv; charset=utf-8", s.writeError, func() ([]byte, error) {
 		rows, err := exp.Rows()
 		if err != nil {
 			return nil, err

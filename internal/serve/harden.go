@@ -30,7 +30,7 @@ const QuarantineSuffix = ".quarantined"
 // countingInjector wraps a chaos.Injector so every fault that actually
 // fires is counted in whpcd_chaos_injected_total{point}. It is the only
 // injector handle the server keeps, so snap-layer firings (threaded
-// through OpenCompactedSnapshotFile) are counted the same as serve-layer
+// through OpenSnapshotFileInjected) are counted the same as serve-layer
 // ones.
 type countingInjector struct {
 	inner chaos.Injector
@@ -51,12 +51,12 @@ func (s *Server) fire(point string) *chaos.Fault {
 	return s.inj.Fire(point)
 }
 
-// renderFault applies an armed render-layer fault inside a compute
-// function: latency stretches on the server clock (honouring ctx), cancel
-// and error fail the render typed, panic panics (contained by the
-// middleware recover, released to waiters by the singleflight latch).
-// Returns (false, nil) when no fault is armed for this hit.
-func (s *Server) renderFault(ctx context.Context, point string) (bool, error) {
+// fault applies an armed fault at point inside a render or a build:
+// latency stretches on the server clock (honouring ctx), cancel and error
+// fail typed, panic panics (contained by the middleware recover, released
+// to waiters by the memo's latch). Returns (false, nil) when no fault is
+// armed for this hit.
+func (s *Server) fault(ctx context.Context, point string) (bool, error) {
 	f := s.fire(point)
 	if f == nil {
 		return false, nil
@@ -76,27 +76,26 @@ func (s *Server) renderFault(ctx context.Context, point string) (bool, error) {
 	}
 }
 
-// writeError maps a handler error onto its transport status: not-applicable
-// analyses are the client's 422, an expired request deadline is 504, a
-// cancelled request 503, and everything else (including injected faults)
-// 500. Every failed request exits through here or writeQueryError, which is
-// what makes invariant 2 of the chaos suite checkable: typed error in,
-// accounted status out.
+// writeError maps a handler error onto its transport status (errorStatus)
+// and answers in plain text. Every failed request exits through here or
+// writeQueryError, which is what makes invariant 2 of the chaos suite
+// checkable: typed error in, accounted status out.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, core.ErrNotApplicable):
-		http.Error(w, fmt.Sprintf("not applicable to this corpus: %v", err), http.StatusUnprocessableEntity)
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, fmt.Sprintf("deadline exceeded: %v", err), http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		http.Error(w, fmt.Sprintf("request cancelled: %v", err), http.StatusServiceUnavailable)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	status := errorStatus(err)
+	http.Error(w, errorPrefix[status]+err.Error(), status)
 }
 
-// errorStatus is writeError's mapping as a pure function, shared with the
-// structured-JSON query error path.
+// errorPrefix names the failure class in writeError's plain-text bodies.
+var errorPrefix = map[int]string{
+	http.StatusUnprocessableEntity: "not applicable to this corpus: ",
+	http.StatusGatewayTimeout:      "deadline exceeded: ",
+	http.StatusServiceUnavailable:  "request cancelled: ",
+}
+
+// errorStatus maps a handler error onto its transport status:
+// not-applicable analyses are the client's 422, an expired request
+// deadline is 504, a cancelled request 503, and everything else
+// (including injected faults) 500.
 func errorStatus(err error) int {
 	switch {
 	case errors.Is(err, core.ErrNotApplicable):
@@ -143,15 +142,13 @@ func (s *Server) logError(msg string) {
 // retry absorbs a torn read caught mid-rotation). A second corrupt read
 // quarantines the file. Missing files return fs.ErrNotExist untouched and
 // are never retried or quarantined — missing is the normal cold-start
-// state, not damage. deltas is the number of year deltas the file has
-// absorbed (non-zero only for a compacted snapshot), which the study
-// reports as its revision.
-func (s *Server) loadSnapshot(path string, deltas uint64) (*repro.Study, error) {
+// state, not damage.
+func (s *Server) loadSnapshot(path string) (*repro.Study, error) {
 	var study *repro.Study
 	r := resilience.Retryer{MaxAttempts: 2, Clock: s.clock}
 	//whpcvet:ignore ctxflow snapshot loads are boot/registry work shared across requests, deliberately detached from any one request's deadline
 	err := r.Do(context.Background(), func(context.Context) error {
-		st, err := repro.OpenCompactedSnapshotFile(path, deltas, s.inj)
+		st, err := repro.OpenSnapshotFileInjected(path, s.inj)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				return resilience.Permanent(err)
@@ -170,40 +167,55 @@ func (s *Server) loadSnapshot(path string, deltas uint64) (*repro.Study, error) 
 	return study, nil
 }
 
-// loadFromDir materializes a pristine study from the snapshot directory.
-// When year deltas sit beside the key's base snapshot, the compacted
-// snapshot of their lineage (snap.CompactFileName) is opened first: it is
-// the base with every delta already applied, so the visit costs one
-// decode and no apply. Without one, the base is opened and the deltas
-// applied, and a study that absorbed all of them is compacted for later
-// visits. A compacted file takes the base's retry-then-quarantine policy;
-// a quarantined one is rebuilt from base and deltas and rewritten. Errors
-// are the base's: fs.ErrNotExist when it is missing, the decode failure
-// otherwise.
-func (s *Server) loadFromDir(key StudyKey) (*repro.Study, error) {
+// loadFromDir materializes a pristine study from the snapshot directory,
+// with the lineage of the files it absorbed. When year deltas sit beside
+// the key's base snapshot, the compacted snapshot of their lineage
+// (snap.CompactFileName) is opened first: it is the base with every delta
+// already applied, so the visit costs one decode and no apply, and the
+// study's lineage is the base's and deltas'. Without one, the base is
+// opened and the deltas applied, and a study that absorbed all of them is
+// compacted for later visits. A compacted file takes the base's
+// retry-then-quarantine policy; a quarantined one is rebuilt from base and
+// deltas and rewritten. Errors are the base's: fs.ErrNotExist when it is
+// missing, the decode failure otherwise.
+func (s *Server) loadFromDir(key StudyKey) (*repro.Study, snap.Lineage, error) {
 	base := filepath.Join(s.cfg.SnapshotDir, snap.CorpusFileName(key.Corpus, key.Seed))
 	deltas := s.deltaFiles(key)
+	// Each input's checksum is read before the input itself, so a file
+	// replaced in between leaves the study named after the older bytes: a
+	// cache miss later, never a hit on renders of different inputs.
+	lineage, lerr := snap.BaseLineage(base)
 	compact := ""
-	if len(deltas) > 0 {
+	if len(deltas) > 0 && lerr == nil {
 		// No lineage (a file vanished or is shorter than its trailer)
 		// means no compaction; the base open and the applies below report
 		// the cause.
-		if name, err := snap.CompactFileName(key.Corpus, key.Seed, base, deltas); err == nil {
-			compact = filepath.Join(s.cfg.SnapshotDir, name)
-			if st, err := s.loadSnapshot(compact, uint64(len(deltas))); err == nil {
+		grown, err := lineage, error(nil)
+		for _, d := range deltas {
+			if err == nil {
+				grown, err = grown.WithDelta(d)
+			}
+		}
+		if err == nil {
+			compact = filepath.Join(s.cfg.SnapshotDir, snap.CompactFileName(key.Corpus, key.Seed, grown))
+			if st, err := s.loadSnapshot(compact); err == nil {
 				s.met.compactedLoads.Inc()
-				return st, nil
+				return st, grown, nil
 			}
 		}
 	}
-	st, err := s.loadSnapshot(base, 0)
-	if err != nil {
-		return nil, err
+	st, err := s.loadSnapshot(base)
+	if err == nil {
+		err = lerr
 	}
-	if s.applyDeltas(st, deltas) == len(deltas) && compact != "" {
+	if err != nil {
+		return nil, snap.Lineage{}, err
+	}
+	lineage, applied := s.applyDeltas(st, lineage, deltas)
+	if applied == len(deltas) && compact != "" {
 		s.compact(key, st, compact)
 	}
-	return st, nil
+	return st, lineage, nil
 }
 
 // deltaFiles lists the year deltas present in the snapshot directory for
@@ -219,22 +231,27 @@ func (s *Server) deltaFiles(key StudyKey) []string {
 }
 
 // applyDeltas extends a freshly materialized pristine study with the year
-// deltas at paths, in order, and returns how many applied. Each apply is
-// attempted twice — the retry absorbs a torn read caught mid-rotation, and
-// Study.ApplyDelta is atomic, so a failed attempt leaves the study exactly
-// as it was. A delta that still fails is quarantined like a corrupt base
-// snapshot and the scan continues: the study serves without that year
-// rather than not at all, and is not compacted, so the next
+// deltas at paths, in order, and returns its lineage grown by the deltas
+// that applied, and their count. Each apply is attempted twice — the
+// retry absorbs a torn read caught mid-rotation, and Study.ApplyDelta is
+// atomic, so a failed attempt leaves the study exactly as it was. A delta
+// that still fails is quarantined like a corrupt base snapshot, left out
+// of the lineage, and the scan continues: the study serves without that
+// year rather than not at all, and is not compacted, so the next
 // materialization retries without the quarantined file. Runs during
 // materialization, before the registry publishes the study, so request
 // handlers only ever observe fully patched studies.
-func (s *Server) applyDeltas(st *repro.Study, paths []string) int {
+func (s *Server) applyDeltas(st *repro.Study, lineage snap.Lineage, paths []string) (snap.Lineage, int) {
 	applied := 0
 	for _, path := range paths {
+		var grown snap.Lineage
 		r := resilience.Retryer{MaxAttempts: 2, Clock: s.clock}
 		//whpcvet:ignore ctxflow delta application is materialization work shared across requests, deliberately detached from any one request's deadline
 		err := r.Do(context.Background(), func(context.Context) error {
-			aerr := st.ApplyDeltaFileInjected(path, s.inj)
+			var aerr error
+			if grown, aerr = lineage.WithDelta(path); aerr == nil {
+				aerr = st.ApplyDeltaFileInjected(path, s.inj)
+			}
 			if aerr != nil && errors.Is(aerr, fs.ErrNotExist) {
 				return resilience.Permanent(aerr)
 			}
@@ -247,9 +264,10 @@ func (s *Server) applyDeltas(st *repro.Study, paths []string) int {
 			continue
 		}
 		s.met.deltaApplies.Inc()
+		lineage = grown
 		applied++
 	}
-	return applied
+	return lineage, applied
 }
 
 // Compaction outcomes, the labels of whpcd_snapshot_compactions_total.

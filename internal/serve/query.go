@@ -90,12 +90,12 @@ func readBody(w http.ResponseWriter, r *http.Request, what string) (body []byte,
 
 // serveQuery answers one columnar query against the request's study
 // through serveCached. The cache key is kind|id|study, where id must
-// determine the query (its canonical hash, or a view name); the
-// revision-qualified study identity means applying a delta invalidates
-// exactly the renders whose inputs changed. Errors are never cached, and
-// every success counts on whpcd_queries_total{frame}.
+// determine the query (its canonical hash, or a view name) and study is
+// the Resident's ID, so a study grown from other inputs never shares a
+// render. Errors are never cached, and every success counts on
+// whpcd_queries_total{frame}.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, key StudyKey, kind, id string, q *query.Query, format string) {
-	st, err := s.studies.Get(r.Context(), key)
+	res, err := s.studies.Get(r.Context(), key)
 	if err != nil {
 		writeQueryError(w, errorStatus(err),
 			fmt.Sprintf("materializing study (%s): %v", key, err))
@@ -107,13 +107,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, key StudyKey
 	if format == query.FormatCSV {
 		contentType = "text/csv; charset=utf-8"
 	}
-	cacheKey := kind + "|" + id + "|" + cacheID(key, st)
+	cacheKey := kind + "|" + id + "|" + res.ID
 	if s.serveCached(w, r, cacheKey, contentType, writeQueryFailure, func() ([]byte, error) {
-		res, err := st.Query(q)
+		out, err := res.Study.Query(q)
 		if err != nil {
 			return nil, err
 		}
-		b, _, err := res.Encode(format)
+		b, _, err := out.Encode(format)
 		return b, err
 	}) {
 		s.met.queries.With(q.Frame).Inc()

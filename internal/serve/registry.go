@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/snap"
 )
 
 // ErrBuildPanicked is what coalesced waiters receive when the caller
@@ -33,9 +32,10 @@ func Corpora() []string {
 
 // StudyKey identifies one materialized Study: the generator seed, the
 // corpus calibration, and the fault profile of the harvested construction
-// path ("" for a pristine, unharvested corpus). Studies are immutable once
-// built, so a key fully determines every byte any exhibit of that study
-// will ever render — which is what lets the exhibit cache key on it.
+// path ("" for a pristine, unharvested corpus). A key alone does not fix a
+// study's bytes — a study re-materialized under it absorbs whatever year
+// deltas the snapshot directory holds by then — so the exhibit cache keys
+// on a Resident's ID, which adds the inputs' lineage.
 type StudyKey struct {
 	Seed    uint64
 	Corpus  string
@@ -59,58 +59,45 @@ func (k StudyKey) String() string {
 	return b.String()
 }
 
-// studyEntry materializes its study at most once. The done channel closes
-// when materialization finished; waiting happens outside every registry
-// lock, so a slow corpus generation never blocks lookups of other keys.
-type studyEntry struct {
-	key   StudyKey
-	done  chan struct{}
-	study *repro.Study
-	err   error
+// Resident is one materialized study as the registry holds it.
+type Resident struct {
+	Study *repro.Study
+	// ID is the study's cache identity, fixed at materialization: the key
+	// plus the lineage (snap.Lineage) of the inputs the study actually
+	// absorbed — its base snapshot's checksum, or a synthesized base, and
+	// each applied year delta's file name and checksum. Two materializations
+	// share an ID exactly when they were built from the same inputs, so the
+	// exhibit cache keys renders on it.
+	ID string
 }
 
-// StudyRegistry lazily materializes and LRU-bounds Study instances per
-// StudyKey. Get on a resident key is a map hit; Get on a new key generates
+// newResident pairs a study with the identity of its key and lineage.
+func newResident(key StudyKey, st *repro.Study, lineage snap.Lineage) Resident {
+	return Resident{Study: st, ID: key.String() + ",lineage=" + lineage.String()}
+}
+
+// StudyRegistry lazily materializes and LRU-bounds studies per StudyKey in
+// a memo. Get on a resident key is a map hit; Get on a new key generates
 // the corpus (and runs the harvest, for fault-profile keys) exactly once
 // even under concurrent identical requests, then caches the study until it
 // is evicted as least-recently-used.
 type StudyRegistry struct {
-	cap   int
-	build func(StudyKey) (*repro.Study, error)
-
-	mu      sync.Mutex
-	entries map[StudyKey]*list.Element
-	lru     *list.List // front = most recently used; values are *studyEntry
-
+	m            *memo[StudyKey, Resident]
+	build        func(StudyKey) (Resident, error)
 	materialized *obs.Counter
-	evictions    *obs.Counter
-	resident     *obs.Gauge
 }
 
 // NewStudyRegistry returns a registry bounded to capacity resident studies
 // (minimum 1), materializing misses with build and reporting occupancy
 // through the given metrics (any of which may be nil).
-func NewStudyRegistry(capacity int, build func(StudyKey) (*repro.Study, error), materialized, evictions *obs.Counter, resident *obs.Gauge) *StudyRegistry {
-	if capacity < 1 {
-		capacity = 1
-	}
+func NewStudyRegistry(capacity int, build func(StudyKey) (Resident, error), materialized, evictions *obs.Counter, resident *obs.Gauge) *StudyRegistry {
 	if materialized == nil {
 		materialized = new(obs.Counter)
 	}
-	if evictions == nil {
-		evictions = new(obs.Counter)
-	}
-	if resident == nil {
-		resident = new(obs.Gauge)
-	}
 	return &StudyRegistry{
-		cap:          capacity,
+		m:            newMemo[StudyKey, Resident](capacity, ErrBuildPanicked, nil, evictions, resident),
 		build:        build,
-		entries:      make(map[StudyKey]*list.Element),
-		lru:          list.New(),
 		materialized: materialized,
-		evictions:    evictions,
-		resident:     resident,
 	}
 }
 
@@ -120,88 +107,16 @@ func NewStudyRegistry(capacity int, build func(StudyKey) (*repro.Study, error), 
 //
 // ctx bounds only this caller's wait on an in-flight materialization; the
 // build itself is never cancelled, because other waiters (and future
-// requests) still want the study. If the build panics, the latch is failed
-// with ErrBuildPanicked before the panic resumes unwinding, so no waiter
-// hangs and the panic is still counted by the middleware recover.
-func (r *StudyRegistry) Get(ctx context.Context, key StudyKey) (*repro.Study, error) {
-	e, fresh := r.entry(key)
-	if fresh {
-		finished := false
-		defer func() {
-			if !finished {
-				e.err = ErrBuildPanicked
-				r.forget(key, e)
-				close(e.done)
-			}
-		}()
-		e.study, e.err = r.build(key)
-		finished = true
-		if e.err == nil {
-			r.materialized.Inc()
-		}
-		close(e.done)
-	} else {
-		// A finished materialization wins over a cancelled context: when
-		// both channels are ready, Go's select picks randomly, and replay
-		// determinism requires completed work to be served, not raced.
-		select {
-		case <-e.done:
-		default:
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
+// requests) still want the study. If the build panics, its waiters get
+// ErrBuildPanicked before the panic resumes unwinding, so no waiter hangs
+// and the panic is still counted by the middleware recover.
+func (r *StudyRegistry) Get(ctx context.Context, key StudyKey) (Resident, error) {
+	res, how, err := r.m.get(ctx, key, func() (Resident, error) { return r.build(key) })
+	if how == fetchBuilt && err == nil {
+		r.materialized.Inc()
 	}
-	if e.err != nil {
-		r.forget(key, e)
-		return nil, e.err
-	}
-	return e.study, nil
+	return res, err
 }
 
 // Len returns the number of resident entries (materialized or in flight).
-func (r *StudyRegistry) Len() int {
-	r.mu.Lock()
-	n := r.lru.Len()
-	r.mu.Unlock()
-	return n
-}
-
-// entry returns the LRU entry for key, creating (and possibly evicting)
-// under the registry lock. fresh reports that this caller must materialize.
-func (r *StudyRegistry) entry(key StudyKey) (e *studyEntry, fresh bool) {
-	r.mu.Lock()
-	if el, ok := r.entries[key]; ok {
-		r.lru.MoveToFront(el)
-		e = el.Value.(*studyEntry)
-		r.mu.Unlock()
-		return e, false
-	}
-	e = &studyEntry{key: key, done: make(chan struct{})}
-	r.entries[key] = r.lru.PushFront(e)
-	for r.lru.Len() > r.cap {
-		oldest := r.lru.Back()
-		victim := oldest.Value.(*studyEntry)
-		r.lru.Remove(oldest)
-		delete(r.entries, victim.key)
-		r.evictions.Inc()
-	}
-	r.resident.Set(int64(r.lru.Len()))
-	r.mu.Unlock()
-	return e, true
-}
-
-// forget drops a failed materialization so the error is not pinned in the
-// LRU (the entry may already have been evicted or replaced; only the exact
-// entry is removed).
-func (r *StudyRegistry) forget(key StudyKey, e *studyEntry) {
-	r.mu.Lock()
-	if el, ok := r.entries[key]; ok && el.Value.(*studyEntry) == e {
-		r.lru.Remove(el)
-		delete(r.entries, key)
-		r.resident.Set(int64(r.lru.Len()))
-	}
-	r.mu.Unlock()
-}
+func (r *StudyRegistry) Len() int { return r.m.len() }

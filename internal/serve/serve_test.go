@@ -209,9 +209,9 @@ func TestStudyRegistryLRU(t *testing.T) {
 	}
 	var evictions obs.Counter
 	var resident obs.Gauge
-	reg := NewStudyRegistry(2, func(StudyKey) (*repro.Study, error) {
+	reg := NewStudyRegistry(2, func(StudyKey) (Resident, error) {
 		builds.Add(1)
-		return mkStudy, nil
+		return Resident{Study: mkStudy}, nil
 	}, nil, &evictions, &resident)
 
 	keys := []StudyKey{
@@ -257,17 +257,17 @@ func TestStudyRegistryDoesNotCacheFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewStudyRegistry(2, func(StudyKey) (*repro.Study, error) {
+	reg := NewStudyRegistry(2, func(StudyKey) (Resident, error) {
 		if builds.Add(1) == 1 {
-			return nil, fmt.Errorf("transient failure")
+			return Resident{}, fmt.Errorf("transient failure")
 		}
-		return okStudy, nil
+		return Resident{Study: okStudy}, nil
 	}, nil, nil, nil)
 	key := StudyKey{Seed: 9, Corpus: CorpusDefault}
 	if _, err := reg.Get(context.Background(), key); err == nil {
 		t.Fatal("first Get should fail")
 	}
-	if got, err := reg.Get(context.Background(), key); err != nil || got != okStudy {
+	if got, err := reg.Get(context.Background(), key); err != nil || got.Study != okStudy {
 		t.Fatalf("second Get = (%v, %v), want retry success", got, err)
 	}
 	if builds.Load() != 2 {
@@ -307,6 +307,11 @@ func TestExhibitCacheLRUAndErrors(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
+	// a and then b were evicted and spilled to the stale store; a's fresh
+	// render replaced its stale copy.
+	if c.StaleLen() != 1 {
+		t.Fatalf("StaleLen = %d, want 1 (b)", c.StaleLen())
+	}
 
 	// Errors are never cached.
 	fail := true
@@ -327,8 +332,85 @@ func TestExhibitCacheLRUAndErrors(t *testing.T) {
 	}
 }
 
+// TestSingleflightInFlightHoldsSlot: a build in flight takes a cap slot
+// and is never evicted, so a second caller of its key joins it even after
+// another key's build finished meanwhile (and, with the only slot held,
+// was evicted as it landed).
+func TestSingleflightInFlightHoldsSlot(t *testing.T) {
+	var evictions obs.Counter
+	var resident obs.Gauge
+	m := newMemo[string, []byte](1, ErrRenderPanicked, nil, &evictions, &resident)
+	var builds atomic.Int64
+	building := make(chan struct{})
+	release := make(chan struct{})
+	slow := func() ([]byte, error) {
+		builds.Add(1)
+		close(building)
+		<-release
+		return []byte("a"), nil
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := m.get(context.Background(), "a", slow)
+		done <- err
+	}()
+	<-building
+
+	if v, how, err := m.get(context.Background(), "b", func() ([]byte, error) { return []byte("b"), nil }); err != nil || how != fetchBuilt || string(v) != "b" {
+		t.Fatalf("get(b) = (%q, %v, %v), want a fresh build", v, how, err)
+	}
+	if n := m.len(); n != 1 || evictions.Value() != 1 {
+		t.Fatalf("with a in flight and b finished: len %d, evictions %d; want 1, 1 (b evicted)", n, evictions.Value())
+	}
+	joined := make(chan fetch, 1)
+	go func() {
+		_, how, _ := m.get(context.Background(), "a", slow)
+		joined <- how
+	}()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if how := <-joined; how != fetchJoined && how != fetchHit {
+		t.Errorf("second caller of a: %v, want to join the build or hit its result", how)
+	}
+	if builds.Load() != 1 {
+		t.Errorf("a built %d times, want 1", builds.Load())
+	}
+	if n := m.len(); n != 1 || resident.Value() != 1 || evictions.Value() != 1 {
+		t.Errorf("after a finished: len %d, resident %d, evictions %d; want 1, 1, 1",
+			n, resident.Value(), evictions.Value())
+	}
+	if _, how, _ := m.get(context.Background(), "a", slow); how != fetchHit {
+		t.Errorf("a after its build: %v, want a hit", how)
+	}
+}
+
+// TestExhibitCacheHitAllocFree: serving resident bytes allocates nothing,
+// so the warm read path costs a lock and a map lookup.
+func TestExhibitCacheHitAllocFree(t *testing.T) {
+	c := NewExhibitCache(2, cacheCounters{})
+	ctx := context.Background()
+	compute := func(context.Context) ([]byte, error) { return []byte("v"), nil }
+	if _, _, err := c.Get(ctx, "k", compute); err != nil {
+		t.Fatal(err)
+	}
+	var outcome string
+	allocs := testing.AllocsPerRun(200, func() {
+		_, outcome, _ = c.Get(ctx, "k", compute)
+	})
+	if outcome != CacheHit {
+		t.Fatalf("outcome = %q, want %q", outcome, CacheHit)
+	}
+	if allocs != 0 {
+		t.Errorf("cache hit allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestSingleflightGroup: a group of concurrent callers of one memo key
+// shares a single build; all but the builder are coalesced.
 func TestSingleflightGroup(t *testing.T) {
-	var g group
+	m := newMemo[string, []byte](4, ErrRenderPanicked, nil, nil, nil)
 	var runs atomic.Int64
 	gate := make(chan struct{})
 	const callers = 16
@@ -338,15 +420,15 @@ func TestSingleflightGroup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := g.Do(context.Background(), "k", func() ([]byte, error) {
+			v, how, err := m.get(context.Background(), "k", func() ([]byte, error) {
 				runs.Add(1)
 				<-gate
 				return []byte("v"), nil
 			})
 			if err != nil || string(v) != "v" {
-				t.Errorf("Do = (%q, %v)", v, err)
+				t.Errorf("get = (%q, %v)", v, err)
 			}
-			if shared {
+			if how == fetchJoined {
 				sharedCount.Add(1)
 			}
 		}()

@@ -1,11 +1,12 @@
 // Package serve is whpcd's HTTP layer: a stdlib-only analytics API over the
 // reproduction. A seeded study registry lazily materializes LRU-bounded
 // Study instances per (seed, corpus, fault-profile) key, and a memoized
-// exhibit cache with singleflight deduplication guarantees each exhibit
-// renders at most once per study no matter how many concurrent requests ask
-// for it. Per-route token buckets (reusing internal/resilience) and an
-// in-flight cap shed load with 429/503 instead of queueing unboundedly;
-// request contexts carry timeouts; shutdown drains in-flight requests.
+// exhibit cache guarantees each exhibit renders at most once per study no
+// matter how many concurrent requests ask for it; both are one once-per-key
+// LRU table (memo). Per-route token buckets (reusing internal/resilience)
+// and an in-flight cap shed load with 429/503 instead of queueing
+// unboundedly; request contexts carry timeouts; shutdown drains in-flight
+// requests.
 //
 // The serving layer inherits the reproduction's determinism contract: a
 // cached response is byte-identical to a fresh render, and the wall clock
@@ -30,6 +31,7 @@ import (
 	"repro/internal/faulty"
 	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/snap"
 	"repro/internal/synth"
 )
 
@@ -401,25 +403,15 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	return nil
 }
 
-// buildStudy materializes the study for a registry key, threading harvest
-// telemetry into the metrics registry for fault-profile keys.
-func (s *Server) buildStudy(key StudyKey) (*repro.Study, error) {
-	if f := s.fire(chaos.PointMaterialize); f != nil {
-		switch f.Kind {
-		case chaos.KindLatency:
-			// Builds outlast any one request (the registry shares them), so
-			// the stretch elapses on a background context.
-			//whpcvet:ignore ctxflow builds are shared via the registry and must not die with the first requester's deadline
-			if err := s.clock.Sleep(context.Background(), f.Latency); err != nil {
-				return nil, err
-			}
-		case chaos.KindPanic:
-			panic(chaos.PanicValue{Point: chaos.PointMaterialize})
-		case chaos.KindCancel:
-			return nil, context.Canceled
-		default:
-			return nil, chaos.Injected(chaos.PointMaterialize, f)
-		}
+// buildStudy materializes the study for a registry key, with its cache
+// identity, threading harvest telemetry into the metrics registry for
+// fault-profile keys.
+func (s *Server) buildStudy(key StudyKey) (Resident, error) {
+	// Builds outlast any one request (the registry shares them), so an
+	// injected latency elapses on a background context.
+	//whpcvet:ignore ctxflow builds are shared via the registry and must not die with the first requester's deadline
+	if injected, err := s.fault(context.Background(), chaos.PointMaterialize); injected {
+		return Resident{}, err
 	}
 	var cfg synth.Config
 	switch key.Corpus {
@@ -430,14 +422,14 @@ func (s *Server) buildStudy(key StudyKey) (*repro.Study, error) {
 	case CorpusExtended:
 		cfg = synth.ExtendedSystems(key.Seed)
 	default:
-		return nil, fmt.Errorf("serve: unknown corpus %q (have %v)", key.Corpus, Corpora())
+		return Resident{}, fmt.Errorf("serve: unknown corpus %q (have %v)", key.Corpus, Corpora())
 	}
 	if key.Profile == "" {
 		if s.cfg.SnapshotDir != "" {
-			study, err := s.loadFromDir(key)
+			study, lineage, err := s.loadFromDir(key)
 			if err == nil {
 				s.met.snapshotLoads.Inc()
-				return study, nil
+				return newResident(key, study, lineage), nil
 			}
 			// Missing, truncated, corrupt, or version-skewed snapshots all
 			// degrade to synthesis: corpora are deterministic per key, so
@@ -449,20 +441,22 @@ func (s *Server) buildStudy(key StudyKey) (*repro.Study, error) {
 		}
 		study, err := repro.NewStudyFromConfig(cfg)
 		if err != nil {
-			return nil, err
+			return Resident{}, err
 		}
+		lineage := snap.SynthesizedLineage()
 		// A synthesized base is byte-identical to the snapshot it replaced,
 		// so the snapshot dir's year deltas apply to it just the same. It
 		// is not compacted: only a base loaded from the dir is.
 		if s.cfg.SnapshotDir != "" {
-			s.applyDeltas(study, s.deltaFiles(key))
+			lineage, _ = s.applyDeltas(study, lineage, s.deltaFiles(key))
 		}
-		return study, nil
+		return newResident(key, study, lineage), nil
 	}
-	return repro.NewObservedHarvestedStudy(cfg, key.Profile, repro.HarvestHooks{
+	study, err := repro.NewObservedHarvestedStudy(cfg, key.Profile, repro.HarvestHooks{
 		OnRetry:   s.met.harvestRetries.Inc,
 		OnOutcome: func(outcome string) { s.met.harvestOutcomes.With(outcome).Inc() },
 	})
+	return newResident(key, study, snap.SynthesizedLineage()), err
 }
 
 // statusWriter captures the status code and body size for metrics and the

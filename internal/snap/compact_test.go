@@ -10,9 +10,10 @@ import (
 )
 
 // TestCompactFileNameLineage: the compacted name is a pure function of
-// the base's and each delta's trailing checksum and of the deltas' names
-// and order; it moves when any of them does, and it never matches the
-// base or delta naming conventions a snapshot-dir scan looks for.
+// the lineage — the base's and each delta's trailing checksum and the
+// deltas' names and order; it moves when any of them does, and it never
+// matches the base or delta naming conventions a snapshot-dir scan looks
+// for. A synthesized base has a lineage of its own.
 func TestCompactFileNameLineage(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, data []byte) string {
@@ -29,11 +30,16 @@ func TestCompactFileNameLineage(t *testing.T) {
 	d22 := write(DeltaFileName("flagship", 7, 2022), snapBytes)
 	name := func(base string, deltas ...string) string {
 		t.Helper()
-		n, err := CompactFileName("flagship", 7, base, deltas)
+		l, err := BaseLineage(base)
+		for _, d := range deltas {
+			if err == nil {
+				l, err = l.WithDelta(d)
+			}
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		return CompactFileName("flagship", 7, l)
 	}
 
 	one := name(base, d21)
@@ -71,11 +77,26 @@ func TestCompactFileNameLineage(t *testing.T) {
 	write(filepath.Base(d21), snapBytes)
 	add("replaced base + SC21", name(base, d21))
 
-	if _, err := CompactFileName("flagship", 7, base, []string{filepath.Join(dir, "missing.whpcsnap")}); !errors.Is(err, fs.ErrNotExist) {
+	synth := SynthesizedLineage()
+	add("synthesized base", CompactFileName("flagship", 7, synth))
+	grown, err := synth.WithDelta(d21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("synthesized base + SC21", CompactFileName("flagship", 7, grown))
+	if again, _ := synth.WithDelta(d21); again.String() != grown.String() || synth.String() == grown.String() {
+		t.Errorf("WithDelta changed its receiver or is not deterministic")
+	}
+
+	bl, err := BaseLineage(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bl.WithDelta(filepath.Join(dir, "missing.whpcsnap")); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("missing delta: err = %v, want fs.ErrNotExist", err)
 	}
 	short := write("short.whpcsnap", snapBytes[:headerSize])
-	if _, err := CompactFileName("flagship", 7, short, nil); !errors.Is(err, ErrTruncated) {
+	if _, err := BaseLineage(short); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short base: err = %v, want ErrTruncated", err)
 	}
 }

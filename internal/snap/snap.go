@@ -39,6 +39,7 @@ package snap
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -155,31 +156,62 @@ func CorpusFileName(corpus string, seed uint64) string {
 	return fmt.Sprintf("%s-%d%s", corpus, seed, FileExt)
 }
 
-// CompactFileName names the compacted snapshot of a base snapshot file
-// grown by year delta files (paths, in apply order): the full snapshot of
-// the study the base becomes once every delta is applied, written by
-// whpcd beside them as "<corpus>-<seed>.compact-<lineage>.whpcsnap". The
-// 16-hex-digit lineage hashes the base's whole-file CRC-32 and, per delta,
-// its file name and whole-file CRC-32, each read from the file's 4-byte
-// trailer without decoding. Adding, replacing or removing a delta, or
-// replacing the base, changes the lineage, so a compacted file is never
-// opened for inputs other than the ones it was built from. The name
-// matches neither CorpusFileName nor DeltaFilePattern.
-func CompactFileName(corpus string, seed uint64, base string, deltas []string) (string, error) {
-	crc, err := fileChecksum(base)
+// Lineage identifies the inputs a study was materialized from: the base
+// snapshot file it was read from (by the file's whole-file CRC-32), or a
+// base synthesized in memory, and then, per applied year delta in apply
+// order, the delta's file name and whole-file CRC-32. Checksums are read
+// from each file's 4-byte trailer without decoding. Adding, replacing or
+// removing a delta, or replacing the base, changes the lineage. The zero
+// value is not a lineage; start one with BaseLineage or
+// SynthesizedLineage.
+type Lineage struct {
+	b []byte
+}
+
+// BaseLineage starts the lineage of a study read from the base snapshot
+// file at path.
+func BaseLineage(path string) (Lineage, error) {
+	crc, err := fileChecksum(path)
 	if err != nil {
-		return "", err
+		return Lineage{}, err
 	}
-	lineage := binary.LittleEndian.AppendUint32(nil, crc)
-	for _, d := range deltas {
-		if crc, err = fileChecksum(d); err != nil {
-			return "", err
-		}
-		lineage = append(append(lineage, filepath.Base(d)...), 0)
-		lineage = binary.LittleEndian.AppendUint32(lineage, crc)
+	return Lineage{b: binary.LittleEndian.AppendUint32(nil, crc)}, nil
+}
+
+// SynthesizedLineage starts the lineage of a study whose base was
+// synthesized rather than read from a snapshot file.
+func SynthesizedLineage() Lineage {
+	return Lineage{b: []byte("synthesized\x00")}
+}
+
+// WithDelta returns the lineage extended by the year delta file at path.
+// l itself is unchanged.
+func (l Lineage) WithDelta(path string) (Lineage, error) {
+	crc, err := fileChecksum(path)
+	if err != nil {
+		return l, err
 	}
-	sum := sha256.Sum256(lineage)
-	return fmt.Sprintf("%s-%d.compact-%x%s", corpus, seed, sum[:8], FileExt), nil
+	b := append(append(l.b[:len(l.b):len(l.b)], filepath.Base(path)...), 0)
+	return Lineage{b: binary.LittleEndian.AppendUint32(b, crc)}, nil
+}
+
+// String returns the lineage as 16 hex digits, a prefix of the SHA-256 of
+// its inputs.
+func (l Lineage) String() string {
+	sum := sha256.Sum256(l.b)
+	return hex.EncodeToString(sum[:8])
+}
+
+// CompactFileName names the compacted snapshot of a base snapshot file
+// grown by year delta files: the full snapshot of the study the base
+// becomes once every delta is applied, written by whpcd beside them as
+// "<corpus>-<seed>.compact-<lineage>.whpcsnap", lineage being the grown
+// study's (BaseLineage of the base, WithDelta of each delta). So a
+// compacted file is never opened for inputs other than the ones it was
+// built from. The name matches neither CorpusFileName nor
+// DeltaFilePattern.
+func CompactFileName(corpus string, seed uint64, lineage Lineage) string {
+	return fmt.Sprintf("%s-%d.compact-%s%s", corpus, seed, lineage, FileExt)
 }
 
 // CompactFilePattern is the glob matching every compacted snapshot of one

@@ -52,31 +52,20 @@ func OpenSnapshot(r io.Reader) (*Study, error) {
 // carry the file path, and decode failures keep their *FormatError
 // section context underneath.
 func OpenSnapshotFile(path string) (*Study, error) {
-	return OpenCompactedSnapshotFile(path, 0, nil)
+	return OpenSnapshotFileInjected(path, nil)
 }
 
-// OpenCompactedSnapshotFile is OpenSnapshotFile for a snapshot written
-// after the study had absorbed deltas year deltas — a base snapshot and
-// its deltas compacted into one file (see snap.CompactFileName) — so the
-// study reports Revision() == deltas, exactly as the base with those
-// deltas applied would. The file's bytes cannot carry the revision: a
-// compacted snapshot is byte-identical to one of the same corpus
-// synthesized in one go. The serve layer keys its exhibit cache on the
-// revision, so a compacted study at revision 0 could be served renders
-// cached for the pre-delta base of the same key.
-//
-// inj (nil means none) is threaded through the read (snap.read) and
-// section-decode (snap.decode) layers; the chaos suite uses it to prove
-// the warm-boot path degrades to synthesis, never to a wrong answer,
-// under torn reads and injected decode faults.
-func OpenCompactedSnapshotFile(path string, deltas uint64, inj chaos.Injector) (*Study, error) {
+// OpenSnapshotFileInjected is OpenSnapshotFile with a chaos injector (nil
+// means none) threaded through the read (snap.read) and section-decode
+// (snap.decode) layers; the chaos suite uses it to prove the warm-boot
+// path degrades to synthesis, never to a wrong answer, under torn reads
+// and injected decode faults.
+func OpenSnapshotFileInjected(path string, inj chaos.Injector) (*Study, error) {
 	sn, err := snap.Open(path, snap.Full, inj)
 	if err != nil {
 		return nil, err
 	}
-	st := studyFromSnapshot(sn)
-	st.revision = deltas
-	return st, nil
+	return studyFromSnapshot(sn), nil
 }
 
 func studyFromSnapshot(sn snap.Snapshot) *Study {

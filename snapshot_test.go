@@ -98,9 +98,10 @@ func TestSnapshotRoundTripQueries(t *testing.T) {
 
 // TestSnapshotOpenBeatsRegeneration is the warm-boot perf floor from the
 // snapshot design: loading a snapshot (corpus + frames) must be at least
-// 10x faster than synthesizing the corpus and building the frames. The
-// race detector's instrumentation distorts both sides unevenly, so the
-// gate only runs on uninstrumented builds.
+// 10x faster than synthesizing the corpus and building the frames, in the
+// medians of alternating rounds (floorMedians). The race detector's
+// instrumentation distorts both sides unevenly, so the gate only runs on
+// uninstrumented builds.
 func TestSnapshotOpenBeatsRegeneration(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing gate disabled under the race detector")
@@ -118,14 +119,13 @@ func TestSnapshotOpenBeatsRegeneration(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	open := testing.Benchmark(func(b *testing.B) {
+	openNs, regenNs := floorMedians(t, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := OpenSnapshot(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	regen := testing.Benchmark(func(b *testing.B) {
+	}, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := NewStudy(2021)
 			if err != nil {
@@ -134,8 +134,6 @@ func TestSnapshotOpenBeatsRegeneration(t *testing.T) {
 			s.Frames()
 		}
 	})
-	openNs := float64(open.NsPerOp())
-	regenNs := float64(regen.NsPerOp())
 	t.Logf("snapshot open: %.2fms, regeneration: %.2fms (%.1fx)",
 		openNs/1e6, regenNs/1e6, regenNs/openNs)
 	if openNs*10 > regenNs {
@@ -311,7 +309,7 @@ func BenchmarkMaterializeCompacted(b *testing.B) {
 	paths := materializeFiles(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OpenCompactedSnapshotFile(paths["compacted"], 1, nil); err != nil {
+		if _, err := OpenSnapshotFile(paths["compacted"]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,8 +317,9 @@ func BenchmarkMaterializeCompacted(b *testing.B) {
 
 // TestCompactedOpenBeatsDeltaApply is the compaction perf floor: opening
 // the compacted snapshot of a base and its delta must be at least 1.5x
-// faster than opening the base and applying the delta, or compacting
-// buys nothing for the disk it takes.
+// faster than opening the base and applying the delta (medians of
+// alternating rounds, floorMedians), or compacting buys nothing for the
+// disk it takes.
 func TestCompactedOpenBeatsDeltaApply(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing gate disabled under the race detector")
@@ -328,10 +327,7 @@ func TestCompactedOpenBeatsDeltaApply(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate disabled with -short")
 	}
-	apply := testing.Benchmark(BenchmarkMaterializeDelta)
-	compacted := testing.Benchmark(BenchmarkMaterializeCompacted)
-	applyNs := float64(apply.NsPerOp())
-	compactedNs := float64(compacted.NsPerOp())
+	compactedNs, applyNs := floorMedians(t, BenchmarkMaterializeCompacted, BenchmarkMaterializeDelta)
 	t.Logf("base open + delta apply: %.2fms, compacted open: %.2fms (%.2fx)",
 		applyNs/1e6, compactedNs/1e6, applyNs/compactedNs)
 	if compactedNs*1.5 > applyNs {

@@ -55,12 +55,11 @@ type Study struct {
 	// ad-hoc query (see Frames); exhibitsMu/exhibitsByID lazily index the
 	// exhibit enumeration by ID for the serve path (see Exhibit). ApplyDelta
 	// drops the exhibit index — its render closures capture the pre-delta
-	// dataset — and bumps revision, the counter serve-layer caches key on.
+	// dataset.
 	framesOnce   sync.Once
 	frames       *query.FrameSet
 	exhibitsMu   sync.Mutex
 	exhibitsByID map[string]Exhibit
-	revision     uint64
 	// citeMu/citeGraph lazily hold the synthesized citation graph (see
 	// CitationGraph). ApplyDelta extends it with the appended conference's
 	// edges, which by construction equals a resynthesis of the grown corpus.
