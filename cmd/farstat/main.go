@@ -129,5 +129,5 @@ func run(w io.Writer, dir, snapIn, deltaIn string, asJSON, full bool) error {
 		return err
 	}
 	fmt.Fprintln(w)
-	return report.CitationFlow(w, d)
+	return report.CitationFlow(w, d, study.CitationGraph())
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/delta"
-	"repro/internal/query"
 	"repro/internal/snap"
 )
 
@@ -20,11 +19,14 @@ import (
 // with the extra year in its calibration (proven by the delta identity
 // suite).
 //
-// The apply is atomic: on any error the study is unchanged (the delta is
-// applied to clones and swapped in only on success). ApplyDelta must not
-// run concurrently with queries or report rendering on the same study; the
-// serve layer applies deltas at materialization time, before a study is
-// published to request handlers.
+// The apply is atomic without a copy: delta.Apply runs every check before
+// its first write, so on any error the study is unchanged, and whether a
+// delta is accepted does not depend on whether the frames or the citation
+// graph were built. The study's dataset (the one Dataset returns) grows in
+// place. ApplyDelta must not run concurrently with queries or report
+// rendering on the same study; the serve layer applies deltas at
+// materialization time, before a study is published to request handlers,
+// and the CLIs before any analysis.
 func (s *Study) ApplyDelta(info snap.DeltaInfo, mini *dataset.Dataset) error {
 	return s.applyDelta(info, mini, nil)
 }
@@ -38,8 +40,8 @@ func (s *Study) ApplyDeltaFile(path string) error {
 // through both the snapshot read/decode layers (snap.read, snap.decode)
 // and the apply itself (delta.apply). A torn or corrupt delta file fails
 // validation inside snap before the apply runs, and an injected apply
-// fault fires before the clones are touched, so neither can leave the
-// base study half-patched.
+// fault fires before any check, so neither can leave the base study
+// half-patched.
 func (s *Study) ApplyDeltaFileInjected(path string, inj chaos.Injector) error {
 	sn, err := snap.Open(path, snap.Delta, inj)
 	if err != nil {
@@ -52,30 +54,21 @@ func (s *Study) applyDelta(info snap.DeltaInfo, mini *dataset.Dataset, inj chaos
 	if s.harvest != nil {
 		return fmt.Errorf("repro: cannot apply a delta to a harvested study (its records reflect degraded harvest coverage, not the pristine base the delta extends)")
 	}
-	d := s.data.Clone()
-	var fs *query.FrameSet
-	if s.frames != nil {
-		fs = s.frames.Clone()
-	}
-	edges, err := delta.Apply(d, fs, info, mini, inj)
+	edges, err := delta.Apply(s.data, s.frames, info, mini, inj)
 	if err != nil {
 		return err
 	}
-	s.data = d
-	if fs != nil {
-		s.frames = fs
-	}
-	s.scID = findSC(d)
+	s.scID = findSC(s.data)
 	s.exhibitsMu.Lock()
 	s.exhibitsByID = nil
 	s.exhibitsMu.Unlock()
 	// Grow the memoized citation graph by the appended conference's edges,
 	// the ones the citations frame just gained: by the year precondition
-	// AppendConference verifies, that equals a resynthesis over the grown
-	// corpus. An unbuilt graph stays unbuilt for the lazy path.
+	// delta.Apply checks, that equals a resynthesis over the grown corpus.
+	// An unbuilt graph stays unbuilt for the lazy path.
 	s.citeMu.Lock()
 	if s.citeGraph != nil {
-		s.citeGraph = s.citeGraph.Extend(len(d.Papers), edges)
+		s.citeGraph = s.citeGraph.Extend(len(s.data.Papers), edges)
 	}
 	s.citeMu.Unlock()
 	return nil

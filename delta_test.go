@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/delta"
+	"repro/internal/perffloor"
 	"repro/internal/snap"
 	"repro/internal/synth"
 )
@@ -263,6 +265,154 @@ func TestDeltaApplyRejectsDoubleApply(t *testing.T) {
 	}
 }
 
+// TestDeltaRefusalIndependentOfLazyState: whether a delta is accepted
+// depends on the delta and the base corpus alone, never on what the study
+// has built lazily. Four refusals — a delta stamped for another base, a
+// delta applied twice, an edition older than the base's latest, a newcomer
+// whose ID sorts among the base's — are each tried on three bases: frames
+// built; frames unbuilt with the citation graph memoized; opened from
+// snapshot bytes. Every cell must refuse and leave the study as a twin
+// built the same way: the same conference, paper and person counts and
+// the same snapshot bytes (compared on a twin rather than before the
+// apply, because taking a snapshot builds frames).
+func TestDeltaRefusalIndependentOfLazyState(t *testing.T) {
+	spec, err := synth.YearSpec(deltaFix.cfg, "SC", 2015)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yd, baseCorpus, err := synth.GenerateYearDelta(deltaFix.cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	olderInfo, olderMini, err := delta.Pack(yd, baseCorpus.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongInfo := deltaFix.info
+	wrongInfo.BaseFingerprint ^= 1
+	misorderedMini := withEarlyNewcomer(t, baseCorpus.Data, deltaFix.mini)
+
+	base := deltaBaseSnapshot()
+	bases := []struct {
+		name string
+		open func(t *testing.T) *Study
+	}{
+		{"frames built", func(t *testing.T) *Study { return deltaFix.newBase(t) }},
+		{"graph memoized", func(t *testing.T) *Study {
+			s, err := NewStudyFromConfig(deltaFix.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.CitationGraph()
+			return s
+		}},
+		{"from snapshot", func(t *testing.T) *Study {
+			s, err := OpenSnapshot(bytes.NewReader(base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	}
+	cases := []struct {
+		name string
+		grow bool // apply deltaFix's delta first
+		info snap.DeltaInfo
+		mini *dataset.Dataset
+	}{
+		{"wrong base", false, wrongInfo, deltaFix.mini},
+		{"double apply", true, deltaFix.info, deltaFix.mini},
+		{"older year", false, olderInfo, olderMini},
+		{"newcomer sorts before base", false, deltaFix.info, misorderedMini},
+	}
+	for _, tc := range cases {
+		for _, b := range bases {
+			t.Run(tc.name+"/"+b.name, func(t *testing.T) {
+				s, twin := b.open(t), b.open(t)
+				if tc.grow {
+					for _, st := range []*Study{s, twin} {
+						if err := st.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
+							t.Fatalf("first ApplyDelta: %v", err)
+						}
+					}
+				}
+				if err := s.ApplyDelta(tc.info, tc.mini); err == nil {
+					t.Fatal("ApplyDelta accepted the delta")
+				}
+				got, want := s.Dataset(), twin.Dataset()
+				if len(got.Conferences) != len(want.Conferences) || len(got.Papers) != len(want.Papers) || len(got.Persons) != len(want.Persons) {
+					t.Errorf("refused delta changed the counts: %d conferences, %d papers, %d persons; want %d, %d, %d",
+						len(got.Conferences), len(got.Papers), len(got.Persons),
+						len(want.Conferences), len(want.Papers), len(want.Persons))
+				}
+				if !bytes.Equal(snapshotBytes(t, s), snapshotBytes(t, twin)) {
+					t.Error("refused delta changed the snapshot bytes")
+				}
+			})
+		}
+	}
+}
+
+// withEarlyNewcomer returns a copy of mini in which one newcomer to base
+// who authors a paper of the delta is filed under an ID that sorts
+// between base person IDs, in its record, its authorships and its rosters.
+func withEarlyNewcomer(t *testing.T, base, mini *dataset.Dataset) *dataset.Dataset {
+	t.Helper()
+	var from dataset.PersonID
+	for _, p := range mini.Papers {
+		for _, id := range p.Authors {
+			if _, ok := base.Person(id); !ok && from == "" {
+				from = id
+			}
+		}
+	}
+	if from == "" {
+		t.Fatal("no newcomer authors a paper of the delta")
+	}
+	first := from
+	for id := range base.Persons {
+		first = min(first, id)
+	}
+	to := first + "x" // sorts just after the base's first ID
+	if _, ok := base.Person(to); ok {
+		t.Fatalf("%q is a base person", to)
+	}
+	rename := func(ids []dataset.PersonID) []dataset.PersonID {
+		out := slices.Clone(ids)
+		for i, id := range out {
+			if id == from {
+				out[i] = to
+			}
+		}
+		return out
+	}
+	out := dataset.New()
+	for _, p := range mini.Persons {
+		if p.ID == from {
+			cp := *p
+			cp.ID = to
+			p = &cp
+		}
+		if err := out.AddPerson(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := *mini.Conferences[0]
+	c.PCChairs, c.PCMembers, c.Keynotes = rename(c.PCChairs), rename(c.PCMembers), rename(c.Keynotes)
+	c.Panelists, c.SessionChairs = rename(c.Panelists), rename(c.SessionChairs)
+	if err := out.AddConference(&c); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range mini.Papers {
+		cp := *p
+		cp.Authors = rename(p.Authors)
+		if err := out.AddPaper(&cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestDeltaFileRoundTrip writes the delta through the snap container and
 // applies it from disk, proving the file path end to end.
 func TestDeltaFileRoundTrip(t *testing.T) {
@@ -284,16 +434,17 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 }
 
 // BenchmarkDeltaApply measures applying the flagship SC'21 delta to a
-// warm study whose frames are built. Building each base study, and
-// collecting its garbage, is set-up outside the timed window.
+// warm study whose frames are built. Opening each base study from the
+// snapshot bytes deltaBaseSnapshot holds, and collecting its garbage, is
+// set-up outside the timed window.
 func BenchmarkDeltaApply(b *testing.B) {
+	base := deltaBaseSnapshot()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewStudyFromConfig(deltaFix.cfg)
+		s, err := OpenSnapshot(bytes.NewReader(base))
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.Frames()
 		runtime.GC()
 		b.StartTimer()
 		if err := s.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
@@ -303,12 +454,26 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
+// deltaBaseSnapshot returns the snapshot bytes (corpus, frames, citation
+// graph) of deltaFix's base corpus, built on first use.
+var deltaBaseSnapshot = sync.OnceValue(func() []byte {
+	s, err := NewStudyFromConfig(deltaFix.cfg)
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
 // TestDeltaApplyBeatsResynthesis is the incremental-maintenance perf
 // floor: patching a warm study with one year must be at least 10x faster
 // than resynthesizing the grown corpus and rebuilding its frames, in the
-// medians of alternating rounds (floorMedians).
+// medians of alternating rounds (perffloor.Medians).
 func TestDeltaApplyBeatsResynthesis(t *testing.T) {
-	if raceEnabled {
+	if perffloor.RaceEnabled {
 		t.Skip("timing gate disabled under the race detector")
 	}
 	if testing.Short() {
@@ -317,7 +482,7 @@ func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 	full := deltaFix.cfg
 	full.Confs = append(append([]synth.ConfSpec(nil), deltaFix.cfg.Confs...), deltaFix.spec)
 
-	applyNs, resynthNs := floorMedians(t, BenchmarkDeltaApply, func(b *testing.B) {
+	applyNs, resynthNs := perffloor.Medians(t, BenchmarkDeltaApply, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := NewStudyFromConfig(full)
 			if err != nil {

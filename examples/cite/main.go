@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := report.CitationFlow(os.Stdout, study.Dataset()); err != nil {
+	if err := report.CitationFlow(os.Stdout, study.Dataset(), study.CitationGraph()); err != nil {
 		log.Fatal(err)
 	}
 

@@ -92,7 +92,7 @@ func (s *Study) Exhibits() []Exhibit {
 		{"ext-cohort-retention", "Extension — cohort retention across editions",
 			func(w io.Writer) error { return report.CohortRetentionSection(w, d) }},
 		{"ext-citation-flow", "Extension — gendered citation flow",
-			func(w io.Writer) error { return report.CitationFlow(w, d) }},
+			func(w io.Writer) error { return report.CitationFlow(w, d, s.CitationGraph()) }},
 	}
 	if s.harvest != nil {
 		harvest, baseline := s.harvest, s.baseline

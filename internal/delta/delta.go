@@ -5,17 +5,11 @@
 // columnar FrameSet in place — so appending a year to a warm study costs
 // O(new rows) instead of a full resynthesis and frame rebuild.
 //
-// Apply is the one apply entry point. Its chaos injector (nil in
-// production) fires at the delta.apply point before anything is checked.
-// Then the apply is guarded three ways before a single row moves: the
-// delta's base fingerprint must match the corpus it is applied to, the
-// mini-corpus must be internally consistent with the delta identity, and
-// every participant record the delta reuses must match the base record it
-// claims to be. Failures after the dataset merge begins (they require a
-// frame set inconsistent with the corpus, i.e. a bug or a hand-edited
-// snapshot) leave the inputs partially mutated — callers that need
-// atomicity apply to clones and discard on error, as
-// repro.(*Study).ApplyDelta does.
+// Apply is the one apply entry point, and it is atomic: it runs every
+// check before its first write, so a refused delta leaves the dataset and
+// the frames exactly as they were, and an accepted one cannot fail half
+// way. Whether a delta is accepted depends only on the delta and the base
+// corpus, never on whether the study has built its frames yet.
 package delta
 
 import (
@@ -90,16 +84,19 @@ func WriteFile(path string, yd *synth.YearDelta, base *dataset.Dataset) error {
 // cohorts frames' existing rows updated) to exactly the state a full
 // rebuild over the merged corpus would produce. fs may be nil for callers
 // that have not flattened frames yet — the lazy build then sees the merged
-// corpus. See the package comment for the atomicity contract.
+// corpus.
+//
+// Every refusal comes before the first write: the chaos point (inj, nil
+// meaning none), the delta identity, the base fingerprint, records the
+// corpus already holds, year order, reused and new participants, and,
+// when fs is non-nil, fs.CheckAppend. For frames built over d the
+// corpus-level rules imply the frame checks, so whether a delta is
+// accepted does not depend on whether fs is nil.
 //
 // On success Apply returns the appended conference's citation edges,
 // synthesized once over the merged corpus: the same edges the citations
 // frame gained, and the tail a full cite.Synthesize of the merged corpus
 // appends after the base graph's edges.
-//
-// inj (nil means none) is consulted at the delta.apply point first —
-// after the mini-corpus is decoded, before the base is touched — so an
-// injected fault always leaves the base exactly as it was.
 func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) ([]cite.Edge, error) {
 	if f := chaos.Or(inj).Fire(chaos.PointDeltaApply); f != nil {
 		return nil, chaos.Injected(chaos.PointDeltaApply, f)
@@ -114,8 +111,8 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 		return nil, fmt.Errorf("delta: mini-corpus carries %d conferences, want exactly 1", len(mini.Conferences))
 	}
 	c := mini.Conferences[0]
-	if string(c.ID) != info.ConfID {
-		return nil, fmt.Errorf("delta: mini-corpus conference %q does not match delta identity %q", c.ID, info.ConfID)
+	if c == nil || c.ID == "" || string(c.ID) != info.ConfID {
+		return nil, fmt.Errorf("delta: mini-corpus conference does not match delta identity %q", info.ConfID)
 	}
 	if c.Year != info.Year {
 		return nil, fmt.Errorf("delta: conference %q year %d does not match delta identity year %d", c.ID, c.Year, info.Year)
@@ -127,13 +124,31 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	if _, ok := d.Conference(c.ID); ok {
 		return nil, fmt.Errorf("delta: conference %q already in the base corpus", c.ID)
 	}
-	basePapers := make(map[dataset.PaperID]bool, len(d.Papers))
+	papers := make(map[dataset.PaperID]bool, len(d.Papers)+len(mini.Papers))
 	for _, p := range d.Papers {
-		basePapers[p.ID] = true
+		papers[p.ID] = true
 	}
 	for _, p := range mini.Papers {
-		if basePapers[p.ID] {
-			return nil, fmt.Errorf("delta: paper %q already in the base corpus", p.ID)
+		switch {
+		case p == nil || p.ID == "":
+			return nil, fmt.Errorf("delta: nil or unidentified paper in the mini-corpus")
+		case p.Conf != c.ID:
+			return nil, fmt.Errorf("delta: paper %q belongs to %q, not the appended %q", p.ID, p.Conf, c.ID)
+		case papers[p.ID]:
+			return nil, fmt.Errorf("delta: paper %q already in the corpus", p.ID)
+		}
+		papers[p.ID] = true
+	}
+	// Appended papers must not enter base papers' citation candidate
+	// pools, and the cohorts frame links each edition to the next year's.
+	for _, bc := range d.Conferences {
+		switch {
+		case bc.Year > c.Year:
+			return nil, fmt.Errorf("delta: conference %q (%d) is older than existing %q (%d); citation pools of existing papers would change",
+				c.ID, c.Year, bc.ID, bc.Year)
+		case bc.Year == c.Year && bc.Name == c.Name:
+			return nil, fmt.Errorf("delta: conference %q would be a second %s edition of %d beside %q; cohort retention links one edition a year",
+				c.ID, c.Name, c.Year, bc.ID)
 		}
 	}
 
@@ -146,8 +161,12 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	}
 	sort.Strings(ids)
 	newcomers := make([]*dataset.Person, 0, len(ids))
+	var reused []dataset.PersonID
 	for _, sid := range ids {
 		p, _ := mini.Person(dataset.PersonID(sid))
+		if p == nil || sid == "" || string(p.ID) != sid {
+			return nil, fmt.Errorf("delta: mini-corpus person record %q is missing or misfiled", sid)
+		}
 		base, ok := d.Person(p.ID)
 		if !ok {
 			newcomers = append(newcomers, p)
@@ -156,32 +175,85 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 		if err := samePerson(base, p); err != nil {
 			return nil, fmt.Errorf("delta: reused participant %q does not match the base record: %w", p.ID, err)
 		}
+		reused = append(reused, p.ID)
+	}
+	// The people frame is sorted by person ID, and an append adds rows only
+	// at its tail: so no reused researcher may first participate at c, and
+	// every newcomer (minted after the base, by the synthesizer's
+	// increasing IDs) must sort after every base person.
+	if id, ok := firstParticipation(d, reused); ok {
+		return nil, fmt.Errorf("delta: reused participant %q held no role in the base corpus; people frame order not append-compatible", id)
+	}
+	if len(newcomers) > 0 {
+		var last dataset.PersonID
+		for id := range d.Persons {
+			last = max(last, id)
+		}
+		if first := newcomers[0].ID; first <= last {
+			return nil, fmt.Errorf("delta: newcomer %q does not sort after base person %q; people frame order not append-compatible", first, last)
+		}
+	}
+	if fs != nil {
+		if err := fs.CheckAppend(d, c, mini.Papers); err != nil {
+			return nil, fmt.Errorf("delta: frames cannot take %q: %w", c.ID, err)
+		}
 	}
 
-	// Merge. Newcomers first (papers and rosters reference them), then the
-	// conference, then its papers in delta order — the same tail order a
-	// full resynthesis appends, which is what keeps the merged corpus
-	// byte-identical to the resynthesized one.
+	// Merge; the checks above rule out every error the dataset's Add
+	// methods return. Newcomers first (papers and rosters reference them),
+	// then the conference, then its papers in delta order — the same tail
+	// order a full resynthesis appends, which is what keeps the merged
+	// corpus byte-identical to the resynthesized one.
 	for _, p := range newcomers {
-		if err := d.AddPerson(p); err != nil {
-			return nil, fmt.Errorf("delta: merging participant %q: %w", p.ID, err)
-		}
+		mustMerge(d.AddPerson(p))
 	}
-	if err := d.AddConference(c); err != nil {
-		return nil, fmt.Errorf("delta: merging conference %q: %w", c.ID, err)
-	}
+	mustMerge(d.AddConference(c))
 	for _, p := range mini.Papers {
-		if err := d.AddPaper(p); err != nil {
-			return nil, fmt.Errorf("delta: merging paper %q: %w", p.ID, err)
-		}
+		mustMerge(d.AddPaper(p))
 	}
 	edges := cite.ConferenceEdges(d, c.ID)
 	if fs != nil {
-		if err := fs.AppendConference(d, c.ID, edges); err != nil {
-			return nil, fmt.Errorf("delta: patching frames for %q: %w", c.ID, err)
-		}
+		fs.AppendConference(d, c.ID, edges)
 	}
 	return edges, nil
+}
+
+// firstParticipation returns the first researcher of reused (in its
+// order) who holds no role in any conference of d, if there is one.
+func firstParticipation(d *dataset.Dataset, reused []dataset.PersonID) (dataset.PersonID, bool) {
+	held := make(map[dataset.PersonID]bool, len(reused))
+	for _, id := range reused {
+		held[id] = false
+	}
+	mark := func(ids []dataset.PersonID) {
+		for _, id := range ids {
+			if _, ok := held[id]; ok {
+				held[id] = true
+			}
+		}
+	}
+	for _, p := range d.Papers {
+		mark(p.Authors)
+	}
+	for _, c := range d.Conferences {
+		for _, r := range dataset.Roles() {
+			mark(c.RoleHolders(r)) // nil for authors, marked above
+		}
+	}
+	for _, id := range reused {
+		if !held[id] {
+			return id, true
+		}
+	}
+	return "", false
+}
+
+// mustMerge panics on an error the check phase should have ruled out:
+// continuing would leave a half-merged corpus.
+func mustMerge(err error) {
+	if err != nil {
+		panic("delta: merge failed after every check passed: " + err.Error())
+	}
 }
 
 // samePerson checks the analysis-relevant fields of a reused participant

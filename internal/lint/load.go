@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -182,7 +183,9 @@ func (l *Loader) hasGoFiles(dir string) bool {
 	return err == nil && len(names) > 0
 }
 
-// goFileNames lists the non-test .go files directly in dir, sorted.
+// goFileNames lists the non-test .go files directly in dir that a default
+// build compiles (build constraints honored, so a race/!race file pair
+// contributes one file), sorted.
 func goFileNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -193,6 +196,11 @@ func goFileNames(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, filepath.Join(dir, name))

@@ -17,40 +17,15 @@ import (
 // uses; only the patches of existing rows (people tallies, the previous
 // cohort's retention bits) are specific to this path.
 
-// AppendConference grows the frame set in place with the rows contributed
-// by conference confID of d, which must be the last conference of the
-// corpus and absent from the frames. edges are the conference's citation
-// edges, cite.ConferenceEdges(d, confID): the caller synthesizes them once
-// and shares them with the study's citation graph. On success the frame
-// set is byte-identical (under the snapshot codec's canonical encoding) to
-// NewFrameSet(d); repro_test pins that postcondition corpus-wide.
-//
-// Preconditions, verified before any mutation:
-//   - d contains confID as its final conference, and every earlier
-//     conference matches the frames' pre-seeded conference dictionary in
-//     corpus order;
-//   - researchers first appearing at confID sort after every person row
-//     already present (the synthesizer mints IDs in increasing order), so
-//     the people frame's sorted-by-ID row order stays append-only;
-//   - d's papers keep each conference's papers contiguous with the new
-//     conference's at the tail (true for the synthesizer and the delta
-//     merge path);
-//   - confID's year is no older than any existing conference's, so the
-//     appended papers cannot enter existing papers' citation candidate
-//     pools and the citations frame stays a pure tail append.
-//
-// A violated precondition returns an error with the frames untouched. No
-// caller rebuilds on error: delta.Apply returns it, Study.ApplyDelta
-// discards the clones it appended to, and whpcd quarantines the delta
-// file.
-func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID, edges []cite.Edge) error {
-	c, ok := d.Conference(confID)
-	if !ok {
-		return fmt.Errorf("query: append: conference %q not in dataset", confID)
-	}
-	if len(d.Conferences) == 0 || d.Conferences[len(d.Conferences)-1].ID != confID {
-		return fmt.Errorf("query: append: conference %q must be the last of the corpus", confID)
-	}
+// CheckAppend runs the frame checks AppendConference relies on, before
+// conference c and its papers are merged into the base corpus d: every
+// frame has its declared schema (a snapshot from an older generation may
+// predate a column), the conference dictionary holds exactly d's
+// conferences in corpus order, and researchers new to the people frame
+// sort after its rows, which keeps its sorted-by-ID order append-only.
+// The corpus-level preconditions (year order, newcomer IDs) are the
+// caller's: delta.Apply checks them whether or not frames were built.
+func (fs *FrameSet) CheckAppend(d *dataset.Dataset, c *dataset.Conference, papers []*dataset.Paper) error {
 	for _, def := range frameDefs {
 		f, ok := fs.Frame(def.name)
 		if !ok {
@@ -60,27 +35,53 @@ func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID, 
 			return fmt.Errorf("query: append: %w", err)
 		}
 	}
-	for _, bc := range d.Conferences[:len(d.Conferences)-1] {
-		if bc.Year > c.Year {
-			return fmt.Errorf("query: append: conference %q (%d) is older than existing %q (%d); citation pools of built rows would change",
-				confID, c.Year, bc.ID, bc.Year)
-		}
-	}
 	slots, _ := fs.Frame(FrameSlots)
 	confDict := slots.byName["conf"].Dict
-	if _, dup := confDict.Lookup(string(confID)); dup {
-		return fmt.Errorf("query: append: conference %q already present in frames", confID)
+	if _, dup := confDict.Lookup(string(c.ID)); dup {
+		return fmt.Errorf("query: append: conference %q already present in frames", c.ID)
 	}
-	if confDict.Len() != len(d.Conferences)-1 {
+	if confDict.Len() != len(d.Conferences) {
 		return fmt.Errorf("query: append: frames hold %d conferences, dataset has %d before %q",
-			confDict.Len(), len(d.Conferences)-1, confID)
+			confDict.Len(), len(d.Conferences), c.ID)
 	}
-	for i, bc := range d.Conferences[:len(d.Conferences)-1] {
+	for i, bc := range d.Conferences {
 		if confDict.Value(int32(i)) != string(bc.ID) {
 			return fmt.Errorf("query: append: conference %q at corpus position %d not in frames", bc.ID, i)
 		}
 	}
+	people, _ := fs.Frame(FramePeople)
+	if people.NumRows == 0 {
+		return nil
+	}
+	personCol := people.byName["person"]
+	last := personCol.str(people.NumRows - 1)
+	rosters := make([][]dataset.PersonID, 0, len(papers)+len(dataset.Roles()))
+	for _, p := range papers {
+		rosters = append(rosters, p.Authors)
+	}
+	for _, r := range dataset.Roles() {
+		rosters = append(rosters, c.RoleHolders(r)) // nil for authors
+	}
+	for _, ids := range rosters {
+		for _, id := range ids {
+			if _, seen := personCol.Dict.Lookup(string(id)); !seen && string(id) <= last {
+				return fmt.Errorf("query: append: new person %q does not sort after existing %q; people frame order not append-compatible",
+					id, last)
+			}
+		}
+	}
+	return nil
+}
 
+// AppendConference grows the frame set in place with the rows contributed
+// by conference confID of d: the corpus CheckAppend approved, with confID
+// and its papers merged at its tail. edges are the conference's citation
+// edges, cite.ConferenceEdges(d, confID): the caller synthesizes them once
+// and shares them with the study's citation graph. Afterwards the frame
+// set is byte-identical (under the snapshot codec's canonical encoding) to
+// NewFrameSet(d); repro_test pins that postcondition corpus-wide.
+func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID, edges []cite.Edge) {
+	c, _ := d.Conference(confID)
 	confRoles, confAuthored := confContribution(d, c)
 	people, _ := fs.Frame(FramePeople)
 	personCol := people.byName["person"]
@@ -91,12 +92,6 @@ func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID, 
 		}
 	}
 	sort.Strings(newIDs)
-	if len(newIDs) > 0 && people.NumRows > 0 {
-		if last := personCol.str(people.NumRows - 1); newIDs[0] <= last {
-			return fmt.Errorf("query: append: new person %q does not sort after existing %q; people frame order not append-compatible",
-				newIDs[0], last)
-		}
-	}
 
 	w := fs.writer(FrameSlots, d)
 	emitConfSlots(d, c, w)
@@ -116,11 +111,10 @@ func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID, 
 	w = fs.writer(FrameCitations, d)
 	emitCitationEdges(d, cite.NewMeta(d), edges, w)
 	w.close()
-	return nil
 }
 
 // writer binds a frameWriter to the named frame, whose schema
-// AppendConference has checked, re-seeding its dictionaries from d (which
+// CheckAppend has checked, re-seeding its dictionaries from d (which
 // appends the new conference to the conference dictionaries even when no
 // appended row mentions it).
 func (fs *FrameSet) writer(name string, d *dataset.Dataset) *frameWriter {

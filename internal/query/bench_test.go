@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gender"
+	"repro/internal/perffloor"
 )
 
 // farQuery is the far_per_conference exhibit query verbatim: filter to
@@ -123,21 +124,21 @@ func BenchmarkNaiveGroupBy(b *testing.B) {
 
 // TestColumnarBeatsNaive is the acceptance gate behind the benchmarks: the
 // columnar group-by must be at least 2x faster than the naive row loop, in
-// the medians of alternating rounds (floorMedians). It mirrors the benchmark bodies at fixed iteration counts so `go test`
+// the medians of alternating rounds (perffloor.Medians). It mirrors the benchmark bodies at fixed iteration counts so `go test`
 // enforces the perf floor without requiring a -bench run.
 func TestColumnarBeatsNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf floor skipped in -short")
 	}
-	if raceEnabled {
+	if perffloor.RaceEnabled {
 		t.Skip("perf floor not meaningful under the race detector's instrumentation")
 	}
-	col, naive := floorMedians(t, BenchmarkQueryGroupBy, BenchmarkNaiveGroupBy)
+	col, naive := perffloor.Medians(t, BenchmarkQueryGroupBy, BenchmarkNaiveGroupBy)
 	t.Logf("columnar %.0f ns/op, naive %.0f ns/op (%.1fx)", col, naive, naive/col)
 	if col*2 > naive {
 		t.Errorf("columnar group-by %.0f ns/op not 2x faster than naive %.0f ns/op", col, naive)
 	}
-	colFAR, naiveFAR := floorMedians(t, BenchmarkQueryFAR, BenchmarkNaiveFAR)
+	colFAR, naiveFAR := perffloor.Medians(t, BenchmarkQueryFAR, BenchmarkNaiveFAR)
 	t.Logf("FAR: columnar %.0f ns/op, naive %.0f ns/op (%.1fx)", colFAR, naiveFAR, naiveFAR/colFAR)
 	if colFAR > naiveFAR {
 		t.Errorf("columnar FAR %.0f ns/op slower than naive %.0f ns/op", colFAR, naiveFAR)
@@ -184,15 +185,15 @@ func BenchmarkNaiveProjection(b *testing.B) {
 // TestProjectionBeatsNaive is the perf floor for projections: the
 // late-materialized path must be at least 2x faster than the naive
 // materialize-then-sort reference, in the medians of alternating rounds
-// (floorMedians).
+// (perffloor.Medians).
 func TestProjectionBeatsNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf floor skipped in -short")
 	}
-	if raceEnabled {
+	if perffloor.RaceEnabled {
 		t.Skip("perf floor not meaningful under the race detector's instrumentation")
 	}
-	proj, naive := floorMedians(t, BenchmarkQueryProjection, BenchmarkNaiveProjection)
+	proj, naive := perffloor.Medians(t, BenchmarkQueryProjection, BenchmarkNaiveProjection)
 	t.Logf("projection %.0f ns/op, naive %.0f ns/op (%.1fx)", proj, naive, naive/proj)
 	if proj*2 > naive {
 		t.Errorf("projection %.0f ns/op not 2x faster than naive %.0f ns/op", proj, naive)

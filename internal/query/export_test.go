@@ -1,9 +1,5 @@
 package query
 
-// RaceEnabled reports whether the test binary was built with the race
-// detector.
-const RaceEnabled = raceEnabled
-
 // splitSchema is the one-column schema of the writer split tests; string
 // columns are seeded out of value order.
 func splitSchema(typ ColType) []colDef {

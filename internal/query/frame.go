@@ -373,7 +373,7 @@ func emitPersonRow(d *dataset.Dataset, id dataset.PersonID, roles map[dataset.Ro
 // sorted by person ID. Because the synthesizer mints person IDs in
 // increasing order, researchers first appearing in an appended conference
 // sort after every existing row, keeping this order append-only too
-// (AppendConference verifies that precondition rather than assuming it).
+// (CheckAppend verifies that precondition rather than assuming it).
 func buildPeople(d *dataset.Dataset, w *frameWriter) {
 	held := rolePresence(d)
 	ids := make([]string, 0, len(held))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/perffloor"
 	"repro/internal/query"
 	"repro/internal/snap"
 )
@@ -53,7 +54,7 @@ func TestWriterSplitIndependent(t *testing.T) {
 	// The race detector finds nothing in this single-goroutine test and
 	// slows it tenfold, so instrumented and -short runs try every 7th split.
 	step := 1
-	if testing.Short() || query.RaceEnabled {
+	if testing.Short() || perffloor.RaceEnabled {
 		step = 7
 	}
 	for _, typ := range []query.ColType{query.TInt, query.TFloat, query.TStr, query.TBool} {

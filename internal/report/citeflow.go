@@ -11,12 +11,12 @@ import (
 	"repro/internal/stats"
 )
 
-// CitationFlow renders the gendered citation-flow extension: the
-// Nakajima-style observed-versus-null comparison per citing-team category,
-// Wilson intervals on the pooled shares, and the directed lead-gender
-// mixing of the citation graph.
-func CitationFlow(w io.Writer, d *dataset.Dataset) error {
-	g := cite.Synthesize(d)
+// CitationFlow renders the gendered citation-flow extension over g, the
+// citation graph of d (cite.Synthesize(d), or the graph a study holds for
+// it): the Nakajima-style observed-versus-null comparison per citing-team
+// category, Wilson intervals on the pooled shares, and the directed
+// lead-gender mixing of the citation graph.
+func CitationFlow(w io.Writer, d *dataset.Dataset, g *cite.Graph) error {
 	a, err := cite.Analyze(d, g)
 	if err != nil {
 		return err

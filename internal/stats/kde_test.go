@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"time"
+
+	"repro/internal/perffloor"
 )
 
 func normSample(n int, seed uint64) []float64 {
@@ -343,7 +345,7 @@ func TestKDEEvaluateBeatsNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf floor skipped in -short")
 	}
-	if raceEnabled {
+	if perffloor.RaceEnabled {
 		t.Skip("perf floor not meaningful under the race detector's instrumentation")
 	}
 	fast := fastestRun(9, evalTies)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/delta"
+	"repro/internal/perffloor"
 	"repro/internal/query"
 	"repro/internal/snap"
 	"repro/internal/synth"
@@ -99,11 +100,11 @@ func TestSnapshotRoundTripQueries(t *testing.T) {
 // TestSnapshotOpenBeatsRegeneration is the warm-boot perf floor from the
 // snapshot design: loading a snapshot (corpus + frames) must be at least
 // 10x faster than synthesizing the corpus and building the frames, in the
-// medians of alternating rounds (floorMedians). The race detector's
+// medians of alternating rounds (perffloor.Medians). The race detector's
 // instrumentation distorts both sides unevenly, so the gate only runs on
 // uninstrumented builds.
 func TestSnapshotOpenBeatsRegeneration(t *testing.T) {
-	if raceEnabled {
+	if perffloor.RaceEnabled {
 		t.Skip("timing gate disabled under the race detector")
 	}
 	if testing.Short() {
@@ -119,7 +120,7 @@ func TestSnapshotOpenBeatsRegeneration(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	openNs, regenNs := floorMedians(t, func(b *testing.B) {
+	openNs, regenNs := perffloor.Medians(t, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := OpenSnapshot(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
@@ -318,16 +319,16 @@ func BenchmarkMaterializeCompacted(b *testing.B) {
 // TestCompactedOpenBeatsDeltaApply is the compaction perf floor: opening
 // the compacted snapshot of a base and its delta must be at least 1.5x
 // faster than opening the base and applying the delta (medians of
-// alternating rounds, floorMedians), or compacting buys nothing for the
+// alternating rounds, perffloor.Medians), or compacting buys nothing for the
 // disk it takes.
 func TestCompactedOpenBeatsDeltaApply(t *testing.T) {
-	if raceEnabled {
+	if perffloor.RaceEnabled {
 		t.Skip("timing gate disabled under the race detector")
 	}
 	if testing.Short() {
 		t.Skip("timing gate disabled with -short")
 	}
-	compactedNs, applyNs := floorMedians(t, BenchmarkMaterializeCompacted, BenchmarkMaterializeDelta)
+	compactedNs, applyNs := perffloor.Medians(t, BenchmarkMaterializeCompacted, BenchmarkMaterializeDelta)
 	t.Logf("base open + delta apply: %.2fms, compacted open: %.2fms (%.2fx)",
 		applyNs/1e6, compactedNs/1e6, applyNs/compactedNs)
 	if compactedNs*1.5 > applyNs {
