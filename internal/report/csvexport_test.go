@@ -4,8 +4,12 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/synth"
 )
 
 func TestExportCSVs(t *testing.T) {
@@ -43,45 +47,78 @@ func TestExportCSVs(t *testing.T) {
 	}
 }
 
+// TestExportCSVsFARConsistency: far_per_conference has one row per
+// conference series, in first-appearance order, under a unique label, and
+// its ALL row is the sum of the series rows — on the nine-venue default
+// corpus and on the flagship series, whose ten editions share two names.
 func TestExportCSVsFARConsistency(t *testing.T) {
-	dir := t.TempDir()
-	if err := ExportCSVs(dir, corpus.Data, "SC17"); err != nil {
-		t.Fatal(err)
-	}
-	fh, err := os.Open(filepath.Join(dir, "far_per_conference.csv"))
+	flagship, err := synth.Generate(synth.FlagshipSeries(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fh.Close()
-	rows, err := csv.NewReader(fh).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 9 conferences + header + ALL row.
-	if len(rows) != 11 {
-		t.Fatalf("%d rows, want 11", len(rows))
-	}
-	// The ALL row equals the sum of the per-conference rows.
-	var sumW, sumN int
-	var allW, allN int
-	for _, row := range rows[1:] {
-		w, err := strconv.Atoi(row[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := strconv.Atoi(row[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row[0] == "ALL" {
-			allW, allN = w, n
-			continue
-		}
-		sumW += w
-		sumN += n
-	}
-	if sumW != allW || sumN != allN {
-		t.Errorf("per-conference sums (%d/%d) != ALL row (%d/%d)", sumW, sumN, allW, allN)
+	for _, tc := range []struct {
+		name   string
+		d      *dataset.Dataset
+		series []string
+	}{
+		{"default", corpus.Data, nil},
+		{"flagship", flagship.Data, []string{"SC", "ISC"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := ExportCSVs(dir, tc.d, ""); err != nil {
+				t.Fatal(err)
+			}
+			fh, err := os.Open(filepath.Join(dir, "far_per_conference.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fh.Close()
+			rows, err := csv.NewReader(fh).ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var labels []string
+			for _, c := range tc.d.Conferences {
+				if !slices.Contains(labels, c.Name) {
+					labels = append(labels, c.Name)
+				}
+			}
+			if tc.series != nil && !slices.Equal(labels, tc.series) {
+				t.Fatalf("corpus series %v, want %v", labels, tc.series)
+			}
+			// Header, one row per series, the ALL row.
+			if len(rows) != len(labels)+2 {
+				t.Fatalf("%d rows, want %d", len(rows), len(labels)+2)
+			}
+			seen := make(map[string]bool)
+			var sum, all [3]int
+			for i, row := range rows[1:] {
+				var cells [3]int
+				for j, col := range []int{1, 2, 4} {
+					if cells[j], err = strconv.Atoi(row[col]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if row[0] == "ALL" {
+					all = cells
+					continue
+				}
+				if seen[row[0]] {
+					t.Errorf("label %q repeats", row[0])
+				}
+				seen[row[0]] = true
+				if row[0] != labels[i] {
+					t.Errorf("row %d is %q, want series %q", i+1, row[0], labels[i])
+				}
+				for j := range cells {
+					sum[j] += cells[j]
+				}
+			}
+			if sum != all {
+				t.Errorf("per-series sums (women/known/unknown %v) != ALL row %v", sum, all)
+			}
+		})
 	}
 }
 
