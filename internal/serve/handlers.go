@@ -3,20 +3,20 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faulty"
-	"repro/internal/report"
 	"repro/internal/stats"
 )
 
@@ -59,20 +59,28 @@ func (s *Server) parseStudyKey(r *http.Request) (StudyKey, error) {
 
 // study resolves the request's study, writing the error response itself
 // (400 for bad parameters, mapped status for a failed materialization) and
-// returning ok=false when the handler should bail. The request context
-// bounds the wait on a shared in-flight materialization.
+// returning ok=false when the handler should bail.
 func (s *Server) study(w http.ResponseWriter, r *http.Request) (Resident, StudyKey, bool) {
 	key, err := s.parseStudyKey(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return Resident{}, key, false
 	}
+	res, ok := s.resident(w, r, key, s.writeError)
+	return res, key, ok
+}
+
+// resident materializes key's study, answering a failure through fail
+// (plain text on the GET routes, the JSON envelope on the POST routes).
+// The request context bounds the wait on a shared in-flight
+// materialization.
+func (s *Server) resident(w http.ResponseWriter, r *http.Request, key StudyKey, fail func(http.ResponseWriter, error)) (Resident, bool) {
 	res, err := s.studies.Get(r.Context(), key)
 	if err != nil {
-		s.writeError(w, fmt.Errorf("materializing study (%s): %w", key, err))
-		return Resident{}, key, false
+		fail(w, fmt.Errorf("materializing study (%s): %w", key, err))
+		return Resident{}, false
 	}
-	return res, key, true
+	return res, true
 }
 
 // serveCached answers the request from the exhibit cache, rendering with
@@ -374,38 +382,34 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// csvFamilies are the exhibit families /v1/csv serves, in the order an
+// unknown name's 404 lists them.
+var csvFamilies = repro.ExhibitFamilies()
+
 // handleCSV serves one machine-readable exhibit family as CSV; the name
 // segment matches the file stems ExportCSVs writes (with or without the
-// .csv suffix).
+// .csv suffix). Family names are static, so an unknown name is answered
+// 404 before any study is materialized.
 func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
+	name := strings.TrimSuffix(r.PathValue("name"), ".csv")
+	if !slices.Contains(csvFamilies, name) {
+		http.Error(w, fmt.Sprintf("unknown csv export %q (have %v)", name, csvFamilies), http.StatusNotFound)
+		return
+	}
 	res, _, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	name := strings.TrimSuffix(r.PathValue("name"), ".csv")
-	exp, ok := report.CSVExportByName(res.Study.Dataset(), name)
-	if !ok {
-		names := make([]string, 0, 8)
-		for _, e := range report.CSVExports(res.Study.Dataset()) {
-			names = append(names, e.Name)
-		}
-		http.Error(w, fmt.Sprintf("unknown csv export %q (have %v)", name, names), http.StatusNotFound)
-		return
-	}
-	s.serveCached(w, r, "csv|"+name+"|"+res.ID, "text/csv; charset=utf-8", s.writeError, func() ([]byte, error) {
-		rows, err := exp.Rows()
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		cw := csv.NewWriter(&buf)
-		if err := cw.WriteAll(rows); err != nil {
-			return nil, err
-		}
-		cw.Flush()
-		if err := cw.Error(); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+	s.serveFamily(w, r, res, name, s.writeError)
+}
+
+// serveFamily serves one exhibit family of the resident study as CSV. It
+// is the one render path of /v1/csv/<family> and of the /v1/trend and
+// /v1/cite views, which alias families: the cache entry is
+// csv|<family>|<Resident.ID>, so a family renders once per study whichever
+// route asks first. It reports whether it served the bytes.
+func (s *Server) serveFamily(w http.ResponseWriter, r *http.Request, res Resident, family string, fail func(http.ResponseWriter, error)) bool {
+	return s.serveCached(w, r, "csv|"+family+"|"+res.ID, "text/csv; charset=utf-8", fail, func() ([]byte, error) {
+		return res.Study.ExhibitCSV(family)
 	})
 }

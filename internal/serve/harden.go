@@ -16,6 +16,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/snap"
 )
@@ -93,12 +94,13 @@ var errorPrefix = map[int]string{
 }
 
 // errorStatus maps a handler error onto its transport status:
-// not-applicable analyses are the client's 422, an expired request
-// deadline is 504, a cancelled request 503, and everything else
+// not-applicable analyses and queries that match no rows (an exhibit
+// family the corpus has no rows for) are the client's 422, an expired
+// request deadline is 504, a cancelled request 503, and everything else
 // (including injected faults) 500.
 func errorStatus(err error) int {
 	switch {
-	case errors.Is(err, core.ErrNotApplicable):
+	case errors.Is(err, core.ErrNotApplicable), errors.Is(err, query.ErrEmpty):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

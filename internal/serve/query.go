@@ -51,10 +51,10 @@ func writeQueryErrorDTO(w http.ResponseWriter, dto queryErrorDTO) {
 }
 
 // writeQueryFailure is the POST routes' error writer for serveCached: spec
-// validation failures are the client's 400, queries that match no rows or
-// whose estimated output exceeds the engine's bound 422 (the latter with
-// the estimate in the envelope), and everything else takes writeError's
-// status mapping — all inside the JSON envelope.
+// validation failures are the client's 400, queries whose estimated output
+// exceeds the engine's bound 422 with the estimate in the envelope, and
+// everything else (a query that matches no rows is 422 there) takes
+// writeError's status mapping — all inside the JSON envelope.
 func writeQueryFailure(w http.ResponseWriter, err error) {
 	var tooLarge *query.TooLargeError
 	switch {
@@ -63,8 +63,6 @@ func writeQueryFailure(w http.ResponseWriter, err error) {
 	case errors.As(err, &tooLarge):
 		writeQueryErrorDTO(w, queryErrorDTO{Error: err.Error(), Status: http.StatusUnprocessableEntity,
 			Estimate: tooLarge.Groups, Limit: tooLarge.Limit})
-	case errors.Is(err, query.ErrEmpty):
-		writeQueryError(w, http.StatusUnprocessableEntity, err.Error())
 	default:
 		writeQueryError(w, errorStatus(err), err.Error())
 	}
@@ -88,44 +86,13 @@ func readBody(w http.ResponseWriter, r *http.Request, what string) (body []byte,
 	return body, true
 }
 
-// serveQuery answers one columnar query against the request's study
-// through serveCached. The cache key is kind|id|study, where id must
-// determine the query (its canonical hash, or a view name) and study is
-// the Resident's ID, so a study grown from other inputs never shares a
-// render. Errors are never cached, and every success counts on
-// whpcd_queries_total{frame}.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, key StudyKey, kind, id string, q *query.Query, format string) {
-	res, err := s.studies.Get(r.Context(), key)
-	if err != nil {
-		writeQueryError(w, errorStatus(err),
-			fmt.Sprintf("materializing study (%s): %v", key, err))
-		return
-	}
-	// The content type is a pure function of the format, so a cache hit
-	// can set it without re-running the query.
-	contentType := "application/json"
-	if format == query.FormatCSV {
-		contentType = "text/csv; charset=utf-8"
-	}
-	cacheKey := kind + "|" + id + "|" + res.ID
-	if s.serveCached(w, r, cacheKey, contentType, writeQueryFailure, func() ([]byte, error) {
-		out, err := res.Study.Query(q)
-		if err != nil {
-			return nil, err
-		}
-		b, _, err := out.Encode(format)
-		return b, err
-	}) {
-		s.met.queries.With(q.Frame).Inc()
-	}
-}
-
 // handleQuery serves POST /v1/query: an ad-hoc columnar query against the
 // request's study. The spec arrives as JSON (see query.Parse); results are
-// memoized through the exhibit cache keyed by the canonicalized spec hash,
-// so semantically identical specs — whatever their field order or
-// spelling — share one execution. Validation failures return 400, queries
-// that match no rows 422, both as structured JSON.
+// memoized through the exhibit cache keyed by the canonicalized spec hash
+// and the Resident's ID, so semantically identical specs — whatever their
+// field order or spelling — share one execution. Validation failures
+// return 400, queries that match no rows 422, both as structured JSON.
+// Every success counts on whpcd_queries_total{frame}.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	key, err := s.parseStudyKey(r)
 	if err != nil {
@@ -141,17 +108,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveQuery(w, r, key, "query", q.Hash(), q, q.Format)
+	res, ok := s.resident(w, r, key, writeQueryFailure)
+	if !ok {
+		return
+	}
+	// The content type is a pure function of the format, so a cache hit
+	// can set it without re-running the query.
+	contentType := "application/json"
+	if q.Format == query.FormatCSV {
+		contentType = "text/csv; charset=utf-8"
+	}
+	if s.serveCached(w, r, "query|"+q.Hash()+"|"+res.ID, contentType, writeQueryFailure, func() ([]byte, error) {
+		out, err := res.Study.Query(q)
+		if err != nil {
+			return nil, err
+		}
+		b, _, err := out.Encode(q.Format)
+		return b, err
+	}) {
+		s.met.queries.With(q.Frame).Inc()
+	}
 }
 
-// viewRoute is one POST route that serves a fixed set of exhibit queries
-// as CSV, chosen by an optional JSON body {"view": NAME}; an empty body or
-// view serves the default. Every view's query is verified byte-for-byte
-// against its report CSV family, so the route inherits the reproduction's
-// correctness anchor.
+// viewRoute is one POST route whose views alias exhibit families, chosen
+// by an optional JSON body {"view": NAME}; an empty body or view serves
+// the default. A view serves its family through serveFamily, so it shares
+// the /v1/csv/<family> cache entry and bytes.
 type viewRoute struct {
 	path  string // mux path, e.g. /v1/trend
-	noun  string // names the route in error texts and cache keys
+	noun  string // names the route in error texts
 	def   string // view served when the body names none
 	views map[string]repro.ExhibitQuery
 
@@ -195,8 +180,8 @@ type viewRequestDTO struct {
 	View string `json:"view"`
 }
 
-// handleView serves one view route. Execution and caching go through
-// serveQuery, keyed by route noun and view name.
+// handleView serves one view route through serveFamily and counts every
+// success on whpcd_queries_total{frame}.
 func (s *Server) handleView(vr *viewRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		key, err := s.parseStudyKey(r)
@@ -225,6 +210,9 @@ func (s *Server) handleView(vr *viewRoute) http.HandlerFunc {
 				fmt.Sprintf("unknown %s view %q (have %s)", vr.noun, view, vr.have))
 			return
 		}
-		s.serveQuery(w, r, key, vr.noun, view, eq.Query, query.FormatCSV)
+		res, ok := s.resident(w, r, key, writeQueryFailure)
+		if ok && s.serveFamily(w, r, res, eq.Name, writeQueryFailure) {
+			s.met.queries.With(eq.Query.Frame).Inc()
+		}
 	}
 }

@@ -16,9 +16,12 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/chaos"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/resilience"
+	"repro/internal/synth"
 )
 
 // testSeed keeps test corpora distinct from the package defaults so a
@@ -553,6 +556,143 @@ func TestCSVEndpoint(t *testing.T) {
 	}
 	if got := suffixed.Header().Get("X-Cache"); got != CacheHit {
 		t.Fatalf("suffixed X-Cache = %q, want hit (same cache key)", got)
+	}
+}
+
+// TestCSVUnknownFamilyBeforeMaterializing: family names are static, so an
+// unknown name is answered 404, listing every family in export order,
+// before a cold server materializes any study.
+func TestCSVUnknownFamilyBeforeMaterializing(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Metrics = obs.NewRegistry() })
+	rec := get(t, s, "/v1/csv/sideways?corpus=extended")
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("status = %d, want 404: %s", rec.Code, rec.Body.String())
+	}
+	const want = `unknown csv export "sideways" (have [far_per_conference role_representation countries ` +
+		`regions sectors experience_bands citations trend retention cite_flow cite_gap])` + "\n"
+	if got := rec.Body.String(); got != want {
+		t.Errorf("body %q, want %q", got, want)
+	}
+	if got := metricValue(t, s, "whpcd_studies_materialized_total"); got != "0" {
+		t.Errorf("whpcd_studies_materialized_total = %s after an unknown family, want 0", got)
+	}
+}
+
+// oracleCSV renders one family through the report row builders, the
+// reference the served bytes must equal.
+func oracleCSV(t *testing.T, st *repro.Study, family string) []byte {
+	t.Helper()
+	e, ok := report.CSVExportByName(st.Dataset(), family)
+	if !ok {
+		t.Fatalf("no report family %q", family)
+	}
+	b, err := e.CSV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCSVFamiliesMatchOracle: every /v1/csv/<family> body equals the report
+// row builders' bytes on the default, flagship and extended corpora, and
+// on a snapshot-dir study grown by a year delta.
+func TestCSVFamiliesMatchOracle(t *testing.T) {
+	plain := newTestServer(t, nil)
+	grown := newTestServer(t, func(c *Config) { c.SnapshotDir = writeDeltaDir(t) })
+	cases := []struct {
+		name   string
+		s      *Server
+		corpus string
+		study  func() (*repro.Study, error)
+	}{
+		{"default", plain, CorpusDefault, func() (*repro.Study, error) { return repro.NewStudy(testSeed) }},
+		{"flagship", plain, CorpusFlagship, func() (*repro.Study, error) { return repro.NewFlagshipStudy(testSeed) }},
+		{"extended", plain, CorpusExtended, func() (*repro.Study, error) { return repro.NewExtendedStudy(testSeed) }},
+		{"flagship+SC21", grown, CorpusFlagship, func() (*repro.Study, error) { return grownFlagship(t), nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := tc.study()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, family := range repro.ExhibitFamilies() {
+				rec := get(t, tc.s, "/v1/csv/"+family+"?corpus="+tc.corpus)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s: status = %d: %s", family, rec.Code, rec.Body.String())
+				}
+				if !bytes.Equal(rec.Body.Bytes(), oracleCSV(t, st, family)) {
+					t.Errorf("%s: served bytes differ from the report's", family)
+				}
+			}
+		})
+	}
+}
+
+// TestViewsShareFamilyCacheEntry: a /v1/trend or /v1/cite view is an alias
+// of its family, so after GET /v1/csv/<family> the view is a cache hit
+// with the same bytes.
+func TestViewsShareFamilyCacheEntry(t *testing.T) {
+	s := newTestServer(t, nil)
+	for _, tc := range []struct{ family, route, view string }{
+		{"trend", "/v1/trend", "far"},
+		{"retention", "/v1/trend", "retention"},
+		{"cite_flow", "/v1/cite", "flow"},
+		{"cite_gap", "/v1/cite", "gap"},
+	} {
+		csv := get(t, s, "/v1/csv/"+tc.family)
+		if csv.Code != http.StatusOK || csv.Header().Get("X-Cache") != CacheMiss {
+			t.Fatalf("GET /v1/csv/%s = (%d, %s), want (200, miss)", tc.family, csv.Code, csv.Header().Get("X-Cache"))
+		}
+		view := post(t, s, tc.route, `{"view":"`+tc.view+`"}`)
+		if view.Code != http.StatusOK || view.Header().Get("X-Cache") != CacheHit {
+			t.Fatalf("POST %s view %s = (%d, %s), want (200, hit)", tc.route, tc.view, view.Code, view.Header().Get("X-Cache"))
+		}
+		if !bytes.Equal(view.Body.Bytes(), csv.Body.Bytes()) {
+			t.Errorf("view %s differs from /v1/csv/%s", tc.view, tc.family)
+		}
+	}
+}
+
+// TestFamilyFailuresKeepRouteFormat: a failed family render is answered in
+// plain text on GET /v1/csv and in the JSON error envelope on the POST
+// views, and neither failure is cached.
+func TestFamilyFailuresKeepRouteFormat(t *testing.T) {
+	inj := chaos.NewScheduled(&chaos.Schedule{Triggers: []chaos.Trigger{
+		{Point: chaos.PointRender, Hit: 1, Fault: chaos.Fault{Kind: chaos.KindError}},
+		{Point: chaos.PointRender, Hit: 2, Fault: chaos.Fault{Kind: chaos.KindError}},
+	}})
+	s := newTestServer(t, func(c *Config) { c.Chaos = inj })
+	rec := get(t, s, "/v1/csv/cite_gap")
+	if rec.Code != http.StatusInternalServerError || !strings.HasPrefix(rec.Header().Get("Content-Type"), "text/plain") {
+		t.Fatalf("GET failure = (%d, %s), want (500, text/plain): %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
+	}
+	rec = post(t, s, "/v1/cite", `{"view":"gap"}`)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("POST failure status = %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	if dto := decodeQueryError(t, rec); dto.Status != http.StatusInternalServerError || dto.Error == "" {
+		t.Errorf("POST failure envelope %+v", dto)
+	}
+	if rec := get(t, s, "/v1/csv/cite_gap"); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != CacheMiss {
+		t.Fatalf("recovery render = (%d, %s), want (200, miss)", rec.Code, rec.Header().Get("X-Cache"))
+	}
+}
+
+// TestCSVFamilyWithNoRows: a snapshot-dir study whose corpus gives a family
+// no rows (one paper, so no citation edges) answers that family 422 in
+// plain text, as a corpus the analysis does not apply to.
+func TestCSVFamilyWithNoRows(t *testing.T) {
+	cfg := synth.Default2017(testSeed)
+	one := cfg.Confs[0]
+	one.Papers, one.AuthorSlots = 1, 3
+	cfg.Confs = []synth.ConfSpec{one}
+	dir := t.TempDir()
+	writeBase(t, dir, CorpusDefault, cfg)
+	s := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
+	rec := get(t, s, "/v1/csv/cite_gap")
+	if rec.Code != http.StatusUnprocessableEntity || !strings.HasPrefix(rec.Body.String(), "not applicable to this corpus: ") {
+		t.Fatalf("cite_gap on a corpus with no citations = (%d, %q), want 422 not applicable", rec.Code, rec.Body.String())
 	}
 }
 

@@ -1,7 +1,11 @@
 package repro
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/query"
+	"repro/internal/report"
 )
 
 // Frames returns the columnar flattening of the study's corpus, built
@@ -20,7 +24,7 @@ func (s *Study) Query(q *query.Query) (*query.Result, error) {
 	return query.Run(s.Frames(), q)
 }
 
-// ExhibitQuery pairs a CSV exhibit family name (see report.CSVExports)
+// ExhibitQuery pairs a CSV exhibit family name (see ExhibitFamilies)
 // with the query that reproduces it through the columnar engine.
 type ExhibitQuery struct {
 	// Name is the exhibit family name, matching the CSV export file stem.
@@ -28,6 +32,50 @@ type ExhibitQuery struct {
 	// Query reproduces the family's table byte-for-byte when rendered as
 	// CSV (proven by TestExhibitQueriesReproduceCSVExports).
 	Query *query.Query
+}
+
+// coreFamily is the one exhibit family with no exhibit query:
+// experience_bands stacks two overlapping populations (every researcher,
+// and the authors among them) into one table, which a single group-by
+// cannot express, so it renders through its core row builder.
+const coreFamily = "experience_bands"
+
+// exhibitFamilies and familyQueries are resolved once: the family names
+// in report.CSVExports order, and each family's exhibit query.
+var (
+	exhibitFamilies = report.CSVExportNames()
+	familyQueries   = func() map[string]*query.Query {
+		m := make(map[string]*query.Query)
+		for _, eq := range ExhibitQueries() {
+			m[eq.Name] = eq.Query
+		}
+		return m
+	}()
+)
+
+// ExhibitFamilies returns the names of the machine-readable exhibit
+// families ExhibitCSV renders, in a fixed order (the order of the files
+// whpc -csv writes).
+func ExhibitFamilies() []string { return slices.Clone(exhibitFamilies) }
+
+// ExhibitCSV renders one exhibit family of the study as CSV. It is the one
+// place that decides how a family renders: every family but experience_bands
+// runs its exhibit query over the study's frames, and experience_bands
+// renders through its core row builder. The bytes equal the family's
+// report.CSVExports rows on every corpus (TestExhibitQueriesReproduceCSVExports).
+func (s *Study) ExhibitCSV(name string) ([]byte, error) {
+	if q, ok := familyQueries[name]; ok {
+		res, err := s.Query(q)
+		if err != nil {
+			return nil, err
+		}
+		return res.CSV()
+	}
+	if name != coreFamily {
+		return nil, fmt.Errorf("repro: unknown exhibit family %q (have %v)", name, exhibitFamilies)
+	}
+	e, _ := report.CSVExportByName(s.data, name)
+	return e.CSV()
 }
 
 // ExhibitQueries returns the paper exhibits expressed as columnar queries.
