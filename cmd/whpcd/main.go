@@ -12,9 +12,11 @@
 //	      [-max-inflight 64] [-rate 0] [-burst 8] [-timeout 30s]
 //	      [-drain-timeout 15s] [-quiet]
 //
-// POST /v1/query runs an ad-hoc columnar query spec; POST /v1/trend and
-// POST /v1/cite serve the longitudinal and citation-flow exhibit views as
-// CSV. All three execute in-process on the query engine, which already
+// POST /v1/query runs an ad-hoc columnar query spec. GET /v1/csv/<family>
+// serves an exhibit family as CSV, and POST /v1/trend and POST /v1/cite
+// serve the longitudinal and citation-flow families under view names,
+// with the same bytes and cache entries. Queries and every family but
+// experience_bands run in-process on the query engine, which already
 // splits every scan into fixed partitions across GOMAXPROCS workers.
 //
 // With -snapshot-dir, pristine studies warm-boot from <corpus>-<seed>.whpcsnap
