@@ -129,5 +129,9 @@ func run(w io.Writer, dir, snapIn, deltaIn string, asJSON, full bool) error {
 		return err
 	}
 	fmt.Fprintln(w)
-	return report.CitationFlow(w, d, study.CitationGraph())
+	flow, err := study.CitationFlow()
+	if err != nil {
+		return err
+	}
+	return report.CitationFlow(w, flow, len(d.Papers))
 }

@@ -7,7 +7,7 @@
 //	whpc [-seed N] [-load DIR] [-save DIR] [-flagship] [-fault-profile NAME]
 //	     [-snapshot-in FILE] [-snapshot-out FILE]
 //	     [-delta-in FILES] [-delta-out FILE -delta-year N [-delta-series S]]
-//	     [-list] [-exhibit ID] [-query SPEC]
+//	     [-list] [-exhibit ID] [-query SPEC] [-csv DIR]
 //
 // With -flagship the §3.4 SC/ISC 2016-2020 corpus is used instead of the
 // main nine-conference 2017 corpus. -save writes the corpus CSVs before
@@ -25,6 +25,9 @@
 // (corpus plus pre-built query frames) after construction; -snapshot-in
 // loads such a snapshot instead of generating, which is an order of
 // magnitude faster and cannot be combined with -load or -fault-profile.
+// -csv also writes every exhibit family as DIR/<family>.csv, the bytes
+// whpcd serves at /v1/csv/<family>; a family the corpus cannot answer is
+// named on stderr and skipped.
 //
 // -delta-in applies year-delta snapshots (synthgen -delta-year, see the
 // README's Longitudinal deltas section) to the study before analysis:
@@ -38,17 +41,19 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/faulty"
 	"repro/internal/query"
-	"repro/internal/report"
 	"repro/internal/synth"
 )
 
@@ -165,7 +170,7 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "corpus saved to %s\n", o.save)
 	}
 	if o.csvOut != "" {
-		if err := report.ExportCSVs(o.csvOut, study.Dataset(), study.SCID()); err != nil {
+		if err := exportCSVs(o.csvOut, study, os.Stderr); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "exhibit CSVs exported to %s\n", o.csvOut)
@@ -200,6 +205,31 @@ func run(o options) error {
 		}
 	}
 	return w.Flush()
+}
+
+// exportCSVs writes every exhibit family of study into dir as
+// <family>.csv, through Study.ExhibitCSV: the bytes whpcd serves at
+// /v1/csv/<family>. A family the corpus cannot answer (query.ErrEmpty or
+// core.ErrNotApplicable) is named on log and skipped; any other error
+// stops the export.
+func exportCSVs(dir string, study *repro.Study, log io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("creating export dir %s: %w", dir, err)
+	}
+	for _, name := range repro.ExhibitFamilies() {
+		b, err := study.ExhibitCSV(name)
+		if errors.Is(err, query.ErrEmpty) || errors.Is(err, core.ErrNotApplicable) {
+			fmt.Fprintf(log, "skipping %s.csv (not applicable to this corpus: %v)\n", name, err)
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("exporting %s: %w", name, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name+".csv"), b, 0o666); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeDelta generates the next edition of series against cfg's corpus and

@@ -21,12 +21,13 @@ import (
 //
 // The apply is atomic without a copy: delta.Apply runs every check before
 // its first write, so on any error the study is unchanged, and whether a
-// delta is accepted does not depend on whether the frames or the citation
-// graph were built. The study's dataset (the one Dataset returns) grows in
-// place. ApplyDelta must not run concurrently with queries or report
-// rendering on the same study; the serve layer applies deltas at
-// materialization time, before a study is published to request handlers,
-// and the CLIs before any analysis.
+// delta is accepted does not depend on whether the frames were built. The
+// study's dataset (the one Dataset returns) grows in place, and exhibits
+// read it at render time, so nothing else needs invalidating. ApplyDelta
+// must not run concurrently with queries or report rendering on the same
+// study; the serve layer applies deltas at materialization time, before a
+// study is published to request handlers, and the CLIs before any
+// analysis.
 func (s *Study) ApplyDelta(info snap.DeltaInfo, mini *dataset.Dataset) error {
 	return s.applyDelta(info, mini, nil)
 }
@@ -54,22 +55,9 @@ func (s *Study) applyDelta(info snap.DeltaInfo, mini *dataset.Dataset, inj chaos
 	if s.harvest != nil {
 		return fmt.Errorf("repro: cannot apply a delta to a harvested study (its records reflect degraded harvest coverage, not the pristine base the delta extends)")
 	}
-	edges, err := delta.Apply(s.data, s.frames, info, mini, inj)
-	if err != nil {
+	if err := delta.Apply(s.data, s.frames, info, mini, inj); err != nil {
 		return err
 	}
 	s.scID = findSC(s.data)
-	s.exhibitsMu.Lock()
-	s.exhibitsByID = nil
-	s.exhibitsMu.Unlock()
-	// Grow the memoized citation graph by the appended conference's edges,
-	// the ones the citations frame just gained: by the year precondition
-	// delta.Apply checks, that equals a resynthesis over the grown corpus.
-	// An unbuilt graph stays unbuilt for the lazy path.
-	s.citeMu.Lock()
-	if s.citeGraph != nil {
-		s.citeGraph = s.citeGraph.Extend(len(s.data.Papers), edges)
-	}
-	s.citeMu.Unlock()
 	return nil
 }

@@ -2,12 +2,12 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/delta"
 	"repro/internal/perffloor"
@@ -156,33 +156,33 @@ func runExhibitQuery(t *testing.T, s *Study, eq ExhibitQuery) []byte {
 	return b
 }
 
-// TestDeltaApplyExtendsCitationGraph: a study whose citation graph is
-// built keeps it through an apply, grown by the appended conference's
-// edges instead of dropped for resynthesis, and the grown graph equals a
-// synthesis over the grown corpus: the same edges in the same order. The
-// pre-delta graph value is left as it was.
-func TestDeltaApplyExtendsCitationGraph(t *testing.T) {
+// TestExhibitsTakenBeforeDeltaRenderGrownStudy: exhibits read the study
+// when they render, so ones looked up before ApplyDelta (through Exhibits
+// and Exhibit) render the grown study's bytes afterwards, the bytes of the
+// resynthesized study.
+func TestExhibitsTakenBeforeDeltaRenderGrownStudy(t *testing.T) {
 	applied := deltaFix.newBase(t)
-	before := applied.CitationGraph()
-	beforeEdges := slices.Clone(before.Edges)
+	exhibits := applied.Exhibits()
+	flow, ok := applied.Exhibit("ext-citation-flow")
+	if !ok {
+		t.Fatal("no ext-citation-flow exhibit")
+	}
 	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
 	}
-	applied.citeMu.Lock()
-	got := applied.citeGraph
-	applied.citeMu.Unlock()
-	if got == nil {
-		t.Fatal("ApplyDelta dropped the built citation graph")
+	render := func(ex Exhibit) string {
+		var buf bytes.Buffer
+		err := ex.Render(&buf)
+		return fmt.Sprintf("%s(err %v)", buf.String(), err)
 	}
-	want := cite.Synthesize(deltaFix.resynth.Dataset())
-	if got.Papers != want.Papers {
-		t.Errorf("grown graph covers %d papers, synthesis %d", got.Papers, want.Papers)
-	}
-	if !slices.Equal(got.Edges, want.Edges) {
-		t.Errorf("grown graph has %d edges, synthesis of the grown corpus %d, or they differ in order", len(got.Edges), len(want.Edges))
-	}
-	if before.Papers == got.Papers || !slices.Equal(before.Edges, beforeEdges) {
-		t.Error("ApplyDelta mutated the pre-delta citation graph")
+	for _, ex := range append(exhibits, flow) {
+		want, ok := deltaFix.resynth.Exhibit(ex.ID)
+		if !ok {
+			t.Fatalf("resynthesized study has no exhibit %q", ex.ID)
+		}
+		if got, want := render(ex), render(want); got != want {
+			t.Errorf("%s taken before the apply renders\n%s\nwant the grown study's\n%s", ex.ID, got, want)
+		}
 	}
 }
 
@@ -270,7 +270,8 @@ func TestDeltaApplyRejectsDoubleApply(t *testing.T) {
 // has built lazily. Four refusals — a delta stamped for another base, a
 // delta applied twice, an edition older than the base's latest, a newcomer
 // whose ID sorts among the base's — are each tried on three bases: frames
-// built; frames unbuilt with the citation graph memoized; opened from
+// built; frames unbuilt (the "graph memoized" base, named for when the
+// study memoized its citation graph beside unbuilt frames); opened from
 // snapshot bytes. Every cell must refuse and leave the study as a twin
 // built the same way: the same conference, paper and person counts and
 // the same snapshot bytes (compared on a twin rather than before the
@@ -303,7 +304,6 @@ func TestDeltaRefusalIndependentOfLazyState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.CitationGraph()
 			return s
 		}},
 		{"from snapshot", func(t *testing.T) *Study {

@@ -24,16 +24,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := report.CitationFlow(os.Stdout, study.Dataset(), study.CitationGraph()); err != nil {
+	flow, err := study.CitationFlow()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := report.CitationFlow(os.Stdout, flow, len(study.Dataset().Papers)); err != nil {
 		log.Fatal(err)
 	}
 
 	// Beyond the packaged analysis: the over/under-citation ratio per team,
 	// spelled out.
-	flow, err := study.CitationFlow()
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\nOver-citation of women-led work, by citing-team composition:")
 	for _, f := range flow.Flows {
 		if f.Edges == 0 {

@@ -11,8 +11,8 @@
 // the same conference or of strictly earlier years, and all sampling
 // arithmetic is integer-only. Appending a newest-year conference
 // therefore never perturbs existing papers' edges, which is what lets
-// delta application grow the graph in O(new edges) and still match a
-// full resynthesis byte-for-byte.
+// delta application grow the citations frame in O(new edges) and still
+// match a full resynthesis byte-for-byte.
 package cite
 
 import (
@@ -245,15 +245,6 @@ func ConferenceEdges(d *dataset.Dataset, confID dataset.ConfID) []Edge {
 	return edges
 }
 
-// Extend returns the graph of a corpus grown to papers papers by appending
-// one newest-year conference whose edges (ConferenceEdges over the grown
-// corpus) are given. By the year-delta precondition the result equals
-// Synthesize of the grown corpus. g is left unchanged.
-func (g *Graph) Extend(papers int, edges []Edge) *Graph {
-	all := make([]Edge, 0, len(g.Edges)+len(edges))
-	return &Graph{Papers: papers, Edges: append(append(all, g.Edges...), edges...)}
-}
-
 // appendPaperEdges draws source paper src's citations and paired null
 // picks, appending them to dst. Candidate pools admit same-conference
 // papers and papers from strictly earlier years — a paper can only cite
@@ -311,9 +302,9 @@ func appendPaperEdges(d *dataset.Dataset, m *Meta, src int32, dst []Edge, candBu
 	return dst
 }
 
-// Validate checks the structural invariants the snapshot decoder and the
-// frame builder rely on: in-range indexes, no self-citations, and
-// sources grouped in non-decreasing corpus order.
+// Validate checks the structural invariants the citations frame builder
+// relies on: in-range indexes, no self-citations, and sources grouped in
+// non-decreasing corpus order.
 func (g *Graph) Validate() error {
 	prev := int32(0)
 	for i, e := range g.Edges {

@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"repro/internal/chaos"
-	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/snap"
@@ -92,37 +91,32 @@ func WriteFile(path string, yd *synth.YearDelta, base *dataset.Dataset) error {
 // when fs is non-nil, fs.CheckAppend. For frames built over d the
 // corpus-level rules imply the frame checks, so whether a delta is
 // accepted does not depend on whether fs is nil.
-//
-// On success Apply returns the appended conference's citation edges,
-// synthesized once over the merged corpus: the same edges the citations
-// frame gained, and the tail a full cite.Synthesize of the merged corpus
-// appends after the base graph's edges.
-func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) ([]cite.Edge, error) {
+func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) error {
 	if f := chaos.Or(inj).Fire(chaos.PointDeltaApply); f != nil {
-		return nil, chaos.Injected(chaos.PointDeltaApply, f)
+		return chaos.Injected(chaos.PointDeltaApply, f)
 	}
 	if d == nil {
-		return nil, fmt.Errorf("delta: nil base dataset")
+		return fmt.Errorf("delta: nil base dataset")
 	}
 	if mini == nil {
-		return nil, fmt.Errorf("delta: nil delta mini-corpus")
+		return fmt.Errorf("delta: nil delta mini-corpus")
 	}
 	if len(mini.Conferences) != 1 {
-		return nil, fmt.Errorf("delta: mini-corpus carries %d conferences, want exactly 1", len(mini.Conferences))
+		return fmt.Errorf("delta: mini-corpus carries %d conferences, want exactly 1", len(mini.Conferences))
 	}
 	c := mini.Conferences[0]
 	if c == nil || c.ID == "" || string(c.ID) != info.ConfID {
-		return nil, fmt.Errorf("delta: mini-corpus conference does not match delta identity %q", info.ConfID)
+		return fmt.Errorf("delta: mini-corpus conference does not match delta identity %q", info.ConfID)
 	}
 	if c.Year != info.Year {
-		return nil, fmt.Errorf("delta: conference %q year %d does not match delta identity year %d", c.ID, c.Year, info.Year)
+		return fmt.Errorf("delta: conference %q year %d does not match delta identity year %d", c.ID, c.Year, info.Year)
 	}
 	if got := Fingerprint(d); got != info.BaseFingerprint {
-		return nil, fmt.Errorf("delta: base fingerprint %#x does not match the delta's %#x (%s %d was generated against a different base)",
+		return fmt.Errorf("delta: base fingerprint %#x does not match the delta's %#x (%s %d was generated against a different base)",
 			got, info.BaseFingerprint, info.ConfID, info.Year)
 	}
 	if _, ok := d.Conference(c.ID); ok {
-		return nil, fmt.Errorf("delta: conference %q already in the base corpus", c.ID)
+		return fmt.Errorf("delta: conference %q already in the base corpus", c.ID)
 	}
 	papers := make(map[dataset.PaperID]bool, len(d.Papers)+len(mini.Papers))
 	for _, p := range d.Papers {
@@ -131,11 +125,11 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	for _, p := range mini.Papers {
 		switch {
 		case p == nil || p.ID == "":
-			return nil, fmt.Errorf("delta: nil or unidentified paper in the mini-corpus")
+			return fmt.Errorf("delta: nil or unidentified paper in the mini-corpus")
 		case p.Conf != c.ID:
-			return nil, fmt.Errorf("delta: paper %q belongs to %q, not the appended %q", p.ID, p.Conf, c.ID)
+			return fmt.Errorf("delta: paper %q belongs to %q, not the appended %q", p.ID, p.Conf, c.ID)
 		case papers[p.ID]:
-			return nil, fmt.Errorf("delta: paper %q already in the corpus", p.ID)
+			return fmt.Errorf("delta: paper %q already in the corpus", p.ID)
 		}
 		papers[p.ID] = true
 	}
@@ -144,10 +138,10 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	for _, bc := range d.Conferences {
 		switch {
 		case bc.Year > c.Year:
-			return nil, fmt.Errorf("delta: conference %q (%d) is older than existing %q (%d); citation pools of existing papers would change",
+			return fmt.Errorf("delta: conference %q (%d) is older than existing %q (%d); citation pools of existing papers would change",
 				c.ID, c.Year, bc.ID, bc.Year)
 		case bc.Year == c.Year && bc.Name == c.Name:
-			return nil, fmt.Errorf("delta: conference %q would be a second %s edition of %d beside %q; cohort retention links one edition a year",
+			return fmt.Errorf("delta: conference %q would be a second %s edition of %d beside %q; cohort retention links one edition a year",
 				c.ID, c.Name, c.Year, bc.ID)
 		}
 	}
@@ -165,7 +159,7 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	for _, sid := range ids {
 		p, _ := mini.Person(dataset.PersonID(sid))
 		if p == nil || sid == "" || string(p.ID) != sid {
-			return nil, fmt.Errorf("delta: mini-corpus person record %q is missing or misfiled", sid)
+			return fmt.Errorf("delta: mini-corpus person record %q is missing or misfiled", sid)
 		}
 		base, ok := d.Person(p.ID)
 		if !ok {
@@ -173,7 +167,7 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 			continue
 		}
 		if err := samePerson(base, p); err != nil {
-			return nil, fmt.Errorf("delta: reused participant %q does not match the base record: %w", p.ID, err)
+			return fmt.Errorf("delta: reused participant %q does not match the base record: %w", p.ID, err)
 		}
 		reused = append(reused, p.ID)
 	}
@@ -182,7 +176,7 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	// every newcomer (minted after the base, by the synthesizer's
 	// increasing IDs) must sort after every base person.
 	if id, ok := firstParticipation(d, reused); ok {
-		return nil, fmt.Errorf("delta: reused participant %q held no role in the base corpus; people frame order not append-compatible", id)
+		return fmt.Errorf("delta: reused participant %q held no role in the base corpus; people frame order not append-compatible", id)
 	}
 	if len(newcomers) > 0 {
 		var last dataset.PersonID
@@ -190,12 +184,12 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 			last = max(last, id)
 		}
 		if first := newcomers[0].ID; first <= last {
-			return nil, fmt.Errorf("delta: newcomer %q does not sort after base person %q; people frame order not append-compatible", first, last)
+			return fmt.Errorf("delta: newcomer %q does not sort after base person %q; people frame order not append-compatible", first, last)
 		}
 	}
 	if fs != nil {
 		if err := fs.CheckAppend(d, c, mini.Papers); err != nil {
-			return nil, fmt.Errorf("delta: frames cannot take %q: %w", c.ID, err)
+			return fmt.Errorf("delta: frames cannot take %q: %w", c.ID, err)
 		}
 	}
 
@@ -211,11 +205,10 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 	for _, p := range mini.Papers {
 		mustMerge(d.AddPaper(p))
 	}
-	edges := cite.ConferenceEdges(d, c.ID)
 	if fs != nil {
-		fs.AppendConference(d, c.ID, edges)
+		fs.AppendConference(d, c.ID)
 	}
-	return edges, nil
+	return nil
 }
 
 // firstParticipation returns the first researcher of reused (in its

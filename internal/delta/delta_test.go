@@ -76,8 +76,8 @@ func TestApplyReusedResearcherMustHoldBaseRole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, errA := Apply(withFrames.Corpus, withFrames.Frames, pinfo, pmini, nil)
-			_, errB := Apply(frameless.Corpus, nil, pinfo, pmini, nil)
+			errA := Apply(withFrames.Corpus, withFrames.Frames, pinfo, pmini, nil)
+			errB := Apply(frameless.Corpus, nil, pinfo, pmini, nil)
 			if (errA == nil) != tc.accept || (errB == nil) != tc.accept {
 				t.Fatalf("with frames: %v; without frames: %v; want accepted = %v", errA, errB, tc.accept)
 			}

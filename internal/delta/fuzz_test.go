@@ -108,8 +108,8 @@ func FuzzDeltaApply(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, errA := Apply(withFrames.Corpus, withFrames.Frames, pinfo, pmini, nil)
-		_, errB := Apply(frameless.Corpus, nil, pinfo, pmini, nil)
+		errA := Apply(withFrames.Corpus, withFrames.Frames, pinfo, pmini, nil)
+		errB := Apply(frameless.Corpus, nil, pinfo, pmini, nil)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("with frames: %v; without frames: %v", errA, errB)
 		}

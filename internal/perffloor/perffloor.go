@@ -26,16 +26,25 @@ const (
 // the measured operations, are the callers' own.
 func Medians(t *testing.T, fast, slow func(*testing.B)) (fastNs, slowNs float64) {
 	t.Helper()
+	f, s := MedianResults(t, fast, slow)
+	return float64(f.NsPerOp()), float64(s.NsPerOp())
+}
+
+// MedianResults is Medians returning, per side, the whole result of the
+// round with the median ns/op, so a floor can also bound the work that
+// round did (AllocsPerOp, AllocedBytesPerOp).
+func MedianResults(t *testing.T, fast, slow func(*testing.B)) (fastRes, slowRes testing.BenchmarkResult) {
+	t.Helper()
 	benchtime := flag.Lookup("test.benchtime").Value
 	prev := benchtime.String()
 	if err := benchtime.Set(roundTime); err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = benchtime.Set(prev) }()
-	var fastRuns, slowRuns []float64
+	var fastRuns, slowRuns []testing.BenchmarkResult
 	for i := 0; i < rounds; i++ {
-		run := func(f func(*testing.B), into *[]float64) {
-			*into = append(*into, float64(testing.Benchmark(f).NsPerOp()))
+		run := func(f func(*testing.B), into *[]testing.BenchmarkResult) {
+			*into = append(*into, testing.Benchmark(f))
 		}
 		if i%2 == 0 {
 			run(fast, &fastRuns)
@@ -48,7 +57,7 @@ func Medians(t *testing.T, fast, slow func(*testing.B)) (fastNs, slowNs float64)
 	return median(fastRuns), median(slowRuns)
 }
 
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	return xs[len(xs)/2]
+func median(rs []testing.BenchmarkResult) testing.BenchmarkResult {
+	sort.Slice(rs, func(i, j int) bool { return rs[i].NsPerOp() < rs[j].NsPerOp() })
+	return rs[len(rs)/2]
 }

@@ -75,12 +75,10 @@ func (fs *FrameSet) CheckAppend(d *dataset.Dataset, c *dataset.Conference, paper
 
 // AppendConference grows the frame set in place with the rows contributed
 // by conference confID of d: the corpus CheckAppend approved, with confID
-// and its papers merged at its tail. edges are the conference's citation
-// edges, cite.ConferenceEdges(d, confID): the caller synthesizes them once
-// and shares them with the study's citation graph. Afterwards the frame
-// set is byte-identical (under the snapshot codec's canonical encoding) to
+// and its papers merged at its tail. Afterwards the frame set is
+// byte-identical (under the snapshot codec's canonical encoding) to
 // NewFrameSet(d); repro_test pins that postcondition corpus-wide.
-func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID, edges []cite.Edge) {
+func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID) {
 	c, _ := d.Conference(confID)
 	confRoles, confAuthored := confContribution(d, c)
 	people, _ := fs.Frame(FramePeople)
@@ -104,12 +102,12 @@ func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID, 
 	}
 	w.close()
 	fs.appendCohorts(d, c)
-	// Only the new conference's citation edges are appended. Existing rows
-	// are untouched: the year precondition guarantees no appended paper
-	// enters an existing paper's candidate pool, so the result matches a
-	// full graph resynthesis edge-for-edge.
+	// Only the new conference's citation edges are synthesized and
+	// appended. Existing rows are untouched: the year precondition
+	// guarantees no appended paper enters an existing paper's candidate
+	// pool, so the result matches a full graph resynthesis edge-for-edge.
 	w = fs.writer(FrameCitations, d)
-	emitCitationEdges(d, cite.NewMeta(d), edges, w)
+	emitCitationEdges(d, cite.NewMeta(d), cite.ConferenceEdges(d, confID), w)
 	w.close()
 }
 

@@ -11,18 +11,15 @@ import (
 	"repro/internal/stats"
 )
 
-// CitationFlow renders the gendered citation-flow extension over g, the
-// citation graph of d (cite.Synthesize(d), or the graph a study holds for
-// it): the Nakajima-style observed-versus-null comparison per citing-team
-// category, Wilson intervals on the pooled shares, and the directed
-// lead-gender mixing of the citation graph.
-func CitationFlow(w io.Writer, d *dataset.Dataset, g *cite.Graph) error {
-	a, err := cite.Analyze(d, g)
-	if err != nil {
-		return err
-	}
+// CitationFlow renders the gendered citation-flow extension from a, the
+// citation-flow analysis of a corpus of papers papers (Study.CitationFlow,
+// or cite.Analyze over the corpus's graph): the Nakajima-style
+// observed-versus-null comparison per citing-team category, Wilson
+// intervals on the pooled shares, and the directed lead-gender mixing of
+// the citation graph.
+func CitationFlow(w io.Writer, a cite.Analysis, papers int) error {
 	fmt.Fprintf(w, "Citation graph: %d papers, %d edges (within conference or to earlier years only)\n",
-		g.Papers, len(g.Edges))
+		papers, a.Overall.Edges)
 	t := NewTable("Citing team", "Edges", "Observed female-led", "Null female-led", "Over-citation").
 		AlignRight(1, 2, 3, 4)
 	for _, f := range append(append([]cite.Flow(nil), a.Flows...), a.Overall) {

@@ -3,9 +3,6 @@ package report
 import (
 	"bytes"
 	"encoding/csv"
-	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 
@@ -25,8 +22,9 @@ type CSVExport struct {
 }
 
 // CSVExports enumerates the exportable exhibit families for a corpus in a
-// fixed order. ExportCSVs writes every family; the row builders are the
-// reference the engine's exhibit queries are checked against.
+// fixed order. The row builders are the reference the engine's exhibit
+// queries (repro.Study.ExhibitCSV, which whpc -csv and whpcd serve) are
+// checked against.
 func CSVExports(d *dataset.Dataset) []CSVExport {
 	// Both citation families analyze the same synthesized graph; build it
 	// at most once, and only if one of them actually renders.
@@ -75,8 +73,8 @@ func CSVExportNames() []string {
 	return names
 }
 
-// CSV renders the family's rows as CSV bytes, exactly as ExportCSVs
-// writes them.
+// CSV renders the family's rows as CSV bytes, in the encoding of
+// query.Result.CSV.
 func (e CSVExport) CSV() ([]byte, error) {
 	rows, err := e.Rows()
 	if err != nil {
@@ -88,26 +86,6 @@ func (e CSVExport) CSV() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// ExportCSVs writes the paper's exhibits as machine-readable CSV files
-// into dir — the results-artifact counterpart to the corpus CSVs: one file
-// per exhibit family from CSVExports, named <family>.csv.
-func ExportCSVs(dir string, d *dataset.Dataset, scID dataset.ConfID) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("report: creating export dir %s: %w", dir, err)
-	}
-	for _, e := range CSVExports(d) {
-		b, err := e.CSV()
-		if err != nil {
-			return fmt.Errorf("report: exporting %s: %w", e.Name, err)
-		}
-		path := filepath.Join(dir, e.Name+".csv")
-		if err := os.WriteFile(path, b, 0o666); err != nil {
-			return fmt.Errorf("report: writing %s: %w", path, err)
-		}
-	}
-	return nil
 }
 
 func ftoa(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }

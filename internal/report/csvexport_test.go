@@ -1,9 +1,8 @@
 package report
 
 import (
+	"bytes"
 	"encoding/csv"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"testing"
@@ -12,36 +11,39 @@ import (
 	"repro/internal/synth"
 )
 
+// exportRows renders the named family of d through CSVExport.CSV and
+// parses the bytes back into rows.
+func exportRows(t *testing.T, d *dataset.Dataset, name string) [][]string {
+	t.Helper()
+	e, ok := CSVExportByName(d, name)
+	if !ok {
+		t.Fatalf("no export family %q", name)
+	}
+	b, err := e.CSV()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	rows, err := csv.NewReader(bytes.NewReader(b)).ReadAll()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return rows
+}
+
 func TestExportCSVs(t *testing.T) {
-	dir := t.TempDir()
-	if err := ExportCSVs(dir, corpus.Data, "SC17"); err != nil {
-		t.Fatal(err)
-	}
-	wantFiles := []string{
-		"far_per_conference.csv", "role_representation.csv", "countries.csv",
-		"regions.csv", "sectors.csv", "experience_bands.csv",
-		"citations.csv", "trend.csv",
-	}
-	for _, f := range wantFiles {
-		path := filepath.Join(dir, f)
-		fh, err := os.Open(path)
-		if err != nil {
-			t.Errorf("missing export %s: %v", f, err)
-			continue
-		}
-		rows, err := csv.NewReader(fh).ReadAll()
-		fh.Close()
-		if err != nil {
-			t.Errorf("%s: %v", f, err)
-			continue
-		}
+	for _, name := range []string{
+		"far_per_conference", "role_representation", "countries",
+		"regions", "sectors", "experience_bands",
+		"citations", "trend",
+	} {
+		rows := exportRows(t, corpus.Data, name)
 		if len(rows) < 2 {
-			t.Errorf("%s has no data rows", f)
+			t.Errorf("%s has no data rows", name)
 		}
 		// Every row has the header arity.
 		for i, row := range rows {
 			if len(row) != len(rows[0]) {
-				t.Errorf("%s row %d: %d cells vs header %d", f, i, len(row), len(rows[0]))
+				t.Errorf("%s row %d: %d cells vs header %d", name, i, len(row), len(rows[0]))
 			}
 		}
 	}
@@ -65,19 +67,7 @@ func TestExportCSVsFARConsistency(t *testing.T) {
 		{"flagship", flagship.Data, []string{"SC", "ISC"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := ExportCSVs(dir, tc.d, ""); err != nil {
-				t.Fatal(err)
-			}
-			fh, err := os.Open(filepath.Join(dir, "far_per_conference.csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fh.Close()
-			rows, err := csv.NewReader(fh).ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
+			rows := exportRows(t, tc.d, "far_per_conference")
 			var labels []string
 			for _, c := range tc.d.Conferences {
 				if !slices.Contains(labels, c.Name) {
@@ -123,19 +113,7 @@ func TestExportCSVsFARConsistency(t *testing.T) {
 }
 
 func TestExportCSVsCitationsCoverAllPapers(t *testing.T) {
-	dir := t.TempDir()
-	if err := ExportCSVs(dir, corpus.Data, "SC17"); err != nil {
-		t.Fatal(err)
-	}
-	fh, err := os.Open(filepath.Join(dir, "citations.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fh.Close()
-	rows, err := csv.NewReader(fh).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := exportRows(t, corpus.Data, "citations")
 	if len(rows)-1 != len(corpus.Data.Papers) {
 		t.Errorf("%d citation rows for %d papers", len(rows)-1, len(corpus.Data.Papers))
 	}

@@ -387,8 +387,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 var csvFamilies = repro.ExhibitFamilies()
 
 // handleCSV serves one machine-readable exhibit family as CSV; the name
-// segment matches the file stems ExportCSVs writes (with or without the
-// .csv suffix). Family names are static, so an unknown name is answered
+// segment matches the file stems whpc -csv writes (with or without the
+// .csv suffix), and the body is the same Study.ExhibitCSV bytes. Family names are static, so an unknown name is answered
 // 404 before any study is materialized.
 func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimSuffix(r.PathValue("name"), ".csv")

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/cite"
 	"repro/internal/query"
 )
 
@@ -105,8 +104,6 @@ func TestOpenInjectedCleanPassthrough(t *testing.T) {
 	}{
 		// persons, conferences, papers, frames
 		{"frames", Snapshot{Corpus: d, Frames: query.NewFrameSet(d)}, Full, 4},
-		// ... plus citations
-		{"cited", Snapshot{Corpus: d, Frames: query.NewFrameSet(d), Citations: cite.Synthesize(d)}, Full, 5},
 		// persons, conferences, papers; the delta identity is not a step
 		{"delta", Snapshot{Corpus: mini, Delta: &info}, Delta, 3},
 	} {
@@ -126,7 +123,6 @@ func TestOpenInjectedCleanPassthrough(t *testing.T) {
 			}
 			if datasetCSV(t, got.Corpus) != datasetCSV(t, plain.Corpus) ||
 				(got.Frames == nil) != (tc.s.Frames == nil) ||
-				(got.Citations == nil) != (tc.s.Citations == nil) ||
 				(got.Delta == nil) != (tc.s.Delta == nil) {
 				t.Fatal("clean injected open decoded a different snapshot")
 			}

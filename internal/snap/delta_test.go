@@ -89,8 +89,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if s.Delta == nil || *s.Delta != info {
 		t.Errorf("Delta info = %+v, want %+v", s.Delta, info)
 	}
-	if s.Frames != nil || s.Citations != nil {
-		t.Error("delta snapshot decoded frames or citations")
+	if s.Frames != nil {
+		t.Error("delta snapshot decoded frames")
 	}
 	d := s.Corpus
 	if len(d.Conferences) != 1 || d.Conferences[0].ID != "SC18" {

@@ -2,10 +2,10 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
-	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/query"
 )
@@ -15,12 +15,12 @@ import (
 // rejection is a structured *FormatError; the one other rejection is the
 // decoded corpus's referential check (dataset.ErrInvalid), which runs
 // only after every section decoded cleanly. Seeds cover a valid snapshot
-// (with and without frames), a delta snapshot, a cited snapshot, their
-// prefixes, and garbage.
+// (with and without frames), a delta snapshot, their prefixes, a
+// version-1 file, and garbage.
 func FuzzReader(f *testing.F) {
 	d := tinyDataset()
 	info, mini := tinyDeltaMini()
-	var plain, withFrames, asDelta, cited bytes.Buffer
+	var plain, withFrames, asDelta bytes.Buffer
 	for _, w := range []struct {
 		buf *bytes.Buffer
 		s   Snapshot
@@ -28,7 +28,6 @@ func FuzzReader(f *testing.F) {
 		{&plain, Snapshot{Corpus: d}},
 		{&withFrames, Snapshot{Corpus: d, Frames: query.NewFrameSet(d)}},
 		{&asDelta, Snapshot{Corpus: mini, Delta: &info}},
-		{&cited, Snapshot{Corpus: d, Frames: query.NewFrameSet(d), Citations: cite.Synthesize(d)}},
 	} {
 		if err := Write(w.buf, w.s); err != nil {
 			f.Fatal(err)
@@ -37,14 +36,18 @@ func FuzzReader(f *testing.F) {
 	f.Add(plain.Bytes())
 	f.Add(withFrames.Bytes())
 	f.Add(asDelta.Bytes())
-	f.Add(cited.Bytes())
 	f.Add(plain.Bytes()[:len(plain.Bytes())/2])
 	f.Add(asDelta.Bytes()[:len(asDelta.Bytes())/2])
-	f.Add(cited.Bytes()[:len(cited.Bytes())/2])
+	f.Add(withFrames.Bytes()[:len(withFrames.Bytes())/2])
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
-	f.Add([]byte("WHPCSNAP\x01\x00\x00\x00\xff\xff\xff\xff"))
+	f.Add([]byte("WHPCSNAP\x02\x00\x00\x00\xff\xff\xff\xff"))
 	f.Add([]byte("\x00\xff\xfe garbage"))
+	// A version-1 file, which may carry the citations section version 2
+	// dropped.
+	v1 := bytes.Clone(plain.Bytes())
+	binary.LittleEndian.PutUint16(v1[8:10], 1)
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range []Kind{Full, Delta} {

@@ -35,7 +35,6 @@ type section struct {
 type metaInfo struct {
 	hasFrames                    bool
 	isDelta                      bool
-	hasCitations                 bool
 	persons, conferences, papers int
 }
 
@@ -49,7 +48,6 @@ var knownSections = map[string]bool{
 	SectionPapers:      true,
 	SectionFrames:      true,
 	SectionDelta:       true,
-	SectionCitations:   true,
 }
 
 // Open reads the snapshot file at path and decodes it as Read does. It is
@@ -88,9 +86,9 @@ func Open(path string, kind Kind, inj chaos.Injector) (Snapshot, error) {
 // kind — runs before any section is decoded.
 //
 // inj (nil means none) is consulted at the snap.decode point once per
-// decoded section: persons, conferences, papers, then frames and
-// citations when present. The delta-identity section and the validation
-// pass are not injectable.
+// decoded section: persons, conferences, papers, then frames when
+// present. The delta-identity section and the validation pass are not
+// injectable.
 func Read(data []byte, kind Kind, inj chaos.Injector) (Snapshot, error) {
 	r, err := parse(data, inj)
 	if err != nil {
@@ -190,15 +188,8 @@ func parse(data []byte, inj chaos.Injector) (*reader, error) {
 	if gotDelta != r.meta.isDelta {
 		return nil, fileErr(int64(headerSize), fmt.Sprintf("meta delta flag %v disagrees with delta section presence %v", r.meta.isDelta, gotDelta), ErrCorrupt)
 	}
-	_, gotCitations := r.payloads[SectionCitations]
-	if gotCitations != r.meta.hasCitations {
-		return nil, fileErr(int64(headerSize), fmt.Sprintf("meta citations flag %v disagrees with citations section presence %v", r.meta.hasCitations, gotCitations), ErrCorrupt)
-	}
 	if r.meta.isDelta && r.meta.hasFrames {
 		return nil, fileErr(int64(headerSize), "delta snapshot carries a frames section", ErrCorrupt)
-	}
-	if r.meta.isDelta && r.meta.hasCitations {
-		return nil, fileErr(int64(headerSize), "delta snapshot carries a citations section", ErrCorrupt)
 	}
 	return r, nil
 }
@@ -209,12 +200,11 @@ func (r *reader) decodeMeta() error {
 	if err != nil {
 		return err
 	}
-	if flags&^uint64(flagHasFrames|flagIsDelta|flagHasCitations) != 0 {
+	if flags&^uint64(flagHasFrames|flagIsDelta) != 0 {
 		return dc.err(fmt.Sprintf("unknown flag bits %#x", flags), ErrCorrupt)
 	}
 	r.meta.hasFrames = flags&flagHasFrames != 0
 	r.meta.isDelta = flags&flagIsDelta != 0
-	r.meta.hasCitations = flags&flagHasCitations != 0
 	counts := [3]*int{&r.meta.persons, &r.meta.conferences, &r.meta.papers}
 	names := [3]string{"person", "conference", "paper"}
 	for i, dst := range counts {
@@ -242,7 +232,7 @@ func (r *reader) chaosStep(section string) error {
 }
 
 // decode decodes every section parse validated, in a fixed order: the
-// delta identity, persons, conferences, papers, frames, citations.
+// delta identity, persons, conferences, papers, frames.
 func (r *reader) decode() (Snapshot, error) {
 	var s Snapshot
 	if r.meta.isDelta {
@@ -257,8 +247,7 @@ func (r *reader) decode() (Snapshot, error) {
 	// decodeFrames is a pure function of its payload; the frames chaos
 	// step still fires on this goroutine after the corpus steps, so a
 	// scheduled injector sees the exact hit ordinals of a sequential
-	// decode. The citation graph decodes last (it is tiny next to the
-	// other sections), keeping pre-citation chaos hit ordinals intact.
+	// decode.
 	payload, hasFrames := r.payloads[SectionFrames]
 	var (
 		fs    *query.FrameSet
@@ -285,14 +274,6 @@ func (r *reader) decode() (Snapshot, error) {
 		return Snapshot{}, fsErr
 	}
 	s.Corpus, s.Frames = d, fs
-	if r.meta.hasCitations {
-		if err := r.chaosStep(SectionCitations); err != nil {
-			return Snapshot{}, err
-		}
-		if s.Citations, err = decodeCitations(r.payloads[SectionCitations], r.meta.papers); err != nil {
-			return Snapshot{}, err
-		}
-	}
 	return s, nil
 }
 

@@ -45,7 +45,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/query"
 )
@@ -55,8 +54,10 @@ const Magic = "WHPCSNAP"
 
 // FormatVersion is the current snapshot format version. Readers reject
 // files with a newer version (forward compatibility is not promised);
-// older versions are rejected too until a migration path exists.
-const FormatVersion = 1
+// older versions are rejected too until a migration path exists. Version
+// 2 dropped version 1's optional citation-graph section: the graph lives
+// in the frames section's citations frame.
+const FormatVersion = 2
 
 // FileExt is the conventional file extension for snapshot files.
 const FileExt = ".whpcsnap"
@@ -129,8 +130,6 @@ type Snapshot struct {
 	Corpus *dataset.Dataset
 	// Frames is the pre-built columnar FrameSet (full snapshots only).
 	Frames *query.FrameSet
-	// Citations is the corpus's citation graph (full snapshots only).
-	Citations *cite.Graph
 	// Delta is non-nil exactly when the snapshot is a delta: one
 	// conference-year's contribution to the base corpus it identifies.
 	Delta *DeltaInfo
@@ -142,7 +141,7 @@ type Snapshot struct {
 type Kind uint8
 
 const (
-	// Full is a complete corpus, optionally with frames and citations.
+	// Full is a complete corpus, optionally with frames.
 	Full Kind = iota
 	// Delta is one conference-year appended to a base corpus.
 	Delta

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/affil"
-	"repro/internal/cite"
 	"repro/internal/dataset"
 	"repro/internal/gender"
 	"repro/internal/query"
@@ -134,9 +134,9 @@ func TestRoundTripCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if s.Frames != nil || s.Citations != nil || s.Delta != nil {
-		t.Errorf("corpus-only snapshot decoded extra sections: frames %v, citations %v, delta %v",
-			s.Frames != nil, s.Citations != nil, s.Delta != nil)
+	if s.Frames != nil || s.Delta != nil {
+		t.Errorf("corpus-only snapshot decoded extra sections: frames %v, delta %v",
+			s.Frames != nil, s.Delta != nil)
 	}
 	got := s.Corpus
 	if p, c, pa := len(got.Persons), len(got.Conferences), len(got.Papers); p != 4 || c != 2 || pa != 3 {
@@ -204,17 +204,21 @@ func TestBadMagicRejected(t *testing.T) {
 	}
 }
 
+// TestVersionSkewRejected: a future format version and version 1 (whose
+// files may carry the citation-graph section version 2 dropped) must
+// surface ErrVersion, not a checksum mismatch, even though the rewrite
+// also breaks the file CRC.
 func TestVersionSkewRejected(t *testing.T) {
-	data := tinySnapshot(t, false)
-	// A future format version must surface ErrVersion, not a checksum
-	// mismatch, even though the flip also breaks the file CRC.
-	data[8], data[9] = 0xff, 0x7f
-	_, err := Read(data, Full, nil)
-	if !errors.Is(err, ErrVersion) {
-		t.Errorf("err = %v, want ErrVersion", err)
-	}
-	if err != nil && !strings.Contains(err.Error(), "version") {
-		t.Errorf("error %q does not mention the version", err)
+	for _, v := range []uint16{0x7fff, 1} {
+		data := tinySnapshot(t, false)
+		binary.LittleEndian.PutUint16(data[8:10], v)
+		_, err := Read(data, Full, nil)
+		if !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: err = %v, want ErrVersion", v, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "version") {
+			t.Errorf("version %d: error %q does not mention the version", v, err)
+		}
 	}
 }
 
@@ -292,7 +296,6 @@ func TestWriterMisuse(t *testing.T) {
 		{"empty", Snapshot{}},
 		{"frames only", Snapshot{Frames: query.NewFrameSet(d)}},
 		{"delta identity only", Snapshot{Delta: &DeltaInfo{Year: 2018, ConfID: "SC18"}}},
-		{"frames and citations", Snapshot{Frames: query.NewFrameSet(d), Citations: cite.Synthesize(d)}},
 	} {
 		var buf bytes.Buffer
 		if err := Write(&buf, tc.s); err == nil {

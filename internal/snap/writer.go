@@ -18,9 +18,8 @@ type wsection struct {
 // directory, payloads, and the whole-file CRC-32 trailer. Encoding is
 // deterministic: person rows are sorted by ID, everything else follows
 // the dataset's slice order. The corpus is required; a delta snapshot
-// (s.Delta non-nil) carries neither frames nor citations, since the base
-// study's frames are patched in place and its graph regrown on apply;
-// a citation graph must be valid and cover exactly the corpus's papers.
+// (s.Delta non-nil) carries no frames, since the base study's frames are
+// patched in place on apply.
 func Write(w io.Writer, s Snapshot) error {
 	d := s.Corpus
 	if d == nil {
@@ -32,21 +31,11 @@ func Write(w io.Writer, s Snapshot) error {
 		switch {
 		case s.Frames != nil:
 			return fmt.Errorf("snap: delta snapshots cannot carry frames")
-		case s.Citations != nil:
-			return fmt.Errorf("snap: delta snapshots cannot carry citations")
 		case s.Delta.ConfID == "":
 			return fmt.Errorf("snap: delta conference ID is empty")
 		}
 		flags |= flagIsDelta
 		sections = append(sections, wsection{SectionDelta, encodeDelta(*s.Delta)})
-	}
-	if g := s.Citations; g != nil {
-		if g.Papers != len(d.Papers) {
-			return fmt.Errorf("snap: citation graph covers %d papers, corpus has %d", g.Papers, len(d.Papers))
-		}
-		if err := g.Validate(); err != nil {
-			return fmt.Errorf("snap: %w", err)
-		}
 	}
 
 	ids := sortedPersonIDs(d)
@@ -62,10 +51,6 @@ func Write(w io.Writer, s Snapshot) error {
 	if s.Frames != nil {
 		flags |= flagHasFrames
 		sections = append(sections, wsection{SectionFrames, encodeFrames(s.Frames)})
-	}
-	if s.Citations != nil {
-		flags |= flagHasCitations
-		sections = append(sections, wsection{SectionCitations, encodeCitations(s.Citations)})
 	}
 	return emit(w, flags, [3]int{len(d.Persons), len(d.Conferences), len(d.Papers)}, sections)
 }
@@ -152,8 +137,7 @@ func WriteFile(path string, s Snapshot) error {
 }
 
 const (
-	headerSize       = 16 // magic(8) + version(2) + reserved(2) + section count(4)
-	flagHasFrames    = 1 << 0
-	flagIsDelta      = 1 << 1 // delta snapshot: one conference-year, no frames
-	flagHasCitations = 1 << 2 // carries a citation-graph section
+	headerSize    = 16 // magic(8) + version(2) + reserved(2) + section count(4)
+	flagHasFrames = 1 << 0
+	flagIsDelta   = 1 << 1 // delta snapshot: one conference-year, no frames
 )

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/cite"
 	"repro/internal/query"
 	"repro/internal/report"
 	"repro/internal/synth"
@@ -84,7 +86,10 @@ func equivalenceStudies(t *testing.T) []namedStudy {
 // experience_bands — must reproduce the family's report.CSVExports rows
 // byte-for-byte on every corpus, seed, delta-grown study and harvested
 // study of the matrix, so the served exhibit path and the paper's row
-// builders can never drift apart silently.
+// builders can never drift apart silently. On the same studies,
+// Study.CitationFlow, which reads the citations frame, must equal
+// cite.Analyze over a fresh cite.Synthesize field for field, errors
+// included.
 func TestExhibitQueriesReproduceCSVExports(t *testing.T) {
 	queries := ExhibitQueries()
 	if len(queries) < 6 {
@@ -106,6 +111,13 @@ func TestExhibitQueriesReproduceCSVExports(t *testing.T) {
 		t.Error("ExhibitCSV rendered an unknown family")
 	}
 	studies := equivalenceStudies(t)
+	for _, ns := range studies {
+		got, gotErr := ns.study.CitationFlow()
+		want, wantErr := cite.Analyze(ns.study.Dataset(), cite.Synthesize(ns.study.Dataset()))
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: CitationFlow = %+v, %v; cite.Analyze = %+v, %v", ns.name, got, gotErr, want, wantErr)
+		}
+	}
 	for _, family := range families {
 		t.Run(family, func(t *testing.T) {
 			for _, ns := range studies {

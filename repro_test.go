@@ -101,6 +101,9 @@ func TestExhibitsEnumeration(t *testing.T) {
 	if seen["harvest"] || seen["coverage-sensitivity"] {
 		t.Error("unharvested study enumerates harvest exhibits")
 	}
+	if _, ok := study.Exhibit("harvest"); ok {
+		t.Error("unharvested study resolves the harvest exhibit by ID")
+	}
 	harvested, err := NewHarvestedStudy(11, "clean")
 	if err != nil {
 		t.Fatal(err)

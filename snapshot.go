@@ -9,10 +9,10 @@ import (
 	"repro/internal/snap"
 )
 
-// WriteSnapshot serializes the study's corpus, its columnar FrameSet, and
-// its citation graph (each built first if it has not been yet) into the
-// binary .whpcsnap format. A study opened from the snapshot produces
-// byte-identical reports and query results (see
+// WriteSnapshot serializes the study's corpus and its columnar FrameSet
+// (built first if it has not been yet; its citations frame carries the
+// citation graph) into the binary .whpcsnap format. A study opened from
+// the snapshot produces byte-identical reports and query results (see
 // TestSnapshotRoundTripReport).
 func (s *Study) WriteSnapshot(w io.Writer) error {
 	return snap.Write(w, s.snapshot())
@@ -25,7 +25,7 @@ func (s *Study) SaveSnapshot(path string) error {
 }
 
 func (s *Study) snapshot() snap.Snapshot {
-	return snap.Snapshot{Corpus: s.data, Frames: s.Frames(), Citations: s.CitationGraph()}
+	return snap.Snapshot{Corpus: s.data, Frames: s.Frames()}
 }
 
 // OpenSnapshot reads a snapshot written by WriteSnapshot from r. The
@@ -75,9 +75,5 @@ func studyFromSnapshot(sn snap.Snapshot) *Study {
 		// have put it; Frames() then returns it without rebuilding.
 		s.framesOnce.Do(func() { s.frames = sn.Frames })
 	}
-	// Likewise for the citation graph; snapshots written before the
-	// citations section existed leave it nil and CitationGraph
-	// resynthesizes (deterministically identical).
-	s.citeGraph = sn.Citations
 	return s
 }

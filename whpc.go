@@ -29,11 +29,13 @@ import (
 	"sync"
 
 	"repro/internal/cite"
+	"repro/internal/collab"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faulty"
 	"repro/internal/ingest"
 	"repro/internal/query"
+	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
@@ -52,19 +54,10 @@ type Study struct {
 	harvest  *ingest.HarvestReport
 	baseline *dataset.Dataset
 	// framesOnce/frames lazily build the columnar FrameSet shared by every
-	// ad-hoc query (see Frames); exhibitsMu/exhibitsByID lazily index the
-	// exhibit enumeration by ID for the serve path (see Exhibit). ApplyDelta
-	// drops the exhibit index — its render closures capture the pre-delta
-	// dataset.
-	framesOnce   sync.Once
-	frames       *query.FrameSet
-	exhibitsMu   sync.Mutex
-	exhibitsByID map[string]Exhibit
-	// citeMu/citeGraph lazily hold the synthesized citation graph (see
-	// CitationGraph). ApplyDelta extends it with the appended conference's
-	// edges, which by construction equals a resynthesis of the grown corpus.
-	citeMu    sync.Mutex
-	citeGraph *cite.Graph
+	// ad-hoc query (see Frames). Its citations frame is the study's only
+	// stored copy of the citation graph.
+	framesOnce sync.Once
+	frames     *query.FrameSet
 }
 
 // NewStudy generates the paper's main 2017 nine-conference corpus with the
@@ -321,25 +314,72 @@ func (s *Study) Collaboration() (core.CollaborationAnalysis, error) {
 	return core.CollaborationPatterns(s.data)
 }
 
-// CitationGraph returns the study's synthesized citation graph, built
-// lazily on first use (or installed from a snapshot) and shared by every
-// subsequent citation analysis. Synthesis is a pure function of the
-// corpus, so a cached graph is indistinguishable from a fresh one.
-func (s *Study) CitationGraph() *cite.Graph {
-	s.citeMu.Lock()
-	defer s.citeMu.Unlock()
-	if s.citeGraph == nil {
-		s.citeGraph = cite.Synthesize(s.data)
-	}
-	return s.citeGraph
+// CitationGraph synthesizes the study's citation graph as an edge list,
+// for library callers that walk individual edges. It is not memoized: each
+// call is a full cite.Synthesize of the corpus. The study's own citation
+// analyses read the citations frame instead (see CitationFlow).
+func (s *Study) CitationGraph() *cite.Graph { return cite.Synthesize(s.data) }
+
+// citeMixingQuery counts citation edges by (citing lead, cited lead)
+// gender: the directed mixing half of cite.Analyze.
+var citeMixingQuery = &query.Query{
+	Frame:   query.FrameCitations,
+	GroupBy: []query.Key{{Col: "src_lead_gender"}, {Col: "dst_lead_gender"}},
+	Aggs:    []query.Agg{{Op: "count", As: "edges"}},
 }
 
 // CitationFlow computes the gendered citation-flow analysis over the
-// citation graph: observed vs null-model female-led citation shares per
-// citing-team category, Nakajima-style over/under-citation ratios, and
-// directed lead-gender assortativity.
+// citations frame: observed vs null-model female-led citation shares per
+// citing-team category (the cite_flow exhibit query), Nakajima-style
+// over/under-citation ratios, and directed lead-gender assortativity. It
+// equals cite.Analyze over cite.Synthesize of the corpus, errors included.
 func (s *Study) CitationFlow() (cite.Analysis, error) {
-	return cite.Analyze(s.data, s.CitationGraph())
+	flows, err := s.Query(familyQueries["cite_flow"])
+	if err != nil {
+		return cite.Analysis{}, err
+	}
+	// Rows: one per team in cite.TeamCategories order (complete), then the
+	// ALL totals row; columns team, edges, women_cited, known_cited,
+	// observed_share, null_women, null_known, null_share.
+	var a cite.Analysis
+	for _, r := range flows.Rows {
+		f := cite.Flow{
+			Team:     r[0].S,
+			Edges:    int(r[1].I),
+			Observed: stats.Proportion{K: int(r[2].I), N: int(r[3].I)},
+			Null:     stats.Proportion{K: int(r[5].I), N: int(r[6].I)},
+		}
+		if f.Team == "ALL" {
+			a.Overall = f
+		} else {
+			a.Flows = append(a.Flows, f)
+		}
+	}
+	if a.Overall.Edges == 0 {
+		return a, fmt.Errorf("cite: graph has no edges")
+	}
+	mixing, err := s.Query(citeMixingQuery)
+	if err != nil {
+		return a, err
+	}
+	var ff, fm, mf, mm int
+	for _, r := range mixing.Rows {
+		n := int(r[2].I)
+		switch [2]string{r[0].S, r[1].S} {
+		case [2]string{"female", "female"}:
+			ff += n
+		case [2]string{"female", "male"}:
+			fm += n
+		case [2]string{"male", "female"}:
+			mf += n
+		case [2]string{"male", "male"}:
+			mm += n
+		}
+	}
+	if a.Mixing, err = collab.DirectedMixingAnalysis(ff, fm, mf, mm); err != nil {
+		return a, fmt.Errorf("cite: %w", err)
+	}
+	return a, nil
 }
 
 // Multiplicity applies the Holm-Bonferroni correction across the paper's
