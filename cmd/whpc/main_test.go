@@ -83,3 +83,31 @@ func TestExportCSVsOnePaperCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestExportCSVsOnePaperDefaultCut: on the default corpus cut to one paper
+// at its own calibration, no gendered author band holds both genders, so
+// experience_bands is not applicable; it is named and skipped with
+// cite_gap, and every other family is written.
+func TestExportCSVsOnePaperDefaultCut(t *testing.T) {
+	for _, slots := range []int{3, 14} {
+		cfg := synth.Default2017(2021)
+		cfg.Confs = cfg.Confs[:1]
+		cfg.Confs[0].Papers, cfg.Confs[0].AuthorSlots = 1, slots
+		study, err := repro.NewStudyFromConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		var log bytes.Buffer
+		if err := exportCSVs(dir, study, &log); err != nil {
+			t.Fatalf("%d authors: export failed: %v", slots, err)
+		}
+		for _, name := range repro.ExhibitFamilies() {
+			_, err := os.Stat(filepath.Join(dir, name+".csv"))
+			skipped := strings.Contains(log.String(), "skipping "+name+".csv")
+			if want := name == "cite_gap" || name == "experience_bands"; skipped != want || (err == nil) == want {
+				t.Errorf("%d authors: %s: skipped %v, file error %v; want skipped %v", slots, name, skipped, err, want)
+			}
+		}
+	}
+}

@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"errors"
+	"fmt"
 	"io"
 
+	"repro/internal/cite"
 	"repro/internal/core"
 	"repro/internal/report"
 )
@@ -96,6 +99,9 @@ var exhibitTable = []exhibitDef{
 	{id: "ext-citation-flow", title: "Extension — gendered citation flow",
 		render: func(s *Study, w io.Writer) error {
 			a, err := s.CitationFlow()
+			if errors.Is(err, cite.ErrNoEdges) {
+				return fmt.Errorf("%w: %w", core.ErrNotApplicable, err)
+			}
 			if err != nil {
 				return err
 			}

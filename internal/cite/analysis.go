@@ -1,6 +1,7 @@
 package cite
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -53,6 +54,10 @@ type Analysis struct {
 	Mixing collab.DirectedMixing
 }
 
+// ErrNoEdges means a citation analysis was asked of a corpus whose graph
+// has no edges.
+var ErrNoEdges = errors.New("cite: graph has no edges")
+
 // Analyze computes observed and null citation flows per citing-team
 // category, the pooled overall flow, and directed lead-gender mixing.
 // The arithmetic is integer counting plus stats.Proportion, so the same
@@ -95,7 +100,7 @@ func Analyze(d *dataset.Dataset, g *Graph) (Analysis, error) {
 		}
 	}
 	if a.Overall.Edges == 0 {
-		return a, fmt.Errorf("cite: graph has no edges")
+		return a, ErrNoEdges
 	}
 	mix, err := collab.DirectedMixingAnalysis(ff, fm, mf, mm)
 	if err != nil {

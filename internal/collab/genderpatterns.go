@@ -1,12 +1,17 @@
 package collab
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dataset"
 	"repro/internal/gender"
 	"repro/internal/stats"
 )
+
+// ErrTooFew means a comparison had fewer than two people of a gender to
+// compare.
+var ErrTooFew = errors.New("collab: too few gendered")
 
 // Mixing is the gender mixing structure of the coauthorship graph. Edges
 // whose endpoints include an unknown-gender researcher are excluded, the
@@ -114,7 +119,7 @@ func DegreeByGender(g *Graph, d *dataset.Dataset) (GenderDegrees, error) {
 	var res GenderDegrees
 	res.FemaleN, res.MaleN = len(fem), len(mal)
 	if len(fem) < 2 || len(mal) < 2 {
-		return res, fmt.Errorf("collab: too few gendered authors (%d female, %d male)", len(fem), len(mal))
+		return res, fmt.Errorf("%w authors (%d female, %d male)", ErrTooFew, len(fem), len(mal))
 	}
 	res.FemaleMean = stats.MustMean(fem)
 	res.MaleMean = stats.MustMean(mal)
@@ -156,7 +161,7 @@ func TeamSizeByLeadGender(d *dataset.Dataset) (TeamSizes, error) {
 	var res TeamSizes
 	res.FemaleLedN, res.MaleLedN = len(fem), len(mal)
 	if len(fem) < 2 || len(mal) < 2 {
-		return res, fmt.Errorf("collab: too few gendered leads (%d female, %d male)", len(fem), len(mal))
+		return res, fmt.Errorf("%w leads (%d female, %d male)", ErrTooFew, len(fem), len(mal))
 	}
 	res.FemaleLedMean = stats.MustMean(fem)
 	res.MaleLedMean = stats.MustMean(mal)

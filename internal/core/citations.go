@@ -77,7 +77,7 @@ func CitationReception(d *dataset.Dataset, outlierThreshold int) (CitationAnalys
 	res.FemaleLedPapers = len(fem)
 	res.MaleLedPapers = len(mal)
 	if len(fem) < 2 || len(mal) < 2 {
-		return res, fmt.Errorf("core: too few gendered lead authors (%d female, %d male)", len(fem), len(mal))
+		return res, fmt.Errorf("%w: too few gendered lead authors (%d female, %d male)", ErrNotApplicable, len(fem), len(mal))
 	}
 	res.MeanFemale = stats.MustMean(fem)
 	res.MeanMale = stats.MustMean(mal)
@@ -103,7 +103,7 @@ func CitationReception(d *dataset.Dataset, outlierThreshold int) (CitationAnalys
 	res.I10Male = i10Share(mal)
 	test, err := stats.TwoProportionChiSq(res.I10Female.K, res.I10Female.N, res.I10Male.K, res.I10Male.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.I10Test = test
 	fisher, err := stats.FisherExact(

@@ -29,17 +29,17 @@ func CollaborationPatterns(d *dataset.Dataset) (CollaborationAnalysis, error) {
 	}
 	mixing, err := collab.MixingAnalysis(g, d)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.Mixing = mixing
 	degrees, err := collab.DegreeByGender(g, d)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.Degrees = degrees
 	teams, err := collab.TeamSizeByLeadGender(d)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.Teams = teams
 	return res, nil

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/collab"
 	"repro/internal/dataset"
 	"repro/internal/gender"
 	"repro/internal/stats"
@@ -27,6 +28,18 @@ import (
 // is double-blind). Report renderers note it and continue instead of
 // failing the whole report.
 var ErrNotApplicable = errors.New("core: analysis not applicable to this corpus")
+
+// notApplicable marks err as ErrNotApplicable, keeping its message, when
+// it is a statistic's refusal of a sample too small or degenerate to test
+// (stats.ErrDegenerate, stats.ErrTied, collab.ErrTooFew): the corpus
+// cannot support the analysis, so a report notes it and goes on. Other
+// errors pass through.
+func notApplicable(err error) error {
+	if errors.Is(err, stats.ErrDegenerate) || errors.Is(err, stats.ErrTied) || errors.Is(err, collab.ErrTooFew) {
+		return fmt.Errorf("%w: %w", ErrNotApplicable, err)
+	}
+	return err
+}
 
 // proportionOf converts a GenderCount into a stats.Proportion over the
 // known-gender population, the paper's convention ("excluding the few
@@ -103,13 +116,13 @@ func CompareBlindReview(d *dataset.Dataset) (BlindComparison, error) {
 	sb := proportionOf(d.CountGenders(d.AuthorSlots(single...)))
 	test, err := stats.TwoProportionChiSq(db.K, db.N, sb.K, sb.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	ldb := proportionOf(d.CountGenders(d.LeadAuthors(double...)))
 	lsb := proportionOf(d.CountGenders(d.LeadAuthors(single...)))
 	leadTest, err := stats.TwoProportionChiSq(ldb.K, ldb.N, lsb.K, lsb.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.DoubleBlind = db
 	res.SingleBlind = sb
@@ -137,7 +150,7 @@ func CompareAuthorPositions(d *dataset.Dataset) (PositionComparison, error) {
 	res.Last = proportionOf(d.CountGenders(d.LastAuthors()))
 	test, err := stats.TwoProportionChiSq(res.Last.K, res.Last.N, res.Overall.K, res.Overall.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.LastTest = test
 	return res, nil

@@ -159,7 +159,7 @@ func experienceSamples(d *dataset.Dataset, m Metric, roles ...dataset.Role) ([]G
 		for _, g := range []gender.Gender{gender.Female, gender.Male} {
 			vals := byGender[g]
 			if len(vals) < 2 {
-				return nil, fmt.Errorf("core: too few %s %s with %s data (%d)", g, role, m, len(vals))
+				return nil, fmt.Errorf("%w: too few %s %s with %s data (%d)", ErrNotApplicable, g, role, m, len(vals))
 			}
 			sum, err := stats.Summarize(vals)
 			if err != nil {
@@ -248,13 +248,13 @@ func ExperienceBands(d *dataset.Dataset) (BandAnalysis, error) {
 		}
 	}
 	if res.NoviceFemale.N == 0 || res.NoviceMale.N == 0 {
-		return res, fmt.Errorf("core: missing gendered author band populations")
+		return res, fmt.Errorf("%w: missing gendered author band populations", ErrNotApplicable)
 	}
 	test, err := stats.TwoProportionChiSq(
 		res.NoviceFemale.K, res.NoviceFemale.N,
 		res.NoviceMale.K, res.NoviceMale.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.NoviceTest = test
 	return res, nil

@@ -48,7 +48,7 @@ func DiversityPolicy(d *dataset.Dataset) (PolicyComparison, error) {
 	res.FARWithout = proportionOf(d.CountGenders(d.AuthorSlots(res.WithoutPolicy...)))
 	test, err := stats.TwoProportionChiSq(res.FARWith.K, res.FARWith.N, res.FARWithout.K, res.FARWithout.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.FARTest = test
 
@@ -66,7 +66,7 @@ func DiversityPolicy(d *dataset.Dataset) (PolicyComparison, error) {
 	res.InvitedWithout = invited(res.WithoutPolicy)
 	test, err = stats.TwoProportionChiSq(res.InvitedWith.K, res.InvitedWith.N, res.InvitedWithout.K, res.InvitedWithout.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.InvitedTest = test
 	return res, nil

@@ -53,7 +53,7 @@ func CitationTrajectory(d *dataset.Dataset, outlierThreshold int, months ...floa
 		}
 	}
 	if len(fem) == 0 || len(mal) == 0 {
-		return ReceptionOverTime{}, fmt.Errorf("core: no gendered leads for the trajectory")
+		return ReceptionOverTime{}, fmt.Errorf("%w: no gendered leads for the trajectory", ErrNotApplicable)
 	}
 	res := ReceptionOverTime{OutlierThreshold: outlierThreshold}
 	for _, m := range months {

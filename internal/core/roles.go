@@ -121,7 +121,7 @@ func ProgramCommittee(d *dataset.Dataset, scID dataset.ConfID) (PCAnalysis, erro
 	authors := proportionOf(d.CountGenders(d.AuthorSlots()))
 	test, err := stats.TwoProportionChiSq(res.Overall.K, res.Overall.N, authors.K, authors.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.VsAuthors = test
 

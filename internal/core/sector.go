@@ -56,7 +56,7 @@ func SectorRepresentation(d *dataset.Dataset) (SectorAnalysis, error) {
 		n++
 	}
 	if n == 0 {
-		return res, fmt.Errorf("core: no researchers with a known sector")
+		return res, fmt.Errorf("%w: no researchers with a known sector", ErrNotApplicable)
 	}
 	res.MixEDU = float64(edu) / float64(n)
 	res.MixCOM = float64(com) / float64(n)
@@ -95,12 +95,12 @@ func SectorRepresentation(d *dataset.Dataset) (SectorAnalysis, error) {
 	}
 	pcTest, err := stats.ChiSquaredIndependence(tables[dataset.RolePCMember])
 	if err != nil {
-		return res, fmt.Errorf("core: PC sector test: %w", err)
+		return res, fmt.Errorf("core: PC sector test: %w", notApplicable(err))
 	}
 	res.PCTest = pcTest
 	auTest, err := stats.ChiSquaredIndependence(tables[dataset.RoleAuthor])
 	if err != nil {
-		return res, fmt.Errorf("core: author sector test: %w", err)
+		return res, fmt.Errorf("core: author sector test: %w", notApplicable(err))
 	}
 	res.AuthorTest = auTest
 	return res, nil

@@ -83,7 +83,7 @@ func SubfieldComparison(d *dataset.Dataset) (SubfieldAnalysis, error) {
 	res.Others = proportionOf(d.CountGenders(d.AuthorSlots(otherConfs...)))
 	test, err := stats.TwoProportionChiSq(res.HPC.K, res.HPC.N, res.Others.K, res.Others.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.HPCVsRest = test
 	return res, nil

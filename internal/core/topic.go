@@ -46,12 +46,12 @@ func HPCOnlySubset(d *dataset.Dataset) (TopicAnalysis, error) {
 
 	at, err := stats.TwoProportionChiSq(res.HPCAuthors.K, res.HPCAuthors.N, res.AllAuthors.K, res.AllAuthors.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.AuthorTest = at
 	lt, err := stats.TwoProportionChiSq(res.HPCLead.K, res.HPCLead.N, res.AllLead.K, res.AllLead.N)
 	if err != nil {
-		return res, err
+		return res, notApplicable(err)
 	}
 	res.LeadTest = lt
 	return res, nil

@@ -15,7 +15,10 @@
 // families byte-for-byte (see repro_test.go at the module root).
 package query
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
 // ColType is the storage type of one column vector.
 type ColType int8
@@ -60,36 +63,60 @@ func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 // Dict is an append-only string dictionary. Codes are assigned in first-
 // insertion order, which frame builders exploit to make "appearance" sort
 // order meaningful (e.g. conference dictionaries follow Table 1 order).
+//
+// The value→code index is built on the first Lookup or Code, not when the
+// dictionary is made: a dictionary decoded from a snapshot holds only its
+// values until something looks one up, and most never are. Concurrent
+// Lookups are safe, including the first; Code, which appends, must not run
+// concurrently with any other method.
 type Dict struct {
-	vals []string
-	idx  map[string]int32
+	vals    []string
+	idxOnce sync.Once
+	idx     map[string]int32
 }
 
 // NewDict returns an empty dictionary, pre-seeding the given values in
 // order (seeding fixes the appearance order independently of row order).
 func NewDict(seed ...string) *Dict {
-	d := &Dict{idx: make(map[string]int32, len(seed))}
+	d := &Dict{}
 	for _, s := range seed {
 		d.Code(s)
 	}
 	return d
 }
 
+// DictOf returns the dictionary whose code i is vals[i]. vals must hold no
+// value twice (the caller proves it; the snapshot decoder does so without
+// hashing), and the dictionary takes ownership of the slice.
+func DictOf(vals []string) *Dict { return &Dict{vals: vals} }
+
+// index returns the value→code index, building it on first use.
+func (d *Dict) index() map[string]int32 {
+	d.idxOnce.Do(func() {
+		d.idx = make(map[string]int32, len(d.vals))
+		for i, v := range d.vals {
+			d.idx[v] = int32(i)
+		}
+	})
+	return d.idx
+}
+
 // Code interns s, returning its stable code.
 func (d *Dict) Code(s string) int32 {
-	if c, ok := d.idx[s]; ok {
+	idx := d.index()
+	if c, ok := idx[s]; ok {
 		return c
 	}
 	c := int32(len(d.vals))
 	d.vals = append(d.vals, s)
-	d.idx[s] = c
+	idx[s] = c
 	return c
 }
 
 // Lookup returns the code for s without interning; ok is false when s was
 // never seen (predicates on absent values become constant-false).
 func (d *Dict) Lookup(s string) (int32, bool) {
-	c, ok := d.idx[s]
+	c, ok := d.index()[s]
 	return c, ok
 }
 

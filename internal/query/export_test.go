@@ -42,3 +42,6 @@ func WriteSplitRows(fs *FrameSet, n int, null func(int) bool) {
 	}
 	w.close()
 }
+
+// Indexed reports whether d has built its value→code index.
+func (d *Dict) Indexed() bool { return d.idx != nil }

@@ -74,6 +74,32 @@ const (
 	FrameCitations = "citations" // one row per directed citation edge
 )
 
+// Entities whose IDs string columns hold. Every column holding one
+// entity's IDs is declared with it in its frame's schema.
+const (
+	EntityPerson = "person" // the person column of slots, people, members and cohorts
+	EntityPaper  = "paper"  // slots.paper, papers.paper, citations.src_paper and dst_paper
+)
+
+// Entities lists the entities in fixed order.
+func Entities() []string { return []string{EntityPerson, EntityPaper} }
+
+// ColumnEntity returns the entity whose IDs column col of frame holds, or
+// "" when the column holds no entity's IDs (or is not in the schema).
+func ColumnEntity(frame, col string) string {
+	for _, def := range frameDefs {
+		if def.name != frame {
+			continue
+		}
+		for _, c := range def.cols {
+			if c.name == col {
+				return c.entity
+			}
+		}
+	}
+	return ""
+}
+
 // FrameSet is the columnar flattening of one corpus: the six frames every
 // query runs over. Construction is deterministic — the same dataset always
 // yields byte-identical frames — and every frame's row order is
@@ -227,12 +253,12 @@ func (w *frameWriter) addPerson(p *dataset.Person) {
 var slotsCols = concat(
 	[]colDef{
 		strCol("conf", confIDs), strCol("conference", confNames), intCol("year"),
-		strCol("role", roleNames), strCol("person", nil),
+		strCol("role", roleNames), entityCol("person", EntityPerson),
 	},
 	demographicCols,
 	[]colDef{
 		boolCol("double_blind"), floatCol("attendance"), boolCol("lead"), boolCol("last"),
-		strCol("paper", nil), intCol("citations36"), boolCol("hpc_topic"),
+		entityCol("paper", EntityPaper), intCol("citations36"), boolCol("hpc_topic"),
 	},
 )
 
@@ -330,7 +356,7 @@ func roleFlag(r dataset.Role) string {
 }
 
 var peopleCols = concat(
-	[]colDef{strCol("person", nil)},
+	[]colDef{entityCol("person", EntityPerson)},
 	demographicCols,
 	func() []colDef {
 		var flags []colDef
@@ -397,7 +423,7 @@ func buildPeople(d *dataset.Dataset, w *frameWriter) {
 var membersCols = concat(
 	[]colDef{
 		strCol("role", fixed(dataset.RoleAuthor.String(), dataset.RolePCMember.String())),
-		strCol("person", nil),
+		entityCol("person", EntityPerson),
 	},
 	demographicCols,
 )
@@ -456,7 +482,7 @@ func buildMembers(d *dataset.Dataset, w *frameWriter) {
 }
 
 var papersCols = []colDef{
-	strCol("paper", nil), strCol("conference", confIDs), strCol("conference_name", confNames), intCol("year"),
+	entityCol("paper", EntityPaper), strCol("conference", confIDs), strCol("conference_name", confNames), intCol("year"),
 	strCol("lead_gender", genders), boolCol("lead_known"), boolCol("lead_female"),
 	intCol("citations36"), boolCol("hpc_topic"), intCol("authors"), boolCol("double_blind"),
 }
@@ -545,7 +571,7 @@ func prevEdition(d *dataset.Dataset, c *dataset.Conference) *dataset.Conference 
 }
 
 var cohortsCols = concat(
-	[]colDef{strCol("conf", confIDs), strCol("series", confNames), intCol("year"), strCol("person", nil)},
+	[]colDef{strCol("conf", confIDs), strCol("series", confNames), intCol("year"), entityCol("person", EntityPerson)},
 	demographicCols,
 	[]colDef{boolCol("retained"), boolCol("observed")},
 )
@@ -586,8 +612,8 @@ func buildCohorts(d *dataset.Dataset, w *frameWriter) {
 }
 
 var citationsCols = []colDef{
-	strCol("src_paper", nil), strCol("src_conf", confIDs), intCol("src_year"),
-	strCol("dst_paper", nil), strCol("dst_conf", confIDs), intCol("dst_year"),
+	entityCol("src_paper", EntityPaper), strCol("src_conf", confIDs), intCol("src_year"),
+	entityCol("dst_paper", EntityPaper), strCol("dst_conf", confIDs), intCol("dst_year"),
 	strCol("team", fixed(cite.TeamCategories()...)),
 	strCol("src_lead_gender", genders), strCol("dst_lead_gender", genders),
 	boolCol("dst_lead_known"), boolCol("dst_lead_female"),

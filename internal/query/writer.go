@@ -16,11 +16,15 @@ import (
 // seeded with before any row is written. Seeding fixes "appearance" order
 // independently of row order (conference dictionaries follow Table 1
 // order); re-seeding a grown frame interns only values it lacks, at the
-// tail, exactly where a rebuild over the grown corpus puts them.
+// tail, exactly where a rebuild over the grown corpus puts them. A string
+// column whose values are IDs of a corpus entity names that entity, so the
+// snapshot codec can store the entity's IDs once for every column that
+// draws from it.
 type colDef struct {
-	name string
-	typ  ColType
-	seed func(*dataset.Dataset) []string
+	name   string
+	typ    ColType
+	seed   func(*dataset.Dataset) []string
+	entity string
 }
 
 func intCol(name string) colDef   { return colDef{name: name, typ: TInt} }
@@ -29,6 +33,11 @@ func boolCol(name string) colDef  { return colDef{name: name, typ: TBool} }
 
 func strCol(name string, seed func(*dataset.Dataset) []string) colDef {
 	return colDef{name: name, typ: TStr, seed: seed}
+}
+
+// entityCol declares a string column holding IDs of the named entity.
+func entityCol(name, entity string) colDef {
+	return colDef{name: name, typ: TStr, entity: entity}
 }
 
 // fixed seeds a dictionary with the same values whatever the corpus.

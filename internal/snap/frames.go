@@ -2,6 +2,7 @@ package snap
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/query"
 )
@@ -12,10 +13,47 @@ import (
 // for floats, bitmap words for booleans and validity, dictionary values
 // in code order plus a code column for strings — so a deserialized
 // FrameSet answers every query byte-identically to a freshly built one.
+//
+// The section opens with one value table per entity (query.Entities): the
+// sorted union of the values of every column whose schema names that
+// entity. Such a column stores its dictionary as positions into the
+// table, in code order, so an ID shared by several columns is stored, and
+// decoded, once. Every other string column stores its own dictionary
+// values. A string column's dictionary is prefixed by its source: 0 for
+// its own values, k for the k-th entity table.
+
+// dictOwn is the dictionary source of a string column that stores its own
+// values; source k > 0 names the k-th entity table.
+const dictOwn = 0
 
 func encodeFrames(fs *query.FrameSet) []byte {
 	e := &enc{}
 	names := fs.Names()
+	entities := query.Entities()
+	// entityOf returns the index in entities of the entity string column
+	// col of frame holds the IDs of, or -1.
+	entityOf := func(frame string, c *query.Column) int {
+		if c.Type != query.TStr {
+			return -1
+		}
+		return slices.Index(entities, query.ColumnEntity(frame, c.Name))
+	}
+	tables := make([][]string, len(entities))
+	for _, name := range names {
+		f, _ := fs.Frame(name)
+		for _, c := range f.Columns() {
+			if k := entityOf(name, c); k >= 0 {
+				tables[k] = append(tables[k], c.Dict.Values()...)
+			}
+		}
+	}
+	e.uvarint(uint64(len(entities)))
+	for k, name := range entities {
+		slices.Sort(tables[k])
+		tables[k] = slices.Compact(tables[k])
+		e.str(name)
+		e.strDict(tables[k])
+	}
 	e.uvarint(uint64(len(names)))
 	for _, name := range names {
 		f, _ := fs.Frame(name)
@@ -40,7 +78,18 @@ func encodeFrames(fs *query.FrameSet) []byte {
 			case query.TBool:
 				e.words(canonicalBitmap(c.Bools, f.NumRows))
 			case query.TStr:
-				e.strDict(c.Dict.Values())
+				vals := c.Dict.Values()
+				if k := entityOf(name, c); k >= 0 {
+					e.uvarint(uint64(k + 1))
+					e.uvarint(uint64(len(vals)))
+					for _, v := range vals {
+						pos, _ := slices.BinarySearch(tables[k], v)
+						e.uvarint(uint64(pos))
+					}
+				} else {
+					e.uvarint(dictOwn)
+					e.strDict(vals)
+				}
 				e.codeCol(c.Codes)
 			}
 		}
@@ -64,8 +113,20 @@ func canonicalBitmap(b []uint64, n int) []uint64 {
 	return out
 }
 
+// entityTable is one decoded entity value table. seen is the decoder's
+// scratch bitmap over it, clear between columns.
+type entityTable struct {
+	name string
+	vals []string
+	seen query.Bitmap
+}
+
 func decodeFrames(data []byte) (*query.FrameSet, error) {
 	dc := newDec(SectionFrames, data)
+	tables, err := decodeEntityTables(dc)
+	if err != nil {
+		return nil, err
+	}
 	nFrames, err := dc.length("frame", 1)
 	if err != nil {
 		return nil, err
@@ -92,7 +153,7 @@ func decodeFrames(data []byte) (*query.FrameSet, error) {
 		}
 		cols := make([]*query.Column, 0, nCols)
 		for ci := 0; ci < nCols; ci++ {
-			c, err := decodeColumn(dc, name, n)
+			c, err := decodeColumn(dc, tables, name, n)
 			if err != nil {
 				return nil, err
 			}
@@ -106,7 +167,35 @@ func decodeFrames(data []byte) (*query.FrameSet, error) {
 	return query.AssembleFrameSet(frames), nil
 }
 
-func decodeColumn(dc *dec, frame string, n int) (*query.Column, error) {
+// decodeEntityTables reads the entity value tables. A table must be
+// strictly ascending, which proves it repeats no value without hashing
+// one.
+func decodeEntityTables(dc *dec) ([]entityTable, error) {
+	n, err := dc.length("entity table", 1)
+	if err != nil {
+		return nil, err
+	}
+	tables := make([]entityTable, n)
+	for k := range tables {
+		t := &tables[k]
+		if t.name, err = dc.str("entity table name"); err != nil {
+			return nil, err
+		}
+		what := fmt.Sprintf("entity table %q", t.name)
+		if t.vals, err = dc.strDict(what); err != nil {
+			return nil, err
+		}
+		for i := 1; i < len(t.vals); i++ {
+			if t.vals[i-1] >= t.vals[i] {
+				return nil, dc.err(fmt.Sprintf("%s not strictly ascending at value %d", what, i), ErrCorrupt)
+			}
+		}
+		t.seen = query.NewBitmap(len(t.vals))
+	}
+	return tables, nil
+}
+
+func decodeColumn(dc *dec, tables []entityTable, frame string, n int) (*query.Column, error) {
 	colName, err := dc.str(fmt.Sprintf("frame %q column name", frame))
 	if err != nil {
 		return nil, err
@@ -156,15 +245,11 @@ func decodeColumn(dc *dec, frame string, n int) (*query.Column, error) {
 		}
 		c.Bools = query.Bitmap(w)
 	case query.TStr:
-		vals, err := dc.strDict(what + " dictionary")
+		vals, err := decodeDict(dc, tables, what)
 		if err != nil {
 			return nil, err
 		}
-		dict := query.NewDict(vals...)
-		if dict.Len() != len(vals) {
-			return nil, dc.err(what+": dictionary repeats a value", ErrCorrupt)
-		}
-		c.Dict = dict
+		c.Dict = query.DictOf(vals)
 		if c.Codes, err = dc.codeCol(what+" codes", len(vals)); err != nil {
 			return nil, err
 		}
@@ -175,4 +260,56 @@ func decodeColumn(dc *dec, frame string, n int) (*query.Column, error) {
 		return nil, dc.err(fmt.Sprintf("%s has unknown column type %d", what, typ), ErrCorrupt)
 	}
 	return c, nil
+}
+
+// decodeDict reads a string column's dictionary values in code order,
+// proving they hold no value twice. Values drawn from an entity table are
+// the table's strings, positions checked in range and unrepeated against
+// the table's bitmap; a column's own values are checked on a sorted copy.
+// Neither check hashes a string.
+func decodeDict(dc *dec, tables []entityTable, what string) ([]string, error) {
+	src, err := dc.uvarint(what + " dictionary source")
+	if err != nil {
+		return nil, err
+	}
+	if src == dictOwn {
+		vals, err := dc.strDict(what + " dictionary")
+		if err != nil {
+			return nil, err
+		}
+		sorted := slices.Clone(vals)
+		slices.Sort(sorted)
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i-1] == sorted[i] {
+				return nil, dc.err(what+": dictionary repeats a value", ErrCorrupt)
+			}
+		}
+		return vals, nil
+	}
+	if src > uint64(len(tables)) {
+		return nil, dc.err(fmt.Sprintf("%s: dictionary source %d names no entity table (%d tables)", what, src, len(tables)), ErrCorrupt)
+	}
+	t := &tables[src-1]
+	n, err := dc.length(what+" dictionary positions", 1)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]string, n)
+	posWhat := what + " dictionary position"
+	for i := range vals {
+		pos, err := dc.uvarint(posWhat)
+		if err != nil {
+			return nil, err
+		}
+		if pos >= uint64(len(t.vals)) {
+			return nil, dc.err(fmt.Sprintf("%s: dictionary position %d outside entity table %q of %d values", what, pos, t.name, len(t.vals)), ErrCorrupt)
+		}
+		if t.seen.Get(int(pos)) {
+			return nil, dc.err(fmt.Sprintf("%s: dictionary repeats entity table %q position %d", what, t.name, pos), ErrCorrupt)
+		}
+		t.seen.Set(int(pos))
+		vals[i] = t.vals[pos]
+	}
+	clear(t.seen)
+	return vals, nil
 }

@@ -15,8 +15,8 @@ import (
 // rejection is a structured *FormatError; the one other rejection is the
 // decoded corpus's referential check (dataset.ErrInvalid), which runs
 // only after every section decoded cleanly. Seeds cover a valid snapshot
-// (with and without frames), a delta snapshot, their prefixes, a
-// version-1 file, and garbage.
+// (with and without frames), a delta snapshot, their prefixes, version-1
+// and version-2 files, and garbage.
 func FuzzReader(f *testing.F) {
 	d := tinyDataset()
 	info, mini := tinyDeltaMini()
@@ -41,13 +41,16 @@ func FuzzReader(f *testing.F) {
 	f.Add(withFrames.Bytes()[:len(withFrames.Bytes())/2])
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
-	f.Add([]byte("WHPCSNAP\x02\x00\x00\x00\xff\xff\xff\xff"))
+	f.Add([]byte("WHPCSNAP\x03\x00\x00\x00\xff\xff\xff\xff"))
 	f.Add([]byte("\x00\xff\xfe garbage"))
 	// A version-1 file, which may carry the citations section version 2
-	// dropped.
-	v1 := bytes.Clone(plain.Bytes())
-	binary.LittleEndian.PutUint16(v1[8:10], 1)
-	f.Add(v1)
+	// dropped, and a version-2 file, whose frames section has no entity
+	// tables.
+	for _, v := range []uint16{1, 2} {
+		old := bytes.Clone(withFrames.Bytes())
+		binary.LittleEndian.PutUint16(old[8:10], v)
+		f.Add(old)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range []Kind{Full, Delta} {

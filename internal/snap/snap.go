@@ -56,8 +56,10 @@ const Magic = "WHPCSNAP"
 // files with a newer version (forward compatibility is not promised);
 // older versions are rejected too until a migration path exists. Version
 // 2 dropped version 1's optional citation-graph section: the graph lives
-// in the frames section's citations frame.
-const FormatVersion = 2
+// in the frames section's citations frame. Version 3 stores the person and
+// paper IDs of the frames section once, in one value table per entity,
+// and each column drawing from one as positions into it.
+const FormatVersion = 3
 
 // FileExt is the conventional file extension for snapshot files.
 const FileExt = ".whpcsnap"

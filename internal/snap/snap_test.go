@@ -204,12 +204,13 @@ func TestBadMagicRejected(t *testing.T) {
 	}
 }
 
-// TestVersionSkewRejected: a future format version and version 1 (whose
-// files may carry the citation-graph section version 2 dropped) must
-// surface ErrVersion, not a checksum mismatch, even though the rewrite
-// also breaks the file CRC.
+// TestVersionSkewRejected: a future format version, version 1 (whose
+// files may carry the citation-graph section version 2 dropped) and
+// version 2 (whose frames section stores every entity column's values
+// itself) must surface ErrVersion, not a checksum mismatch, even though
+// the rewrite also breaks the file CRC.
 func TestVersionSkewRejected(t *testing.T) {
-	for _, v := range []uint16{0x7fff, 1} {
+	for _, v := range []uint16{0x7fff, 1, 2} {
 		data := tinySnapshot(t, false)
 		binary.LittleEndian.PutUint16(data[8:10], v)
 		_, err := Read(data, Full, nil)

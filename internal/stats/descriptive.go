@@ -14,6 +14,10 @@ var ErrEmpty = errors.New("stats: empty sample")
 // statistic (e.g. variance of a single observation).
 var ErrTooFew = errors.New("stats: sample too small")
 
+// ErrTied means every value of a rank test's pooled samples is tied, so
+// the test has no variance.
+var ErrTied = errors.New("stats: Mann-Whitney degenerate (all values tied)")
+
 // Sum returns the sum of xs. Sum of an empty slice is 0.
 func Sum(xs []float64) float64 {
 	// Kahan compensated summation: the experience and citation vectors in

@@ -48,7 +48,7 @@ func MannWhitneyU(x, y []float64) (MannWhitneyResult, error) {
 	tieSum := tieCorrection(pooled)
 	variance := nn / 12 * (n + 1 - tieSum/(n*(n-1)))
 	if variance <= 0 {
-		return MannWhitneyResult{}, fmt.Errorf("stats: Mann-Whitney degenerate (all values tied)")
+		return MannWhitneyResult{}, ErrTied
 	}
 	mean := nn / 2
 	// Continuity correction toward the mean.

@@ -83,6 +83,10 @@ func (c Config) Validate() error {
 			return fmt.Errorf("synth: %s needs at least %d author slots for %d papers, has %d",
 				conf.ID, 2*conf.Papers, conf.Papers, conf.AuthorSlots)
 		}
+		if conf.AuthorSlots > maxAuthors*conf.Papers {
+			return fmt.Errorf("synth: %s has %d author slots for %d papers, more than %d authors per paper can hold",
+				conf.ID, conf.AuthorSlots, conf.Papers, maxAuthors)
+		}
 		if conf.AcceptanceRate <= 0 || conf.AcceptanceRate > 1 {
 			return fmt.Errorf("synth: %s acceptance rate %g outside (0,1]", conf.ID, conf.AcceptanceRate)
 		}
@@ -486,8 +490,11 @@ func (g *gen) genConference(conf *ConfSpec) error {
 	return nil
 }
 
+// maxAuthors is the longest author list a synthesized paper has.
+const maxAuthors = 14
+
 // paperSizes partitions authorSlots into papers author-list sizes, each at
-// least 2 and at most 14.
+// least 2 and at most maxAuthors; Validate guarantees the slots fit.
 func (g *gen) paperSizes(papers, authorSlots int) []int {
 	sizes := make([]int, papers)
 	for i := range sizes {
@@ -496,7 +503,7 @@ func (g *gen) paperSizes(papers, authorSlots int) []int {
 	extra := authorSlots - 2*papers
 	for extra > 0 {
 		i := g.rng.IntN(papers)
-		if sizes[i] < 14 {
+		if sizes[i] < maxAuthors {
 			sizes[i]++
 			extra--
 		}

@@ -442,6 +442,9 @@ func TestConfigValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.Countries[0].FAR = 1.5 },
 		func(c *Config) { c.Confs[0].Papers = 0 },
 		func(c *Config) { c.Confs[0].AuthorSlots = c.Confs[0].Papers },
+		// More slots than maxAuthors per paper: paperSizes could never
+		// place them all.
+		func(c *Config) { c.Confs[0].AuthorSlots = maxAuthors*c.Confs[0].Papers + 1 },
 		func(c *Config) { c.Confs[0].AcceptanceRate = 0 },
 		func(c *Config) { c.Confs[0].PCMembers = RoleQuota{Total: 5, Women: 9} },
 		func(c *Config) { c.Confs[0].FAR = -0.1 },
@@ -466,8 +469,8 @@ func TestPaperSizesPartition(t *testing.T) {
 	sizes := g.paperSizes(61, 325)
 	sum := 0
 	for _, s := range sizes {
-		if s < 2 || s > 14 {
-			t.Fatalf("paper size %d outside [2, 14]", s)
+		if s < 2 || s > maxAuthors {
+			t.Fatalf("paper size %d outside [2, %d]", s, maxAuthors)
 		}
 		sum += s
 	}

@@ -2,13 +2,18 @@ package repro
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/collab"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gender"
+	"repro/internal/stats"
+	"repro/internal/synth"
 )
 
 // study is the shared end-to-end fixture (deterministic per seed).
@@ -354,5 +359,53 @@ func TestCorpusGenderAccountingConsistent(t *testing.T) {
 	unique := d.CountGenders(d.UniqueAuthorsAndPC())
 	if unique.Women > totalWomen {
 		t.Errorf("unique role women %d exceeds corpus women %d", unique.Women, totalWomen)
+	}
+}
+
+// onePaperStudy cuts the default corpus to its first conference holding a
+// single paper of slots authors.
+func onePaperStudy(t *testing.T, slots int) *Study {
+	t.Helper()
+	cfg := synth.Default2017(2021)
+	cfg.Confs = cfg.Confs[:1]
+	cfg.Confs[0].Papers, cfg.Confs[0].AuthorSlots = 1, slots
+	s, err := NewStudyFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestWriteReportOnePaperCorpus: on a one-paper corpus the statistics
+// meet degenerate samples — a contingency table with a zero marginal, too
+// few gendered leads or author bands, no collaboration pairs to compare.
+// Each such exhibit is noted as not applicable, with its cause, and the
+// report finishes.
+func TestWriteReportOnePaperCorpus(t *testing.T) {
+	for _, slots := range []int{3, 14} {
+		s := onePaperStudy(t, slots)
+		var b bytes.Buffer
+		if err := s.WriteReport(&b); err != nil {
+			t.Fatalf("%d authors: WriteReport: %v", slots, err)
+		}
+		var notes []string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "(not applicable to this corpus: ") {
+				notes = append(notes, line)
+			}
+		}
+		for _, cause := range []string{
+			stats.ErrDegenerate.Error(),
+			"too few gendered lead authors",
+			"missing gendered author band populations",
+			collab.ErrTooFew.Error(),
+		} {
+			if !slices.ContainsFunc(notes, func(n string) bool { return strings.Contains(n, cause) }) {
+				t.Errorf("%d authors: report does not note %q as not applicable", slots, cause)
+			}
+		}
+		if _, err := s.ExhibitCSV("experience_bands"); !errors.Is(err, core.ErrNotApplicable) {
+			t.Errorf("%d authors: experience_bands error %v is not core.ErrNotApplicable", slots, err)
+		}
 	}
 }

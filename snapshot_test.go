@@ -100,11 +100,11 @@ func TestSnapshotRoundTripQueries(t *testing.T) {
 // Work budgets of one OpenSnapshot of the default seed-2021 snapshot,
 // checked by TestSnapshotOpenBeatsRegeneration beside its timing bound.
 // Unlike the timing ratio they do not depend on what else shares the CPUs.
-// Measured on linux/amd64 with Go 1.24 as 2,334 allocations and 5.19 MB
+// Measured on linux/amd64 with Go 1.24 as 2,030 allocations and 3.66 MB
 // per open; the budgets leave about 5% headroom on each.
 const (
-	snapshotOpenAllocs = 2450
-	snapshotOpenBytes  = 5_450_000
+	snapshotOpenAllocs = 2130
+	snapshotOpenBytes  = 3_840_000
 )
 
 // TestSnapshotOpenBeatsRegeneration is the warm-boot perf floor from the
@@ -333,11 +333,21 @@ func BenchmarkMaterializeCompacted(b *testing.B) {
 	}
 }
 
+// Work budgets of one open of the compacted flagship+SC'21 snapshot,
+// checked by TestCompactedOpenBeatsDeltaApply beside its timing bound.
+// Measured on linux/amd64 with Go 1.24 as 2,191 allocations and 4.73 MB
+// per open; the budgets leave about 5% headroom on each.
+const (
+	compactedOpenAllocs = 2300
+	compactedOpenBytes  = 4_960_000
+)
+
 // TestCompactedOpenBeatsDeltaApply is the compaction perf floor: opening
 // the compacted snapshot of a base and its delta must be at least 1.5x
 // faster than opening the base and applying the delta (medians of
-// alternating rounds, perffloor.Medians), or compacting buys nothing for the
-// disk it takes.
+// alternating rounds, perffloor.MedianResults), or compacting buys nothing
+// for the disk it takes. The median compacted open must also stay within
+// its work budgets.
 func TestCompactedOpenBeatsDeltaApply(t *testing.T) {
 	if perffloor.RaceEnabled {
 		t.Skip("timing gate disabled under the race detector")
@@ -345,11 +355,18 @@ func TestCompactedOpenBeatsDeltaApply(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate disabled with -short")
 	}
-	compactedNs, applyNs := perffloor.Medians(t, BenchmarkMaterializeCompacted, BenchmarkMaterializeDelta)
-	t.Logf("base open + delta apply: %.2fms, compacted open: %.2fms (%.2fx)",
-		applyNs/1e6, compactedNs/1e6, applyNs/compactedNs)
+	compacted, apply := perffloor.MedianResults(t, BenchmarkMaterializeCompacted, BenchmarkMaterializeDelta)
+	compactedNs, applyNs := float64(compacted.NsPerOp()), float64(apply.NsPerOp())
+	t.Logf("base open + delta apply: %.2fms, compacted open: %.2fms, %d allocs, %d B (%.2fx)",
+		applyNs/1e6, compactedNs/1e6, compacted.AllocsPerOp(), compacted.AllocedBytesPerOp(), applyNs/compactedNs)
 	if compactedNs*1.5 > applyNs {
 		t.Errorf("compacted open (%.2fms) is not 1.5x faster than base open + delta apply (%.2fms)",
 			compactedNs/1e6, applyNs/1e6)
+	}
+	if n := compacted.AllocsPerOp(); n > compactedOpenAllocs {
+		t.Errorf("compacted open allocates %d times per open, budget %d", n, compactedOpenAllocs)
+	}
+	if n := compacted.AllocedBytesPerOp(); n > compactedOpenBytes {
+		t.Errorf("compacted open allocates %d B per open, budget %d B", n, compactedOpenBytes)
 	}
 }

@@ -356,7 +356,7 @@ func (s *Study) CitationFlow() (cite.Analysis, error) {
 		}
 	}
 	if a.Overall.Edges == 0 {
-		return a, fmt.Errorf("cite: graph has no edges")
+		return a, cite.ErrNoEdges
 	}
 	mixing, err := s.Query(citeMixingQuery)
 	if err != nil {
