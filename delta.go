@@ -20,8 +20,10 @@ import (
 // suite).
 //
 // The apply is atomic without a copy: delta.Apply runs every check before
-// its first write, so on any error the study is unchanged, and whether a
-// delta is accepted does not depend on whether the frames were built. The
+// its first write, so on any error the study is unchanged. Its corpus
+// rules alone decide whether a delta is accepted, so that does not depend
+// on whether the frames were built; frames opened from a snapshot had
+// their shape proven by the decoder. The
 // study's dataset (the one Dataset returns) grows in place, and exhibits
 // read it at render time, so nothing else needs invalidating. ApplyDelta
 // must not run concurrently with queries or report rendering on the same

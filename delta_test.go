@@ -468,10 +468,21 @@ var deltaBaseSnapshot = sync.OnceValue(func() []byte {
 	return buf.Bytes()
 })
 
+// Work budgets of one BenchmarkDeltaApply apply (flagship base opened
+// from a snapshot, SC'21 delta), checked by TestDeltaApplyBeatsResynthesis
+// beside its timing bound. Measured on linux/amd64 with Go 1.24 as 1,972
+// allocations and 3.52 MB per apply; the budgets leave about 5% headroom
+// on each.
+const (
+	deltaApplyAllocs = 2070
+	deltaApplyBytes  = 3_700_000
+)
+
 // TestDeltaApplyBeatsResynthesis is the incremental-maintenance perf
 // floor: patching a warm study with one year must be at least 10x faster
 // than resynthesizing the grown corpus and rebuilding its frames, in the
-// medians of alternating rounds (perffloor.Medians).
+// medians of alternating rounds (perffloor.MedianResults). The median
+// apply must also stay within its work budgets.
 func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 	if perffloor.RaceEnabled {
 		t.Skip("timing gate disabled under the race detector")
@@ -482,7 +493,7 @@ func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 	full := deltaFix.cfg
 	full.Confs = append(append([]synth.ConfSpec(nil), deltaFix.cfg.Confs...), deltaFix.spec)
 
-	applyNs, resynthNs := perffloor.Medians(t, BenchmarkDeltaApply, func(b *testing.B) {
+	apply, resynth := perffloor.MedianResults(t, BenchmarkDeltaApply, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := NewStudyFromConfig(full)
 			if err != nil {
@@ -491,10 +502,17 @@ func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 			s.Frames()
 		}
 	})
-	t.Logf("delta apply: %.2fms, full resynthesis + frame build: %.2fms (%.1fx)",
-		applyNs/1e6, resynthNs/1e6, resynthNs/applyNs)
+	applyNs, resynthNs := float64(apply.NsPerOp()), float64(resynth.NsPerOp())
+	t.Logf("delta apply: %.2fms, %d allocs, %d B; full resynthesis + frame build: %.2fms (%.1fx)",
+		applyNs/1e6, apply.AllocsPerOp(), apply.AllocedBytesPerOp(), resynthNs/1e6, resynthNs/applyNs)
 	if applyNs*10 > resynthNs {
 		t.Errorf("delta apply (%.2fms) is not 10x faster than resynthesis (%.2fms)",
 			applyNs/1e6, resynthNs/1e6)
+	}
+	if n := apply.AllocsPerOp(); n > deltaApplyAllocs {
+		t.Errorf("delta apply allocates %d times per apply, budget %d", n, deltaApplyAllocs)
+	}
+	if n := apply.AllocedBytesPerOp(); n > deltaApplyBytes {
+		t.Errorf("delta apply allocates %d B per apply, budget %d B", n, deltaApplyBytes)
 	}
 }

@@ -30,3 +30,27 @@ func FuzzReadConferencesCSV(f *testing.F) {
 		_ = d.ReadConferencesCSV(strings.NewReader(data))
 	})
 }
+
+// FuzzReadPapersCSV: the paper table reader checks each row against the
+// conferences already registered, so the corpus it fuzzes holds one.
+// Arbitrary bytes either parse into papers of that conference or return
+// an error; they never panic.
+func FuzzReadPapersCSV(f *testing.F) {
+	f.Add("id,conf,title,authors,hpc_topic,citations36\n" +
+		"sc17-1,SC17,On Things,p1;p2,true,40\n")
+	f.Add("\x00\xff\xfe garbage")
+	f.Fuzz(func(t *testing.T, data string) {
+		d := New()
+		if err := d.AddConference(&Conference{ID: "SC17", Name: "SC", Year: 2017}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ReadPapersCSV(strings.NewReader(data)); err != nil {
+			return
+		}
+		for _, p := range d.Papers {
+			if p.Conf != "SC17" {
+				t.Fatalf("accepted paper %q of unregistered conference %q", p.ID, p.Conf)
+			}
+		}
+	})
+}

@@ -87,10 +87,11 @@ func WriteFile(path string, yd *synth.YearDelta, base *dataset.Dataset) error {
 //
 // Every refusal comes before the first write: the chaos point (inj, nil
 // meaning none), the delta identity, the base fingerprint, records the
-// corpus already holds, year order, reused and new participants, and,
-// when fs is non-nil, fs.CheckAppend. For frames built over d the
-// corpus-level rules imply the frame checks, so whether a delta is
-// accepted does not depend on whether fs is nil.
+// corpus already holds, year order, and reused and new participants. These
+// corpus rules alone decide acceptance, and no frame code runs before the
+// merge: fs, built over d by query.NewFrameSet or proven against d by the
+// snapshot decoder, has the shape AppendConference assumes, so whether a
+// delta is accepted does not depend on whether fs is nil.
 func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *dataset.Dataset, inj chaos.Injector) error {
 	if f := chaos.Or(inj).Fire(chaos.PointDeltaApply); f != nil {
 		return chaos.Injected(chaos.PointDeltaApply, f)
@@ -185,11 +186,6 @@ func Apply(d *dataset.Dataset, fs *query.FrameSet, info snap.DeltaInfo, mini *da
 		}
 		if first := newcomers[0].ID; first <= last {
 			return fmt.Errorf("delta: newcomer %q does not sort after base person %q; people frame order not append-compatible", first, last)
-		}
-	}
-	if fs != nil {
-		if err := fs.CheckAppend(d, c, mini.Papers); err != nil {
-			return fmt.Errorf("delta: frames cannot take %q: %w", c.ID, err)
 		}
 	}
 

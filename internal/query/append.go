@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cite"
@@ -17,67 +16,13 @@ import (
 // uses; only the patches of existing rows (people tallies, the previous
 // cohort's retention bits) are specific to this path.
 
-// CheckAppend runs the frame checks AppendConference relies on, before
-// conference c and its papers are merged into the base corpus d: every
-// frame has its declared schema (a snapshot from an older generation may
-// predate a column), the conference dictionary holds exactly d's
-// conferences in corpus order, and researchers new to the people frame
-// sort after its rows, which keeps its sorted-by-ID order append-only.
-// The corpus-level preconditions (year order, newcomer IDs) are the
-// caller's: delta.Apply checks them whether or not frames were built.
-func (fs *FrameSet) CheckAppend(d *dataset.Dataset, c *dataset.Conference, papers []*dataset.Paper) error {
-	for _, def := range frameDefs {
-		f, ok := fs.Frame(def.name)
-		if !ok {
-			return fmt.Errorf("query: append: frame %q missing (rebuilt from an older snapshot?)", def.name)
-		}
-		if err := checkSchema(f, def.cols); err != nil {
-			return fmt.Errorf("query: append: %w", err)
-		}
-	}
-	slots, _ := fs.Frame(FrameSlots)
-	confDict := slots.byName["conf"].Dict
-	if _, dup := confDict.Lookup(string(c.ID)); dup {
-		return fmt.Errorf("query: append: conference %q already present in frames", c.ID)
-	}
-	if confDict.Len() != len(d.Conferences) {
-		return fmt.Errorf("query: append: frames hold %d conferences, dataset has %d before %q",
-			confDict.Len(), len(d.Conferences), c.ID)
-	}
-	for i, bc := range d.Conferences {
-		if confDict.Value(int32(i)) != string(bc.ID) {
-			return fmt.Errorf("query: append: conference %q at corpus position %d not in frames", bc.ID, i)
-		}
-	}
-	people, _ := fs.Frame(FramePeople)
-	if people.NumRows == 0 {
-		return nil
-	}
-	personCol := people.byName["person"]
-	last := personCol.str(people.NumRows - 1)
-	rosters := make([][]dataset.PersonID, 0, len(papers)+len(dataset.Roles()))
-	for _, p := range papers {
-		rosters = append(rosters, p.Authors)
-	}
-	for _, r := range dataset.Roles() {
-		rosters = append(rosters, c.RoleHolders(r)) // nil for authors
-	}
-	for _, ids := range rosters {
-		for _, id := range ids {
-			if _, seen := personCol.Dict.Lookup(string(id)); !seen && string(id) <= last {
-				return fmt.Errorf("query: append: new person %q does not sort after existing %q; people frame order not append-compatible",
-					id, last)
-			}
-		}
-	}
-	return nil
-}
-
-// AppendConference grows the frame set in place with the rows contributed
-// by conference confID of d: the corpus CheckAppend approved, with confID
-// and its papers merged at its tail. Afterwards the frame set is
-// byte-identical (under the snapshot codec's canonical encoding) to
-// NewFrameSet(d); repro_test pins that postcondition corpus-wide.
+// AppendConference grows the frame set, built over d before conference
+// confID and its papers were merged at its tail, in place with the rows
+// confID contributes. The corpus rules delta.Apply checks before the merge
+// are all it assumes, besides the shape NewFrameSet and FrameSetOf give
+// every frame set. Afterwards the frame set is byte-identical (under the
+// snapshot codec's canonical encoding) to NewFrameSet(d); repro_test pins
+// that postcondition corpus-wide.
 func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID) {
 	c, _ := d.Conference(confID)
 	confRoles, confAuthored := confContribution(d, c)
@@ -94,8 +39,8 @@ func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID) 
 	w := fs.writer(FrameSlots, d)
 	emitConfSlots(d, c, w)
 	w.close()
-	fs.appendPeople(d, confRoles, confAuthored, newIDs)
 	fs.appendMembers(d, c)
+	fs.appendPeople(d, confRoles, confAuthored, newIDs)
 	w = fs.writer(FramePapers, d)
 	for _, p := range d.PapersOf(c.ID) {
 		emitPaperRow(d, p, c, w)
@@ -111,10 +56,9 @@ func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID) 
 	w.close()
 }
 
-// writer binds a frameWriter to the named frame, whose schema
-// CheckAppend has checked, re-seeding its dictionaries from d (which
-// appends the new conference to the conference dictionaries even when no
-// appended row mentions it).
+// writer binds a frameWriter to the named frame, re-seeding its
+// dictionaries from d (which appends the new conference to the conference
+// dictionaries even when no appended row mentions it).
 func (fs *FrameSet) writer(name string, d *dataset.Dataset) *frameWriter {
 	f, _ := fs.Frame(name)
 	for _, def := range frameDefs {
@@ -153,7 +97,8 @@ func confContribution(d *dataset.Dataset, c *dataset.Conference) (map[dataset.Pe
 // appends one row per researcher first appearing at the new conference, in
 // sorted ID order. Row index equals person dictionary code: rows are
 // emitted in sorted order with unique IDs, so codes are assigned 0..n-1 in
-// row order, and the precondition check keeps that true across appends.
+// row order, appended rows keep that true, and FrameSetOf proves it of a
+// decoded frame.
 func (fs *FrameSet) appendPeople(d *dataset.Dataset, confRoles map[dataset.PersonID]map[dataset.Role]bool, confAuthored map[dataset.PersonID]int64, newIDs []string) {
 	f, _ := fs.Frame(FramePeople)
 	personCol, papersCol := f.byName["person"], f.byName["papers"]
@@ -189,31 +134,23 @@ func (fs *FrameSet) appendPeople(d *dataset.Dataset, confRoles map[dataset.Perso
 	w.close()
 }
 
-// appendMembers rebuilds the base conferences' seen sets (map work
-// proportional to the corpus, but no row emission or column writes), then
-// writes only the new conference's newly-qualifying rows.
+// appendMembers writes the new conference's rows of the members frame. A
+// participant qualifies for a population for the first time at c when the
+// people frame, read before appendPeople patches it, has no row for them
+// or does not yet flag them in it.
 func (fs *FrameSet) appendMembers(d *dataset.Dataset, c *dataset.Conference) {
-	// Only membership matters here (emitConfMembers sorts the new
-	// conference's qualifiers itself), so the per-conference sorted scans
-	// confNewMembers runs during a full build would cost milliseconds for
-	// nothing.
-	seenAuthor := make(map[dataset.PersonID]bool, len(d.Persons))
-	seenPC := make(map[dataset.PersonID]bool)
-	for _, bc := range d.Conferences {
-		if bc.ID == c.ID {
-			continue
-		}
-		for _, p := range d.PapersOf(bc.ID) {
-			for _, id := range p.Authors {
-				seenAuthor[id] = true
-			}
-		}
-		for _, id := range bc.PCMembers {
-			seenPC[id] = true
-		}
+	people, _ := fs.Frame(FramePeople)
+	person := people.byName["person"]
+	flag := map[dataset.Role]*Column{
+		dataset.RoleAuthor:   people.byName[roleFlag(dataset.RoleAuthor)],
+		dataset.RolePCMember: people.byName[roleFlag(dataset.RolePCMember)],
+	}
+	first := func(r dataset.Role, id dataset.PersonID) bool {
+		row, ok := person.Dict.Lookup(string(id))
+		return !ok || !flag[r].Bools.Get(int(row))
 	}
 	w := fs.writer(FrameMembers, d)
-	emitConfMembers(d, c, seenAuthor, seenPC, w)
+	emitConfMembers(d, c, first, w)
 	w.close()
 }
 
@@ -223,17 +160,17 @@ func (fs *FrameSet) appendMembers(d *dataset.Dataset, c *dataset.Conference) {
 // cohort block.
 func (fs *FrameSet) appendCohorts(d *dataset.Dataset, c *dataset.Conference) {
 	f, _ := fs.Frame(FrameCohorts)
-	confCol, personCol := f.byName["conf"], f.byName["person"]
+	conf, personCol := f.byName["conf"], f.byName["person"]
 	retCol, obsCol := f.byName["retained"], f.byName["observed"]
 
 	if prev := prevEdition(d, c); prev != nil {
-		if code, ok := confCol.Dict.Lookup(string(prev.ID)); ok {
+		if code, ok := conf.Dict.Lookup(string(prev.ID)); ok {
 			cur := participantSet(d, c)
 			// The previous edition's block was built with observed=false and
 			// retained=false (no next edition existed); the bits only ever
 			// flip on, so setting without clearing is exact.
 			for i := 0; i < f.NumRows; i++ {
-				if confCol.Codes[i] != code {
+				if conf.Codes[i] != code {
 					continue
 				}
 				obsCol.Bools.Set(i)

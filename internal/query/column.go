@@ -143,6 +143,7 @@ type Column struct {
 	Bools  Bitmap
 	Codes  []int32 // dictionary codes, for TStr
 	Dict   *Dict   // shared dictionary, for TStr
+	Entity string  // for TStr, the entity whose IDs the column holds ("" for none)
 
 	Valid Bitmap // nil means all rows valid
 }

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,25 +39,6 @@ func (f *Frame) ColumnNames() []string {
 	return out
 }
 
-// Columns returns the frame's columns in schema order. The snapshot
-// codec (internal/snap) iterates them to serialize a pre-built FrameSet;
-// callers must treat the columns as read-only.
-func (f *Frame) Columns() []*Column { return f.cols }
-
-// AssembleFrame reconstitutes a frame from deserialized columns. It is
-// the inverse accessor pair of Columns/NumRows for the snapshot codec;
-// the caller is responsible for column/row-count consistency (the
-// snapshot reader validates every structural invariant before calling).
-func AssembleFrame(name string, numRows int, cols []*Column) *Frame {
-	return newFrame(name, numRows, cols)
-}
-
-// AssembleFrameSet reconstitutes a FrameSet from deserialized frames, in
-// the given order (frame order fixes Names()).
-func AssembleFrameSet(frames []*Frame) *FrameSet {
-	return &FrameSet{frames: frames}
-}
-
 func newFrame(name string, n int, cols []*Column) *Frame {
 	f := &Frame{Name: name, NumRows: n, cols: cols, byName: make(map[string]*Column, len(cols))}
 	for _, c := range cols {
@@ -83,22 +66,6 @@ const (
 
 // Entities lists the entities in fixed order.
 func Entities() []string { return []string{EntityPerson, EntityPaper} }
-
-// ColumnEntity returns the entity whose IDs column col of frame holds, or
-// "" when the column holds no entity's IDs (or is not in the schema).
-func ColumnEntity(frame, col string) string {
-	for _, def := range frameDefs {
-		if def.name != frame {
-			continue
-		}
-		for _, c := range def.cols {
-			if c.name == col {
-				return c.entity
-			}
-		}
-	}
-	return ""
-}
 
 // FrameSet is the columnar flattening of one corpus: the six frames every
 // query runs over. Construction is deterministic — the same dataset always
@@ -178,6 +145,79 @@ func NewFrameSet(d *dataset.Dataset) *FrameSet {
 	return fs
 }
 
+// FrameData is one frame as the snapshot codec writes and reads it: its
+// name, row count and columns.
+type FrameData struct {
+	Name    string
+	NumRows int
+	Columns []*Column
+}
+
+// Data returns the frames in FrameSet order, for the snapshot codec.
+// Callers must treat the columns as read-only.
+func (fs *FrameSet) Data() []FrameData {
+	out := make([]FrameData, len(fs.frames))
+	for i, f := range fs.frames {
+		out[i] = FrameData{Name: f.Name, NumRows: f.NumRows, Columns: f.cols}
+	}
+	return out
+}
+
+// FrameSetOf reconstitutes the frame set of corpus d from decoded frames,
+// which the caller has proven whole column by column: one value per row,
+// dictionary codes in range, bitmaps sized to the rows, dictionaries
+// repeat-free. FrameSetOf proves what the engine and AppendConference
+// assume of the set as a whole, and refuses anything else:
+//   - the frames are NewFrameSet's, in its order, and each column has its
+//     declared name, type and entity;
+//   - every conference-ID column's dictionary is d's conference IDs, in
+//     corpus order;
+//   - the people frame has one row per person, each person's code equal
+//     to its row.
+func FrameSetOf(d *dataset.Dataset, frames []FrameData) (*FrameSet, error) {
+	names := make([]string, len(frames))
+	for i, fd := range frames {
+		names[i] = fd.Name
+	}
+	want := make([]string, len(frameDefs))
+	for i, def := range frameDefs {
+		want[i] = def.name
+	}
+	if !slices.Equal(names, want) {
+		return nil, fmt.Errorf("query: frames %q, want %q", names, want)
+	}
+	conferences := confIDs(d)
+	fs := &FrameSet{frames: make([]*Frame, len(frames))}
+	for i, def := range frameDefs {
+		fd := frames[i]
+		if len(fd.Columns) != len(def.cols) {
+			return nil, fmt.Errorf("query: frame %q has %d columns, want %d", fd.Name, len(fd.Columns), len(def.cols))
+		}
+		for j, cd := range def.cols {
+			c := fd.Columns[j]
+			if c.Name != cd.name || c.Type != cd.typ || c.Entity != cd.entity {
+				got := colDef{name: c.Name, typ: c.Type, entity: c.Entity}
+				return nil, fmt.Errorf("query: frame %q column %d is %s, want %s", fd.Name, j, got, cd)
+			}
+			if cd.conf && !slices.Equal(c.Dict.vals, conferences) {
+				return nil, fmt.Errorf("query: frame %q column %q does not hold the corpus's conference IDs in corpus order", fd.Name, c.Name)
+			}
+		}
+		fs.frames[i] = newFrame(fd.Name, fd.NumRows, fd.Columns)
+	}
+	people, _ := fs.Frame(FramePeople)
+	person := people.byName["person"]
+	if n := person.Dict.Len(); n != people.NumRows {
+		return nil, fmt.Errorf("query: people frame has %d rows for %d persons", people.NumRows, n)
+	}
+	for row, code := range person.Codes {
+		if int(code) != row {
+			return nil, fmt.Errorf("query: people frame row %d holds person code %d", row, code)
+		}
+	}
+	return fs, nil
+}
+
 // Dictionary seeds shared by several frames.
 var (
 	genders = fixed("female", "male", "unknown")
@@ -252,7 +292,7 @@ func (w *frameWriter) addPerson(p *dataset.Person) {
 
 var slotsCols = concat(
 	[]colDef{
-		strCol("conf", confIDs), strCol("conference", confNames), intCol("year"),
+		confCol("conf"), strCol("conference", confNames), intCol("year"),
 		strCol("role", roleNames), entityCol("person", EntityPerson),
 	},
 	demographicCols,
@@ -399,7 +439,8 @@ func emitPersonRow(d *dataset.Dataset, id dataset.PersonID, roles map[dataset.Ro
 // sorted by person ID. Because the synthesizer mints person IDs in
 // increasing order, researchers first appearing in an appended conference
 // sort after every existing row, keeping this order append-only too
-// (CheckAppend verifies that precondition rather than assuming it).
+// (delta.Apply refuses a newcomer that does not, and FrameSetOf refuses a
+// decoded people frame whose codes are not its rows).
 func buildPeople(d *dataset.Dataset, w *frameWriter) {
 	held := rolePresence(d)
 	ids := make([]string, 0, len(held))
@@ -428,32 +469,16 @@ var membersCols = concat(
 	demographicCols,
 )
 
-// confNewMembers returns the members first qualifying at conference c —
-// paper authors not seen at any earlier conference, then PC members
-// likewise — each sorted by ID, and marks them seen.
-func confNewMembers(d *dataset.Dataset, c *dataset.Conference, seenAuthor, seenPC map[dataset.PersonID]bool) (authors, members []dataset.PersonID) {
-	for _, id := range d.UniqueAuthors(c.ID) {
-		if !seenAuthor[id] {
-			seenAuthor[id] = true
-			authors = append(authors, id)
-		}
-	}
-	for _, id := range d.UniqueRoleHolders(dataset.RolePCMember, c.ID) {
-		if !seenPC[id] {
-			seenPC[id] = true
-			members = append(members, id)
-		}
-	}
-	return authors, members
-}
-
 // emitConfMembers writes the rows conference c contributes to the members
-// frame: its newly-qualifying unique authors followed by its
-// newly-qualifying unique PC members.
-func emitConfMembers(d *dataset.Dataset, c *dataset.Conference, seenAuthor, seenPC map[dataset.PersonID]bool, w *frameWriter) {
-	authors, members := confNewMembers(d, c, seenAuthor, seenPC)
+// frame: its unique authors, then its unique PC members, each sorted by ID
+// and each kept only when first reports that the person qualifies for that
+// population for the first time at c.
+func emitConfMembers(d *dataset.Dataset, c *dataset.Conference, first func(dataset.Role, dataset.PersonID) bool, w *frameWriter) {
 	emit := func(r dataset.Role, ids []dataset.PersonID) {
 		for _, id := range ids {
+			if !first(r, id) {
+				continue
+			}
 			w.addStr(r.String())
 			w.addStr(string(id))
 			p, _ := d.Person(id)
@@ -461,8 +486,8 @@ func emitConfMembers(d *dataset.Dataset, c *dataset.Conference, seenAuthor, seen
 			w.endRow()
 		}
 	}
-	emit(dataset.RoleAuthor, authors)
-	emit(dataset.RolePCMember, members)
+	emit(dataset.RoleAuthor, d.UniqueAuthors(c.ID))
+	emit(dataset.RolePCMember, d.UniqueRoleHolders(dataset.RolePCMember, c.ID))
 }
 
 // buildMembers writes one row per (person, population) membership, where
@@ -474,15 +499,24 @@ func emitConfMembers(d *dataset.Dataset, c *dataset.Conference, seenAuthor, seen
 // membership multiset equals the global unique populations while appending
 // a conference only ever appends rows.
 func buildMembers(d *dataset.Dataset, w *frameWriter) {
-	seenAuthor := make(map[dataset.PersonID]bool)
-	seenPC := make(map[dataset.PersonID]bool)
+	seen := map[dataset.Role]map[dataset.PersonID]bool{
+		dataset.RoleAuthor:   {},
+		dataset.RolePCMember: {},
+	}
+	first := func(r dataset.Role, id dataset.PersonID) bool {
+		if seen[r][id] {
+			return false
+		}
+		seen[r][id] = true
+		return true
+	}
 	for _, c := range d.Conferences {
-		emitConfMembers(d, c, seenAuthor, seenPC, w)
+		emitConfMembers(d, c, first, w)
 	}
 }
 
 var papersCols = []colDef{
-	entityCol("paper", EntityPaper), strCol("conference", confIDs), strCol("conference_name", confNames), intCol("year"),
+	entityCol("paper", EntityPaper), confCol("conference"), strCol("conference_name", confNames), intCol("year"),
 	strCol("lead_gender", genders), boolCol("lead_known"), boolCol("lead_female"),
 	intCol("citations36"), boolCol("hpc_topic"), intCol("authors"), boolCol("double_blind"),
 }
@@ -571,7 +605,7 @@ func prevEdition(d *dataset.Dataset, c *dataset.Conference) *dataset.Conference 
 }
 
 var cohortsCols = concat(
-	[]colDef{strCol("conf", confIDs), strCol("series", confNames), intCol("year"), entityCol("person", EntityPerson)},
+	[]colDef{confCol("conf"), strCol("series", confNames), intCol("year"), entityCol("person", EntityPerson)},
 	demographicCols,
 	[]colDef{boolCol("retained"), boolCol("observed")},
 )
@@ -612,8 +646,8 @@ func buildCohorts(d *dataset.Dataset, w *frameWriter) {
 }
 
 var citationsCols = []colDef{
-	entityCol("src_paper", EntityPaper), strCol("src_conf", confIDs), intCol("src_year"),
-	entityCol("dst_paper", EntityPaper), strCol("dst_conf", confIDs), intCol("dst_year"),
+	entityCol("src_paper", EntityPaper), confCol("src_conf"), intCol("src_year"),
+	entityCol("dst_paper", EntityPaper), confCol("dst_conf"), intCol("dst_year"),
 	strCol("team", fixed(cite.TeamCategories()...)),
 	strCol("src_lead_gender", genders), strCol("dst_lead_gender", genders),
 	boolCol("dst_lead_known"), boolCol("dst_lead_female"),

@@ -28,15 +28,14 @@ func TestSnapshotDictsIndexOnFirstLookup(t *testing.T) {
 	}
 	fs := opened.Frames()
 	var dicts []*query.Dict
-	for _, name := range fs.Names() {
-		f, _ := fs.Frame(name)
-		for _, c := range f.Columns() {
+	for _, f := range fs.Data() {
+		for _, c := range f.Columns {
 			if c.Type != query.TStr {
 				continue
 			}
 			dicts = append(dicts, c.Dict)
 			if c.Dict.Indexed() {
-				t.Errorf("%s.%s: dictionary indexed before any lookup", name, c.Name)
+				t.Errorf("%s.%s: dictionary indexed before any lookup", f.Name, c.Name)
 			}
 		}
 	}

@@ -165,7 +165,7 @@ func mixedFrames() *FrameSet {
 		w.endRow()
 	}
 	w.close()
-	return AssembleFrameSet([]*Frame{f})
+	return &FrameSet{frames: []*Frame{f}}
 }
 
 // TestProjectionMatchesNaiveReference holds Run's late-materialized

@@ -448,37 +448,3 @@ func TestFloatCellOrderMatchesCmpValue(t *testing.T) {
 		}
 	}
 }
-
-// TestAppendConferenceChecksSchema: a frame set that does not match the
-// declared schemas — a missing frame, or a frame missing a column, as a
-// snapshot from an older generation may be — is refused by CheckAppend,
-// which writes nothing.
-func TestAppendConferenceChecksSchema(t *testing.T) {
-	last := testData.Conferences[len(testData.Conferences)-1]
-	dropColumn := NewFrameSet(testData)
-	slots := dropColumn.frames[0]
-	dropColumn.frames[0] = newFrame(slots.Name, slots.NumRows, slots.cols[:len(slots.cols)-1])
-	dropFrame := AssembleFrameSet(NewFrameSet(testData).frames[:5])
-	for _, tc := range []struct {
-		name string
-		fs   *FrameSet
-		want string
-	}{
-		{"missing column", dropColumn, `frame "slots" has 17 columns, want 18`},
-		{"missing frame", dropFrame, `frame "citations" missing`},
-	} {
-		rows := make([]int, len(tc.fs.frames))
-		for i, f := range tc.fs.frames {
-			rows[i] = f.NumRows
-		}
-		err := tc.fs.CheckAppend(testData, last, testData.PapersOf(last.ID))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
-		}
-		for i, f := range tc.fs.frames {
-			if f.NumRows != rows[i] {
-				t.Errorf("%s: frame %s grew from %d to %d rows on a refused append", tc.name, f.Name, rows[i], f.NumRows)
-			}
-		}
-	}
-}

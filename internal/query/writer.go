@@ -19,12 +19,24 @@ import (
 // tail, exactly where a rebuild over the grown corpus puts them. A string
 // column whose values are IDs of a corpus entity names that entity, so the
 // snapshot codec can store the entity's IDs once for every column that
-// draws from it.
+// draws from it. A conference-ID column's dictionary is exactly the
+// corpus's conference IDs in corpus order, which FrameSetOf checks.
 type colDef struct {
 	name   string
 	typ    ColType
 	seed   func(*dataset.Dataset) []string
 	entity string
+	conf   bool
+}
+
+// String renders the column as "name:type", with "@entity" for a column
+// of entity IDs.
+func (cd colDef) String() string {
+	s := cd.name + ":" + cd.typ.String()
+	if cd.entity != "" {
+		s += "@" + cd.entity
+	}
+	return s
 }
 
 func intCol(name string) colDef   { return colDef{name: name, typ: TInt} }
@@ -38,6 +50,11 @@ func strCol(name string, seed func(*dataset.Dataset) []string) colDef {
 // entityCol declares a string column holding IDs of the named entity.
 func entityCol(name, entity string) colDef {
 	return colDef{name: name, typ: TStr, entity: entity}
+}
+
+// confCol declares a string column holding conference IDs.
+func confCol(name string) colDef {
+	return colDef{name: name, typ: TStr, seed: confIDs, conf: true}
 }
 
 // fixed seeds a dictionary with the same values whatever the corpus.
@@ -59,27 +76,12 @@ func concat(parts ...[]colDef) []colDef {
 func emptyFrame(name string, schema []colDef) *Frame {
 	cols := make([]*Column, len(schema))
 	for i, def := range schema {
-		cols[i] = &Column{Name: def.name, Type: def.typ}
+		cols[i] = &Column{Name: def.name, Type: def.typ, Entity: def.entity}
 		if def.typ == TStr {
 			cols[i].Dict = NewDict()
 		}
 	}
 	return newFrame(name, 0, cols)
-}
-
-// checkSchema reports whether f's columns are exactly the schema's, in
-// order and with the same types (a frame set from an older snapshot
-// generation may predate a column).
-func checkSchema(f *Frame, schema []colDef) error {
-	if len(f.cols) != len(schema) {
-		return fmt.Errorf("query: frame %q has %d columns, want %d", f.Name, len(f.cols), len(schema))
-	}
-	for i, def := range schema {
-		if c := f.cols[i]; c.Name != def.name || c.Type != def.typ {
-			return fmt.Errorf("query: frame %q column %d is %s:%s, want %s:%s", f.Name, i, c.Name, c.Type, def.name, def.typ)
-		}
-	}
-	return nil
 }
 
 // frameWriter appends rows to a frame, one value per column in schema
@@ -95,8 +97,9 @@ type frameWriter struct {
 	start int       // f.NumRows when the writer opened
 }
 
-// newFrameWriter binds a writer to f, whose columns must match schema (the
-// caller checks), and seeds its string columns' dictionaries from d.
+// newFrameWriter binds a writer to f, whose columns must match schema
+// (NewFrameSet and FrameSetOf make every frame set so), and seeds its
+// string columns' dictionaries from d.
 func newFrameWriter(f *Frame, schema []colDef, d *dataset.Dataset) *frameWriter {
 	for i, def := range schema {
 		if def.seed == nil {

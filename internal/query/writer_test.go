@@ -11,14 +11,21 @@ import (
 	"repro/internal/snap"
 )
 
-// encodeFrames returns the snapshot codec's canonical encoding of fs,
-// carried by the smallest corpus a snapshot accepts.
-func encodeFrames(t *testing.T, fs *query.FrameSet) []byte {
+// splitCorpus is the smallest corpus a snapshot accepts: one conference,
+// in which nobody holds a role.
+func splitCorpus(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	d := dataset.New()
 	if err := d.AddConference(&dataset.Conference{ID: "C17", Name: "C", Year: 2017, AcceptanceRate: 0.2}); err != nil {
 		t.Fatal(err)
 	}
+	return d
+}
+
+// encodeFrames returns the snapshot codec's canonical encoding of fs,
+// carried by corpus d.
+func encodeFrames(t *testing.T, d *dataset.Dataset, fs *query.FrameSet) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := snap.Write(&buf, snap.Snapshot{Corpus: d, Frames: fs}); err != nil {
 		t.Fatal(err)
@@ -30,11 +37,14 @@ func encodeFrames(t *testing.T, fs *query.FrameSet) []byte {
 // and, for every k, k rows then n−k rows in a second session — both on
 // the frame the first session left and on its snapshot round trip, whose
 // bitmaps carry no bits past the row count — and requires every result to
-// encode to the same bytes. The null patterns put the first null before,
+// encode to the same bytes. A snapshot carries only the schema's frames,
+// so the round trip carries the column in a schema column of its type
+// (query.CarrySplit). The null patterns put the first null before,
 // on and after the 64-row word and 1024-row partition boundaries, where
 // the validity bitmap is first materialized and then grown.
 func TestWriterSplitIndependent(t *testing.T) {
 	const n = 1090
+	d := splitCorpus(t)
 	firstNullAt := func(r int) func(int) bool {
 		return func(i int) bool { return i == r || (i > r && (i-r)%5 == 0) }
 	}
@@ -62,13 +72,13 @@ func TestWriterSplitIndependent(t *testing.T) {
 			for _, pat := range patterns {
 				whole := query.NewSplitFrameSet(typ)
 				query.WriteSplitRows(whole, n, pat.null)
-				want := encodeFrames(t, whole)
+				want := encodeFrames(t, d, whole)
 				for k := 0; k <= n; k += step {
 					split := query.NewSplitFrameSet(typ)
 					query.WriteSplitRows(split, k, pat.null)
-					head := encodeFrames(t, split)
+					head := encodeFrames(t, d, query.CarrySplit(split, d))
 					query.WriteSplitRows(split, n-k, pat.null)
-					if got := encodeFrames(t, split); !bytes.Equal(got, want) {
+					if got := encodeFrames(t, d, split); !bytes.Equal(got, want) {
 						t.Fatalf("%s: writing %d then %d rows differs from writing %d at once", pat.name, k, n-k, n)
 					}
 
@@ -76,8 +86,9 @@ func TestWriterSplitIndependent(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					query.WriteSplitRows(sn.Frames, n-k, pat.null)
-					if got := encodeFrames(t, sn.Frames); !bytes.Equal(got, want) {
+					back := query.UncarrySplit(sn.Frames, typ)
+					query.WriteSplitRows(back, n-k, pat.null)
+					if got := encodeFrames(t, d, back); !bytes.Equal(got, want) {
 						t.Fatalf("%s: writing %d rows, a snapshot round trip, then %d rows differs from writing %d at once", pat.name, k, n-k, n)
 					}
 				}

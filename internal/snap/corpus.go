@@ -2,12 +2,14 @@ package snap
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
 	"repro/internal/affil"
 	"repro/internal/dataset"
 	"repro/internal/gender"
+	"repro/internal/query"
 	"repro/internal/scholar"
 )
 
@@ -20,21 +22,12 @@ import (
 // rosters and author lists are encoded as indexes into the sorted person
 // ID table — dataset.Validate guarantees they resolve.
 
-// bitmap helpers over plain []uint64 words (query.Bitmap is not imported
-// here to keep the corpus codec independent of the frames codec).
-
-func bitmapWords(n int) int { return (n + 63) / 64 }
-
-func bitGet(w []uint64, i int) bool { return w[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-func bitSet(w []uint64, i int) { w[i>>6] |= 1 << (uint(i) & 63) }
-
 // checkBitmap validates a decoded bitmap: exactly the words n rows need,
 // and no bits set at or beyond row n (canonical form; a nonzero tail
 // would make popcount-dependent column lengths ambiguous).
 func checkBitmap(d *dec, what string, w []uint64, n int) error {
-	if len(w) != bitmapWords(n) {
-		return d.err(fmt.Sprintf("%s: bitmap has %d words, want %d for %d rows", what, len(w), bitmapWords(n), n), ErrCorrupt)
+	if want := (n + 63) / 64; len(w) != want {
+		return d.err(fmt.Sprintf("%s: bitmap has %d words, want %d for %d rows", what, len(w), want, n), ErrCorrupt)
 	}
 	if n%64 != 0 && len(w) > 0 {
 		if w[len(w)-1]>>(uint(n)&63) != 0 {
@@ -42,16 +35,6 @@ func checkBitmap(d *dec, what string, w []uint64, n int) error {
 		}
 	}
 	return nil
-}
-
-func popcount(w []uint64) int {
-	n := 0
-	for _, v := range w {
-		for ; v != 0; v &= v - 1 {
-			n++
-		}
-	}
-	return n
 }
 
 // sortedPersonIDs returns the corpus person IDs sorted ascending — the
@@ -85,8 +68,8 @@ func encodePersons(d *dataset.Dataset, ids []string) []byte {
 	affilCodes := make([]int32, n)
 	countryDict := newDictBuilder()
 	countryCodes := make([]int32, n)
-	hasGS := make([]uint64, bitmapWords(n))
-	hasS2 := make([]uint64, bitmapWords(n))
+	hasGS := query.NewBitmap(n)
+	hasS2 := query.NewBitmap(n)
 	var gsPubs, gsH, gsI10, gsCit, s2Pubs []int64
 
 	for i, sid := range ids {
@@ -101,14 +84,14 @@ func encodePersons(d *dataset.Dataset, ids []string) []byte {
 		affilCodes[i] = affilDict.code(p.Affiliation)
 		countryCodes[i] = countryDict.code(p.CountryCode)
 		if p.HasGSProfile {
-			bitSet(hasGS, i)
+			hasGS.Set(i)
 			gsPubs = append(gsPubs, int64(p.GS.Publications))
 			gsH = append(gsH, int64(p.GS.HIndex))
 			gsI10 = append(gsI10, int64(p.GS.I10Index))
 			gsCit = append(gsCit, int64(p.GS.Citations))
 		}
 		if p.HasS2 {
-			bitSet(hasS2, i)
+			hasS2.Set(i)
 			s2Pubs = append(s2Pubs, int64(p.S2Pubs))
 		}
 	}
@@ -241,7 +224,15 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 	if err := checkBitmap(dc, "person has_gs", hasGS, n); err != nil {
 		return nil, err
 	}
-	gsCount := popcount(hasGS)
+	// ones counts a bitmap's set bits: the rows a dependent column holds.
+	ones := func(b query.Bitmap) int {
+		n := 0
+		for _, w := range b {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+	gsCount := ones(hasGS)
 	gcol := func(what string) ([]int64, error) {
 		c, err := dc.intCol(what)
 		if err != nil {
@@ -279,8 +270,8 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(s2Pubs) != popcount(hasS2) {
-		return nil, dc.err(fmt.Sprintf("person s2_pubs column has %d rows, want %d (one per linked record)", len(s2Pubs), popcount(hasS2)), ErrCorrupt)
+	if s2Count := ones(hasS2); len(s2Pubs) != s2Count {
+		return nil, dc.err(fmt.Sprintf("person s2_pubs column has %d rows, want %d (one per linked record)", len(s2Pubs), s2Count), ErrCorrupt)
 	}
 	if err := dc.finished("persons"); err != nil {
 		return nil, err
@@ -306,7 +297,7 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 			CountryCode:  countryVals[countryCodes[i]],
 			Sector:       affil.Sector(sectors[i]),
 		}
-		if bitGet(hasGS, i) {
+		if hasGS.Get(i) {
 			p.HasGSProfile = true
 			p.GS = scholar.Profile{
 				Publications: int(gsPubs[gi]),
@@ -316,7 +307,7 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 			}
 			gi++
 		}
-		if bitGet(hasS2, i) {
+		if hasS2.Get(i) {
 			p.HasS2 = true
 			p.S2Pubs = int(s2Pubs[si])
 			si++
@@ -490,7 +481,7 @@ func encodePapers(d *dataset.Dataset, personIdx map[string]int) []byte {
 	confDict := newDictBuilder()
 	confCodes := make([]int32, n)
 	citations := make([]int64, n)
-	hpc := make([]uint64, bitmapWords(n))
+	hpc := query.NewBitmap(n)
 	counts := make([]int64, n)
 	var refs []int32
 	for i, p := range d.Papers {
@@ -499,7 +490,7 @@ func encodePapers(d *dataset.Dataset, personIdx map[string]int) []byte {
 		confCodes[i] = confDict.code(string(p.Conf))
 		citations[i] = int64(p.Citations36)
 		if p.HPCTopic {
-			bitSet(hpc, i)
+			hpc.Set(i)
 		}
 		counts[i] = int64(len(p.Authors))
 		for _, a := range p.Authors {
@@ -593,7 +584,7 @@ func decodePapers(data []byte, want int, ids []string, d *dataset.Dataset) error
 			ID:          dataset.PaperID(paperIDs[i]),
 			Conf:        dataset.ConfID(confVals[confCodes[i]]),
 			Title:       titles[i],
-			HPCTopic:    bitGet(hpc, i),
+			HPCTopic:    hpc.Get(i),
 			Citations36: int(citations[i]),
 		}
 		if c := int(counts[i]); c > 0 {

@@ -3,6 +3,8 @@ package snap
 import (
 	"encoding/binary"
 	"math"
+
+	"repro/internal/query"
 )
 
 // dec is a bounds-checked reader over one section payload. Every method
@@ -113,7 +115,7 @@ func (d *dec) length(what string, minBytes int) (int, error) {
 }
 
 //whpcvet:hot
-func (d *dec) words(what string) ([]uint64, error) {
+func (d *dec) words(what string) (query.Bitmap, error) {
 	n, err := d.length(what, 8)
 	if err != nil {
 		return nil, err
@@ -121,7 +123,7 @@ func (d *dec) words(what string) ([]uint64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]uint64, n)
+	out := make(query.Bitmap, n)
 	for i := range out {
 		if d.remaining() < 8 {
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration

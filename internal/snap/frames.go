@@ -15,34 +15,24 @@ import (
 // FrameSet answers every query byte-identically to a freshly built one.
 //
 // The section opens with one value table per entity (query.Entities): the
-// sorted union of the values of every column whose schema names that
-// entity. Such a column stores its dictionary as positions into the
-// table, in code order, so an ID shared by several columns is stored, and
-// decoded, once. Every other string column stores its own dictionary
-// values. A string column's dictionary is prefixed by its source: 0 for
-// its own values, k for the k-th entity table.
+// sorted union of the values of every column holding that entity's IDs
+// (query.Column.Entity). Such a column stores its dictionary as positions
+// into the table, in code order, so an ID shared by several columns is
+// stored, and decoded, once. Every other string column stores its own
+// dictionary values. A string column's dictionary is prefixed by its
+// source: 0 for its own values, k for the k-th entity table.
 
 // dictOwn is the dictionary source of a string column that stores its own
 // values; source k > 0 names the k-th entity table.
 const dictOwn = 0
 
-func encodeFrames(fs *query.FrameSet) []byte {
+func encodeFrames(frames []query.FrameData) []byte {
 	e := &enc{}
-	names := fs.Names()
 	entities := query.Entities()
-	// entityOf returns the index in entities of the entity string column
-	// col of frame holds the IDs of, or -1.
-	entityOf := func(frame string, c *query.Column) int {
-		if c.Type != query.TStr {
-			return -1
-		}
-		return slices.Index(entities, query.ColumnEntity(frame, c.Name))
-	}
 	tables := make([][]string, len(entities))
-	for _, name := range names {
-		f, _ := fs.Frame(name)
-		for _, c := range f.Columns() {
-			if k := entityOf(name, c); k >= 0 {
+	for _, f := range frames {
+		for _, c := range f.Columns {
+			if k := slices.Index(entities, c.Entity); k >= 0 {
 				tables[k] = append(tables[k], c.Dict.Values()...)
 			}
 		}
@@ -54,14 +44,12 @@ func encodeFrames(fs *query.FrameSet) []byte {
 		e.str(name)
 		e.strDict(tables[k])
 	}
-	e.uvarint(uint64(len(names)))
-	for _, name := range names {
-		f, _ := fs.Frame(name)
+	e.uvarint(uint64(len(frames)))
+	for _, f := range frames {
 		e.str(f.Name)
-		cols := f.Columns()
 		e.uvarint(uint64(f.NumRows))
-		e.uvarint(uint64(len(cols)))
-		for _, c := range cols {
+		e.uvarint(uint64(len(f.Columns)))
+		for _, c := range f.Columns {
 			e.str(c.Name)
 			e.u8(uint8(c.Type))
 			if c.Valid == nil {
@@ -79,7 +67,7 @@ func encodeFrames(fs *query.FrameSet) []byte {
 				e.words(canonicalBitmap(c.Bools, f.NumRows))
 			case query.TStr:
 				vals := c.Dict.Values()
-				if k := entityOf(name, c); k >= 0 {
+				if k := slices.Index(entities, c.Entity); k >= 0 {
 					e.uvarint(uint64(k + 1))
 					e.uvarint(uint64(len(vals)))
 					for _, v := range vals {
@@ -104,11 +92,10 @@ func encodeFrames(fs *query.FrameSet) []byte {
 // logical bitmap exactly one byte representation (which the decoder then
 // enforces).
 func canonicalBitmap(b []uint64, n int) []uint64 {
-	want := bitmapWords(n)
-	out := make([]uint64, want)
+	out := query.NewBitmap(n)
 	copy(out, b)
-	if n%64 != 0 && want > 0 {
-		out[want-1] &= (1 << uint(n%64)) - 1
+	if n%64 != 0 && len(out) > 0 {
+		out[len(out)-1] &= (1 << uint(n%64)) - 1
 	}
 	return out
 }
@@ -121,7 +108,11 @@ type entityTable struct {
 	seen query.Bitmap
 }
 
-func decodeFrames(data []byte) (*query.FrameSet, error) {
+// decodeFrames reads the frames section, proving each column whole: its
+// row count, dictionary codes in range, bitmaps sized to the rows,
+// dictionaries repeat-free. query.FrameSetOf then proves the frames'
+// shape against the corpus.
+func decodeFrames(data []byte) ([]query.FrameData, error) {
 	dc := newDec(SectionFrames, data)
 	tables, err := decodeEntityTables(dc)
 	if err != nil {
@@ -131,7 +122,7 @@ func decodeFrames(data []byte) (*query.FrameSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	frames := make([]*query.Frame, 0, nFrames)
+	frames := make([]query.FrameData, 0, nFrames)
 	for fi := 0; fi < nFrames; fi++ {
 		name, err := dc.str("frame name")
 		if err != nil {
@@ -159,12 +150,12 @@ func decodeFrames(data []byte) (*query.FrameSet, error) {
 			}
 			cols = append(cols, c)
 		}
-		frames = append(frames, query.AssembleFrame(name, n, cols))
+		frames = append(frames, query.FrameData{Name: name, NumRows: n, Columns: cols})
 	}
 	if err := dc.finished("frames"); err != nil {
 		return nil, err
 	}
-	return query.AssembleFrameSet(frames), nil
+	return frames, nil
 }
 
 // decodeEntityTables reads the entity value tables. A table must be
@@ -218,7 +209,7 @@ func decodeColumn(dc *dec, tables []entityTable, frame string, n int) (*query.Co
 		if err := checkBitmap(dc, what+" validity", w, n); err != nil {
 			return nil, err
 		}
-		c.Valid = query.Bitmap(w)
+		c.Valid = w
 	}
 	switch c.Type {
 	case query.TInt:
@@ -243,12 +234,13 @@ func decodeColumn(dc *dec, tables []entityTable, frame string, n int) (*query.Co
 		if err := checkBitmap(dc, what, w, n); err != nil {
 			return nil, err
 		}
-		c.Bools = query.Bitmap(w)
+		c.Bools = w
 	case query.TStr:
-		vals, err := decodeDict(dc, tables, what)
+		vals, entity, err := decodeDict(dc, tables, what)
 		if err != nil {
 			return nil, err
 		}
+		c.Entity = entity
 		c.Dict = query.DictOf(vals)
 		if c.Codes, err = dc.codeCol(what+" codes", len(vals)); err != nil {
 			return nil, err
@@ -263,53 +255,54 @@ func decodeColumn(dc *dec, tables []entityTable, frame string, n int) (*query.Co
 }
 
 // decodeDict reads a string column's dictionary values in code order,
-// proving they hold no value twice. Values drawn from an entity table are
-// the table's strings, positions checked in range and unrepeated against
-// the table's bitmap; a column's own values are checked on a sorted copy.
-// Neither check hashes a string.
-func decodeDict(dc *dec, tables []entityTable, what string) ([]string, error) {
+// proving they hold no value twice, and the entity whose table they were
+// drawn from ("" for the column's own values). Values drawn from an entity
+// table are the table's strings, positions checked in range and unrepeated
+// against the table's bitmap; a column's own values are checked on a
+// sorted copy. Neither check hashes a string.
+func decodeDict(dc *dec, tables []entityTable, what string) ([]string, string, error) {
 	src, err := dc.uvarint(what + " dictionary source")
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if src == dictOwn {
 		vals, err := dc.strDict(what + " dictionary")
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		sorted := slices.Clone(vals)
 		slices.Sort(sorted)
 		for i := 1; i < len(sorted); i++ {
 			if sorted[i-1] == sorted[i] {
-				return nil, dc.err(what+": dictionary repeats a value", ErrCorrupt)
+				return nil, "", dc.err(what+": dictionary repeats a value", ErrCorrupt)
 			}
 		}
-		return vals, nil
+		return vals, "", nil
 	}
 	if src > uint64(len(tables)) {
-		return nil, dc.err(fmt.Sprintf("%s: dictionary source %d names no entity table (%d tables)", what, src, len(tables)), ErrCorrupt)
+		return nil, "", dc.err(fmt.Sprintf("%s: dictionary source %d names no entity table (%d tables)", what, src, len(tables)), ErrCorrupt)
 	}
 	t := &tables[src-1]
 	n, err := dc.length(what+" dictionary positions", 1)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	vals := make([]string, n)
 	posWhat := what + " dictionary position"
 	for i := range vals {
 		pos, err := dc.uvarint(posWhat)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		if pos >= uint64(len(t.vals)) {
-			return nil, dc.err(fmt.Sprintf("%s: dictionary position %d outside entity table %q of %d values", what, pos, t.name, len(t.vals)), ErrCorrupt)
+			return nil, "", dc.err(fmt.Sprintf("%s: dictionary position %d outside entity table %q of %d values", what, pos, t.name, len(t.vals)), ErrCorrupt)
 		}
 		if t.seen.Get(int(pos)) {
-			return nil, dc.err(fmt.Sprintf("%s: dictionary repeats entity table %q position %d", what, t.name, pos), ErrCorrupt)
+			return nil, "", dc.err(fmt.Sprintf("%s: dictionary repeats entity table %q position %d", what, t.name, pos), ErrCorrupt)
 		}
 		t.seen.Set(int(pos))
 		vals[i] = t.vals[pos]
 	}
 	clear(t.seen)
-	return vals, nil
+	return vals, t.name, nil
 }

@@ -37,12 +37,14 @@ func entityFrames(table []string, positions []uint64) []byte {
 // the column's dictionary is the table's values at its positions, in
 // position order. The corrupt cases below differ from it in one place.
 func TestEntityTableDecodes(t *testing.T) {
-	fs, err := decodeFrames(entityFrames([]string{"P1", "P2", "P3"}, []uint64{2, 0}))
+	frames, err := decodeFrames(entityFrames([]string{"P1", "P2", "P3"}, []uint64{2, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := fs.Frame("f")
-	c, _ := f.Column("person")
+	c := frames[0].Columns[0]
+	if c.Entity != query.EntityPerson {
+		t.Errorf("column entity = %q, want %q", c.Entity, query.EntityPerson)
+	}
 	if got := c.Dict.Values(); len(got) != 2 || got[0] != "P3" || got[1] != "P1" {
 		t.Errorf("dictionary = %q, want [P3 P1]", got)
 	}
@@ -123,7 +125,7 @@ func TestOwnDictionaryRepeatRejected(t *testing.T) {
 func TestEntityTablesStoreEachIDOnce(t *testing.T) {
 	d := tinyDataset()
 	fs := query.NewFrameSet(d)
-	payload := encodeFrames(fs)
+	payload := encodeFrames(fs.Data())
 	tables, err := decodeEntityTables(newDec(SectionFrames, payload))
 	if err != nil {
 		t.Fatal(err)
@@ -144,16 +146,14 @@ func TestEntityTablesStoreEachIDOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range fs.Names() {
-		f, _ := fs.Frame(name)
-		g, _ := decoded.Frame(name)
-		for _, c := range f.Columns() {
+	for i, f := range fs.Data() {
+		for j, c := range f.Columns {
 			if c.Type != query.TStr {
 				continue
 			}
-			dc, _ := g.Column(c.Name)
+			dc := decoded[i].Columns[j]
 			if want, got := strings.Join(c.Dict.Values(), "\x00"), strings.Join(dc.Dict.Values(), "\x00"); want != got {
-				t.Errorf("%s.%s: decoded dictionary differs from the written one", name, c.Name)
+				t.Errorf("%s.%s: decoded dictionary differs from the written one", f.Name, c.Name)
 			}
 		}
 	}

@@ -16,7 +16,8 @@ import (
 // decoded corpus's referential check (dataset.ErrInvalid), which runs
 // only after every section decoded cleanly. Seeds cover a valid snapshot
 // (with and without frames), a delta snapshot, their prefixes, version-1
-// and version-2 files, and garbage.
+// and version-2 files, garbage, and a checksum-valid snapshot whose frames
+// decode whole but have the wrong shape.
 func FuzzReader(f *testing.F) {
 	d := tinyDataset()
 	info, mini := tinyDeltaMini()
@@ -51,6 +52,7 @@ func FuzzReader(f *testing.F) {
 		binary.LittleEndian.PutUint16(old[8:10], v)
 		f.Add(old)
 	}
+	f.Add(withFramesSection(f, d, shapeCases[0].reshape(decodedFrames(f, d))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range []Kind{Full, Delta} {

@@ -250,14 +250,14 @@ func (r *reader) decode() (Snapshot, error) {
 	// decode.
 	payload, hasFrames := r.payloads[SectionFrames]
 	var (
-		fs    *query.FrameSet
-		fsErr error
+		frames []query.FrameData
+		fsErr  error
 	)
 	done := make(chan struct{})
 	if hasFrames {
 		go func() {
 			defer close(done)
-			fs, fsErr = decodeFrames(payload)
+			frames, fsErr = decodeFrames(payload)
 		}()
 	} else {
 		close(done)
@@ -273,7 +273,14 @@ func (r *reader) decode() (Snapshot, error) {
 	if fsErr != nil {
 		return Snapshot{}, fsErr
 	}
-	s.Corpus, s.Frames = d, fs
+	s.Corpus = d
+	if hasFrames {
+		// With both sections decoded, the frames' shape is proven against
+		// the schema and the corpus, once, here.
+		if s.Frames, err = query.FrameSetOf(d, frames); err != nil {
+			return Snapshot{}, &FormatError{Section: SectionFrames, Offset: int64(len(payload)), Msg: err.Error(), Err: ErrCorrupt}
+		}
+	}
 	return s, nil
 }
 

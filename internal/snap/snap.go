@@ -28,8 +28,9 @@
 // given the Kind the caller expects. Writing is deterministic: the same
 // corpus always serializes to byte-identical snapshots. Reading validates the magic, version, every
 // section CRC, the file checksum, and all structural invariants
-// (dictionary code ranges, column lengths, bitmap sizes) before any
-// value is handed out; truncated, bit-flipped, or future-version inputs
+// (dictionary code ranges, column lengths, bitmap sizes, and the frames'
+// shape against the frame schema and the corpus) before any value is
+// handed out; truncated, bit-flipped, or future-version inputs
 // return a *FormatError naming the failing section and byte offset, and
 // never panic. A corpus loaded from a snapshot is proven byte-identical
 // to the freshly generated one at the report level (see the round-trip

@@ -50,7 +50,7 @@ func Write(w io.Writer, s Snapshot) error {
 	)
 	if s.Frames != nil {
 		flags |= flagHasFrames
-		sections = append(sections, wsection{SectionFrames, encodeFrames(s.Frames)})
+		sections = append(sections, wsection{SectionFrames, encodeFrames(s.Frames.Data())})
 	}
 	return emit(w, flags, [3]int{len(d.Persons), len(d.Conferences), len(d.Papers)}, sections)
 }
