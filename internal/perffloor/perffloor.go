@@ -18,21 +18,15 @@ const (
 	roundTime = "300ms"
 )
 
-// Medians returns the median ns/op of fast and slow over alternating
-// rounds. Under a parallel `go test ./...` other packages' tests share the
-// CPUs in bursts; timing one side and then the other lets a burst land on
-// one side only, while alternating rounds spread it over both and the
-// medians drop the rounds it hit hardest. The benchmark functions, and so
-// the measured operations, are the callers' own.
-func Medians(t *testing.T, fast, slow func(*testing.B)) (fastNs, slowNs float64) {
-	t.Helper()
-	f, s := MedianResults(t, fast, slow)
-	return float64(f.NsPerOp()), float64(s.NsPerOp())
-}
-
-// MedianResults is Medians returning, per side, the whole result of the
-// round with the median ns/op, so a floor can also bound the work that
-// round did (AllocsPerOp, AllocedBytesPerOp).
+// MedianResults returns, per side, the whole result of the round with the
+// median ns/op over alternating rounds of fast and slow, so a floor can
+// bound both the ratio of the medians and the work the median round did
+// (AllocsPerOp, AllocedBytesPerOp). Under a parallel `go test ./...`
+// other packages' tests share the CPUs in bursts; timing one side and then
+// the other lets a burst land on one side only, while alternating rounds
+// spread it over both and the medians drop the rounds it hit hardest. The
+// benchmark functions, and so the measured operations, are the callers'
+// own.
 func MedianResults(t *testing.T, fast, slow func(*testing.B)) (fastRes, slowRes testing.BenchmarkResult) {
 	t.Helper()
 	benchtime := flag.Lookup("test.benchtime").Value

@@ -122,10 +122,41 @@ func BenchmarkNaiveGroupBy(b *testing.B) {
 	}
 }
 
+// Work budgets of one run of the columnar benchmarks, checked by the
+// floors below beside their timing bounds; unlike the timing ratios they
+// do not depend on what else shares the CPUs. A grouped scan allocates
+// one accumulator set per worker, so the counts grow by one per
+// GOMAXPROCS up to the partition count. Measured on linux/amd64 with Go
+// 1.24 at -cpu 1,2,4 as at most 543 allocations and 65.1 KB per group-by,
+// 184 and 31.3 KB per FAR query, and 27 and 22.1 KB per projection; the
+// budgets leave about 5% headroom on the maximum.
+const (
+	groupByAllocs    = 570
+	groupByBytes     = 68_400
+	farAllocs        = 193
+	farBytes         = 32_900
+	projectionAllocs = 29
+	projectionBytes  = 23_300
+)
+
+// checkWork fails t if the median round res of the named benchmark
+// allocated more often or more bytes per op than its budgets.
+func checkWork(t *testing.T, name string, res testing.BenchmarkResult, maxAllocs, maxBytes int64) {
+	t.Helper()
+	if n := res.AllocsPerOp(); n > maxAllocs {
+		t.Errorf("%s allocates %d times per op, budget %d", name, n, maxAllocs)
+	}
+	if n := res.AllocedBytesPerOp(); n > maxBytes {
+		t.Errorf("%s allocates %d B per op, budget %d B", name, n, maxBytes)
+	}
+}
+
 // TestColumnarBeatsNaive is the acceptance gate behind the benchmarks: the
-// columnar group-by must be at least 2x faster than the naive row loop, in
-// the medians of alternating rounds (perffloor.Medians). It mirrors the benchmark bodies at fixed iteration counts so `go test`
-// enforces the perf floor without requiring a -bench run.
+// columnar group-by must be at least 2x faster than the naive row loop,
+// and the columnar FAR query no slower than its naive cut, in the medians
+// of alternating rounds (perffloor.MedianResults); the median columnar
+// rounds must also stay within their work budgets. It runs the benchmark
+// bodies so `go test` enforces the perf floor without a -bench run.
 func TestColumnarBeatsNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf floor skipped in -short")
@@ -133,16 +164,22 @@ func TestColumnarBeatsNaive(t *testing.T) {
 	if perffloor.RaceEnabled {
 		t.Skip("perf floor not meaningful under the race detector's instrumentation")
 	}
-	col, naive := perffloor.Medians(t, BenchmarkQueryGroupBy, BenchmarkNaiveGroupBy)
-	t.Logf("columnar %.0f ns/op, naive %.0f ns/op (%.1fx)", col, naive, naive/col)
+	colRes, naiveRes := perffloor.MedianResults(t, BenchmarkQueryGroupBy, BenchmarkNaiveGroupBy)
+	col, naive := float64(colRes.NsPerOp()), float64(naiveRes.NsPerOp())
+	t.Logf("columnar %.0f ns/op, %d allocs, %d B; naive %.0f ns/op (%.1fx)",
+		col, colRes.AllocsPerOp(), colRes.AllocedBytesPerOp(), naive, naive/col)
 	if col*2 > naive {
 		t.Errorf("columnar group-by %.0f ns/op not 2x faster than naive %.0f ns/op", col, naive)
 	}
-	colFAR, naiveFAR := perffloor.Medians(t, BenchmarkQueryFAR, BenchmarkNaiveFAR)
-	t.Logf("FAR: columnar %.0f ns/op, naive %.0f ns/op (%.1fx)", colFAR, naiveFAR, naiveFAR/colFAR)
+	checkWork(t, "columnar group-by", colRes, groupByAllocs, groupByBytes)
+	farRes, naiveFARRes := perffloor.MedianResults(t, BenchmarkQueryFAR, BenchmarkNaiveFAR)
+	colFAR, naiveFAR := float64(farRes.NsPerOp()), float64(naiveFARRes.NsPerOp())
+	t.Logf("FAR: columnar %.0f ns/op, %d allocs, %d B; naive %.0f ns/op (%.1fx)",
+		colFAR, farRes.AllocsPerOp(), farRes.AllocedBytesPerOp(), naiveFAR, naiveFAR/colFAR)
 	if colFAR > naiveFAR {
 		t.Errorf("columnar FAR %.0f ns/op slower than naive %.0f ns/op", colFAR, naiveFAR)
 	}
+	checkWork(t, "columnar FAR", farRes, farAllocs, farBytes)
 }
 
 // projectionQuery is an ordered, limited projection over slots: the most
@@ -185,7 +222,8 @@ func BenchmarkNaiveProjection(b *testing.B) {
 // TestProjectionBeatsNaive is the perf floor for projections: the
 // late-materialized path must be at least 2x faster than the naive
 // materialize-then-sort reference, in the medians of alternating rounds
-// (perffloor.Medians).
+// (perffloor.MedianResults), and its median round must stay within its
+// work budgets.
 func TestProjectionBeatsNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf floor skipped in -short")
@@ -193,9 +231,12 @@ func TestProjectionBeatsNaive(t *testing.T) {
 	if perffloor.RaceEnabled {
 		t.Skip("perf floor not meaningful under the race detector's instrumentation")
 	}
-	proj, naive := perffloor.Medians(t, BenchmarkQueryProjection, BenchmarkNaiveProjection)
-	t.Logf("projection %.0f ns/op, naive %.0f ns/op (%.1fx)", proj, naive, naive/proj)
+	projRes, naiveRes := perffloor.MedianResults(t, BenchmarkQueryProjection, BenchmarkNaiveProjection)
+	proj, naive := float64(projRes.NsPerOp()), float64(naiveRes.NsPerOp())
+	t.Logf("projection %.0f ns/op, %d allocs, %d B; naive %.0f ns/op (%.1fx)",
+		proj, projRes.AllocsPerOp(), projRes.AllocedBytesPerOp(), naive, naive/proj)
 	if proj*2 > naive {
 		t.Errorf("projection %.0f ns/op not 2x faster than naive %.0f ns/op", proj, naive)
 	}
+	checkWork(t, "projection", projRes, projectionAllocs, projectionBytes)
 }

@@ -1,7 +1,6 @@
 package snap
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"time"
@@ -21,21 +20,6 @@ import (
 // columns packed down to the present rows only. Person references in
 // rosters and author lists are encoded as indexes into the sorted person
 // ID table — dataset.Validate guarantees they resolve.
-
-// checkBitmap validates a decoded bitmap: exactly the words n rows need,
-// and no bits set at or beyond row n (canonical form; a nonzero tail
-// would make popcount-dependent column lengths ambiguous).
-func checkBitmap(d *dec, what string, w []uint64, n int) error {
-	if want := (n + 63) / 64; len(w) != want {
-		return d.err(fmt.Sprintf("%s: bitmap has %d words, want %d for %d rows", what, len(w), want, n), ErrCorrupt)
-	}
-	if n%64 != 0 && len(w) > 0 {
-		if w[len(w)-1]>>(uint(n)&63) != 0 {
-			return d.err(what+": bitmap has bits set beyond row count", ErrCorrupt)
-		}
-	}
-	return nil
-}
 
 // sortedPersonIDs returns the corpus person IDs sorted ascending — the
 // canonical row order of the persons section and the index space person
@@ -121,159 +105,82 @@ func encodePersons(d *dataset.Dataset, ids []string) []byte {
 // person ID table for the reference-index decoding of the other sections.
 func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) {
 	dc := newDec(SectionPersons, data)
-	n64, err := dc.uvarint("person count")
+	n, err := dc.count("person count", want, 1)
 	if err != nil {
 		return nil, err
 	}
-	n := int(n64)
-	if n != want {
-		return nil, dc.err(fmt.Sprintf("person count %d disagrees with meta count %d", n, want), ErrCorrupt)
-	}
-	ids, err := dc.strCol("person ids")
-	if err != nil {
+	var (
+		ids, names, forenames, emails, affilVals, countryVals []string
+		trueGenders, genders, methods, sectors                []int64
+		gsPubs, gsH, gsI10, gsCit, s2Pubs                     []int64
+		affilCodes, countryCodes                              []int32
+		hasGS, hasS2                                          query.Bitmap
+	)
+	if ids, err = dc.strs("ids", n); err != nil {
 		return nil, err
-	}
-	if len(ids) != n {
-		return nil, dc.err(fmt.Sprintf("person ids column has %d rows, want %d", len(ids), n), ErrCorrupt)
 	}
 	for i := 1; i < n; i++ {
 		if ids[i-1] >= ids[i] {
-			return nil, dc.err(fmt.Sprintf("person ids not strictly sorted at row %d", i), ErrCorrupt)
+			return nil, dc.err("ids", ErrCorrupt, "not strictly sorted at row %d", i)
 		}
 	}
-	col := func(what string) ([]string, error) {
-		c, err := dc.strCol(what)
-		if err != nil {
-			return nil, err
-		}
-		if len(c) != n {
-			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d", what, len(c), n), ErrCorrupt)
-		}
-		return c, nil
-	}
-	icol := func(what string, min, max int64) ([]int64, error) {
-		c, err := dc.intCol(what)
-		if err != nil {
-			return nil, err
-		}
-		if len(c) != n {
-			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d", what, len(c), n), ErrCorrupt)
-		}
-		for i, v := range c {
-			if v < min || v > max {
-				return nil, dc.err(fmt.Sprintf("%s row %d value %d outside [%d, %d]", what, i, v, min, max), ErrCorrupt)
-			}
-		}
-		return c, nil
-	}
-	dictCol := func(what string) ([]string, []int32, error) {
-		vals, err := dc.strDict(what + " dictionary")
-		if err != nil {
-			return nil, nil, err
-		}
-		codes, err := dc.codeCol(what+" codes", len(vals))
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(codes) != n {
-			return nil, nil, dc.err(fmt.Sprintf("%s codes column has %d rows, want %d", what, len(codes), n), ErrCorrupt)
-		}
-		return vals, codes, nil
-	}
-
-	names, err := col("person names")
-	if err != nil {
+	if names, err = dc.strs("names", n); err != nil {
 		return nil, err
 	}
-	forenames, err := col("person forenames")
-	if err != nil {
+	if forenames, err = dc.strs("forenames", n); err != nil {
 		return nil, err
 	}
-	trueGenders, err := icol("person true_gender", int64(gender.Unknown), int64(gender.Male))
-	if err != nil {
+	if trueGenders, err = dc.enums("true_gender", n, int64(gender.Male)); err != nil {
 		return nil, err
 	}
-	genders, err := icol("person gender", int64(gender.Unknown), int64(gender.Male))
-	if err != nil {
+	if genders, err = dc.enums("gender", n, int64(gender.Male)); err != nil {
 		return nil, err
 	}
-	methods, err := icol("person assign_method", int64(gender.MethodNone), int64(gender.MethodAutomated))
-	if err != nil {
+	if methods, err = dc.enums("assign_method", n, int64(gender.MethodAutomated)); err != nil {
 		return nil, err
 	}
-	emails, err := col("person emails")
-	if err != nil {
+	if emails, err = dc.strs("emails", n); err != nil {
 		return nil, err
 	}
-	affilVals, affilCodes, err := dictCol("person affiliations")
-	if err != nil {
+	if affilVals, err = dc.strs("affiliation dictionary", anyCount); err != nil {
 		return nil, err
 	}
-	countryVals, countryCodes, err := dictCol("person countries")
-	if err != nil {
+	if affilCodes, err = dc.codes("affiliation codes", n, len(affilVals)); err != nil {
 		return nil, err
 	}
-	sectors, err := icol("person sectors", int64(affil.SectorUnknown), int64(affil.GOV))
-	if err != nil {
+	if countryVals, err = dc.strs("country dictionary", anyCount); err != nil {
 		return nil, err
 	}
-	hasGS, err := dc.words("person has_gs bitmap")
-	if err != nil {
+	if countryCodes, err = dc.codes("country codes", n, len(countryVals)); err != nil {
 		return nil, err
 	}
-	if err := checkBitmap(dc, "person has_gs", hasGS, n); err != nil {
+	if sectors, err = dc.enums("sectors", n, int64(affil.GOV)); err != nil {
 		return nil, err
 	}
-	// ones counts a bitmap's set bits: the rows a dependent column holds.
-	ones := func(b query.Bitmap) int {
-		n := 0
-		for _, w := range b {
-			n += bits.OnesCount64(w)
-		}
-		return n
-	}
-	gsCount := ones(hasGS)
-	gcol := func(what string) ([]int64, error) {
-		c, err := dc.intCol(what)
-		if err != nil {
-			return nil, err
-		}
-		if len(c) != gsCount {
-			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d (one per linked profile)", what, len(c), gsCount), ErrCorrupt)
-		}
-		return c, nil
-	}
-	gsPubs, err := gcol("person gs_pubs")
-	if err != nil {
+	// The profile columns hold one row per linked person: per set bit.
+	if hasGS, err = dc.bitmap("has_gs", n); err != nil {
 		return nil, err
 	}
-	gsH, err := gcol("person gs_hindex")
-	if err != nil {
+	gsRows := ones(hasGS)
+	if gsPubs, err = dc.ints("gs_pubs", gsRows); err != nil {
 		return nil, err
 	}
-	gsI10, err := gcol("person gs_i10")
-	if err != nil {
+	if gsH, err = dc.ints("gs_hindex", gsRows); err != nil {
 		return nil, err
 	}
-	gsCit, err := gcol("person gs_citations")
-	if err != nil {
+	if gsI10, err = dc.ints("gs_i10", gsRows); err != nil {
 		return nil, err
 	}
-	hasS2, err := dc.words("person has_s2 bitmap")
-	if err != nil {
+	if gsCit, err = dc.ints("gs_citations", gsRows); err != nil {
 		return nil, err
 	}
-	if err := checkBitmap(dc, "person has_s2", hasS2, n); err != nil {
+	if hasS2, err = dc.bitmap("has_s2", n); err != nil {
 		return nil, err
 	}
-	s2Pubs, err := dc.intCol("person s2_pubs")
-	if err != nil {
+	if s2Pubs, err = dc.ints("s2_pubs", ones(hasS2)); err != nil {
 		return nil, err
 	}
-	if s2Count := ones(hasS2); len(s2Pubs) != s2Count {
-		return nil, dc.err(fmt.Sprintf("person s2_pubs column has %d rows, want %d (one per linked record)", len(s2Pubs), s2Count), ErrCorrupt)
-	}
-	if err := dc.finished("persons"); err != nil {
+	if err := dc.finished(); err != nil {
 		return nil, err
 	}
 
@@ -313,10 +220,19 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 			si++
 		}
 		if err := d.AddPerson(p); err != nil {
-			return nil, dc.err(err.Error(), ErrCorrupt)
+			return nil, dc.err("record", ErrCorrupt, "%v", err)
 		}
 	}
 	return ids, nil
+}
+
+// ones counts a bitmap's set bits.
+func ones(b query.Bitmap) int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // dictBuilder interns strings in first-appearance order at encode time.
@@ -370,90 +286,84 @@ func encodeConferences(d *dataset.Dataset, personIdx map[string]int) []byte {
 	return e.bytesOut()
 }
 
+// rosterFields name a conference's rosters in encoding order.
+var rosterFields = [5]string{"pc_chairs roster", "pc_members roster", "keynotes roster", "panelists roster", "session_chairs roster"}
+
 func decodeConferences(data []byte, want int, ids []string, d *dataset.Dataset) error {
 	dc := newDec(SectionConferences, data)
-	n64, err := dc.uvarint("conference count")
+	n, err := dc.count("conference count", want, 1)
 	if err != nil {
 		return err
 	}
-	if int(n64) != want {
-		return dc.err(fmt.Sprintf("conference count %d disagrees with meta count %d", n64, want), ErrCorrupt)
-	}
-	rosterNames := []string{"pc_chairs", "pc_members", "keynotes", "panelists", "session_chairs"}
-	for i := 0; i < int(n64); i++ {
+	for range n {
 		c := &dataset.Conference{}
+		dc.in.conf = ""
 		var sid string
 		if sid, err = dc.str("conference id"); err != nil {
 			return err
 		}
 		c.ID = dataset.ConfID(sid)
-		if c.Name, err = dc.str("conference name"); err != nil {
+		dc.in.conf = sid
+		if c.Name, err = dc.str("name"); err != nil {
 			return err
 		}
-		year, err := dc.varint("conference year")
+		year, err := dc.varint("year")
 		if err != nil {
 			return err
 		}
 		c.Year = int(year)
-		sec, err := dc.varint("conference date")
+		sec, err := dc.varint("date")
 		if err != nil {
 			return err
 		}
 		c.Date = time.Unix(sec, 0).UTC()
-		if c.CountryCode, err = dc.str("conference country"); err != nil {
+		if c.CountryCode, err = dc.str("country"); err != nil {
 			return err
 		}
-		submitted, err := dc.varint("conference submitted")
+		submitted, err := dc.varint("submitted")
 		if err != nil {
 			return err
 		}
 		c.Submitted = int(submitted)
-		if c.AcceptanceRate, err = dc.f64("conference acceptance_rate"); err != nil {
+		if c.AcceptanceRate, err = dc.f64("acceptance_rate"); err != nil {
 			return err
 		}
-		if c.Subfield, err = dc.str("conference subfield"); err != nil {
+		if c.Subfield, err = dc.str("subfield"); err != nil {
 			return err
 		}
-		if c.DoubleBlind, err = dc.bool("conference double_blind"); err != nil {
+		if c.DoubleBlind, err = dc.bool("double_blind"); err != nil {
 			return err
 		}
-		if c.DiversityChair, err = dc.bool("conference diversity_chair"); err != nil {
+		if c.DiversityChair, err = dc.bool("diversity_chair"); err != nil {
 			return err
 		}
-		if c.CodeOfConduct, err = dc.bool("conference code_of_conduct"); err != nil {
+		if c.CodeOfConduct, err = dc.bool("code_of_conduct"); err != nil {
 			return err
 		}
-		if c.Childcare, err = dc.bool("conference childcare"); err != nil {
+		if c.Childcare, err = dc.bool("childcare"); err != nil {
 			return err
 		}
-		if c.WomenAttendance, err = dc.f64("conference women_attendance"); err != nil {
+		if c.WomenAttendance, err = dc.f64("women_attendance"); err != nil {
 			return err
 		}
-		rosters := make([][]dataset.PersonID, 5)
-		for ri := range rosters {
-			rosters[ri], err = decodePersonRefs(dc, fmt.Sprintf("conference %q %s roster", sid, rosterNames[ri]), ids)
-			if err != nil {
+		for ri, roster := range []*[]dataset.PersonID{&c.PCChairs, &c.PCMembers, &c.Keynotes, &c.Panelists, &c.SessionChairs} {
+			if *roster, err = decodePersonRefs(dc, rosterFields[ri], ids); err != nil {
 				return err
 			}
 		}
-		c.PCChairs, c.PCMembers, c.Keynotes, c.Panelists, c.SessionChairs =
-			rosters[0], rosters[1], rosters[2], rosters[3], rosters[4]
 		if err := d.AddConference(c); err != nil {
-			return dc.err(err.Error(), ErrCorrupt)
+			return dc.err("record", ErrCorrupt, "%v", err)
 		}
 	}
-	return dc.finished("conferences")
+	return dc.finished()
 }
 
 // decodePersonRefs reads a person-reference list: a count then indexes
 // into the sorted person ID table, each validated against its bounds.
 func decodePersonRefs(dc *dec, what string, ids []string) ([]dataset.PersonID, error) {
-	n, err := dc.length(what, 1)
-	if err != nil {
+	n, err := dc.count(what, anyCount, 1)
+	if err != nil || n == 0 {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	out := make([]dataset.PersonID, n)
 	for i := range out {
@@ -462,7 +372,7 @@ func decodePersonRefs(dc *dec, what string, ids []string) ([]dataset.PersonID, e
 			return nil, err
 		}
 		if ref >= uint64(len(ids)) {
-			return nil, dc.err(fmt.Sprintf("%s: person index %d out of range (%d persons)", what, ref, len(ids)), ErrCorrupt)
+			return nil, dc.err(what, ErrCorrupt, "person index %d out of range (%d persons)", ref, len(ids))
 		}
 		out[i] = dataset.PersonID(ids[ref])
 	}
@@ -510,66 +420,49 @@ func encodePapers(d *dataset.Dataset, personIdx map[string]int) []byte {
 
 func decodePapers(data []byte, want int, ids []string, d *dataset.Dataset) error {
 	dc := newDec(SectionPapers, data)
-	n64, err := dc.uvarint("paper count")
+	n, err := dc.count("paper count", want, 1)
 	if err != nil {
 		return err
 	}
-	n := int(n64)
-	if n != want {
-		return dc.err(fmt.Sprintf("paper count %d disagrees with meta count %d", n, want), ErrCorrupt)
-	}
-	paperIDs, err := dc.strCol("paper ids")
-	if err != nil {
+	var (
+		paperIDs, titles, confVals []string
+		confCodes, refs            []int32
+		citations, counts          []int64
+		hpc                        query.Bitmap
+	)
+	if paperIDs, err = dc.strs("ids", n); err != nil {
 		return err
 	}
-	titles, err := dc.strCol("paper titles")
-	if err != nil {
+	if titles, err = dc.strs("titles", n); err != nil {
 		return err
 	}
-	if len(paperIDs) != n || len(titles) != n {
-		return dc.err(fmt.Sprintf("paper id/title columns have %d/%d rows, want %d", len(paperIDs), len(titles), n), ErrCorrupt)
-	}
-	confVals, err := dc.strDict("paper conference dictionary")
-	if err != nil {
+	if confVals, err = dc.strs("conference dictionary", anyCount); err != nil {
 		return err
 	}
-	confCodes, err := dc.codeCol("paper conference codes", len(confVals))
-	if err != nil {
+	if confCodes, err = dc.codes("conference codes", n, len(confVals)); err != nil {
 		return err
 	}
-	citations, err := dc.intCol("paper citations36")
-	if err != nil {
+	if citations, err = dc.ints("citations36", n); err != nil {
 		return err
 	}
-	hpc, err := dc.words("paper hpc_topic bitmap")
-	if err != nil {
+	if hpc, err = dc.bitmap("hpc_topic", n); err != nil {
 		return err
 	}
-	if err := checkBitmap(dc, "paper hpc_topic", hpc, n); err != nil {
+	if counts, err = dc.ints("author counts", n); err != nil {
 		return err
-	}
-	counts, err := dc.intCol("paper author counts")
-	if err != nil {
-		return err
-	}
-	if len(confCodes) != n || len(citations) != n || len(counts) != n {
-		return dc.err(fmt.Sprintf("paper columns have %d/%d/%d rows, want %d", len(confCodes), len(citations), len(counts), n), ErrCorrupt)
 	}
 	total := 0
 	for i, c := range counts {
 		if c < 0 || c > int64(len(ids)) {
-			return dc.err(fmt.Sprintf("paper row %d author count %d outside [0, %d]", i, c, len(ids)), ErrCorrupt)
+			return dc.err("author counts", ErrCorrupt, "row %d count %d outside [0, %d]", i, c, len(ids))
 		}
 		total += int(c)
 	}
-	refs, err := dc.codeCol("paper author refs", len(ids))
-	if err != nil {
+	// One author ref per author slot: the sum of the counts.
+	if refs, err = dc.codes("author refs", total, len(ids)); err != nil {
 		return err
 	}
-	if len(refs) != total {
-		return dc.err(fmt.Sprintf("paper author refs column has %d rows, want %d (sum of counts)", len(refs), total), ErrCorrupt)
-	}
-	if err := dc.finished("papers"); err != nil {
+	if err := dc.finished(); err != nil {
 		return err
 	}
 
@@ -595,7 +488,7 @@ func decodePapers(data []byte, want int, ids []string, d *dataset.Dataset) error
 			off += c
 		}
 		if err := d.AddPaper(p); err != nil {
-			return dc.err(err.Error(), ErrCorrupt)
+			return dc.err("record", ErrCorrupt, "%v", err)
 		}
 	}
 	return nil

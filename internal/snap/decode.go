@@ -2,7 +2,9 @@ package snap
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/query"
 )
@@ -12,19 +14,48 @@ import (
 // failure was detected at; nothing in this file panics on any input, and
 // declared lengths are validated against the remaining bytes before
 // allocation so hostile inputs cannot force huge allocations.
+//
+// The field name every method takes is a constant, and in holds what the
+// read is inside, as strings the decoder already decoded: err formats the
+// two into a message only when it builds one, so a read that succeeds
+// formats nothing.
 type dec struct {
 	section string
 	data    []byte
 	off     int
+	in      scope
 }
+
+// scope names the entity table, frame and column, or conference a read is
+// inside; an empty name is left out of the message.
+type scope struct{ table, frame, column, conf string }
+
+// anyCount is the count a reader accepts for a list whose length is its
+// own (a dictionary, a roster, the frames), not a row count fixed
+// elsewhere.
+const anyCount = -1
 
 func newDec(section string, data []byte) *dec {
 	return &dec{section: section, data: data}
 }
 
-// err builds a FormatError at the current offset.
-func (d *dec) err(msg string, cause error) *FormatError {
-	return &FormatError{Section: d.section, Offset: int64(d.off), Msg: msg, Err: cause}
+// err builds a FormatError at the current offset naming field within
+// d.in; format and args, when format is not empty, say what is wrong.
+func (d *dec) err(field string, cause error, format string, args ...any) *FormatError {
+	var b strings.Builder
+	for _, s := range [...]struct{ kind, name string }{
+		{"entity table", d.in.table}, {"frame", d.in.frame}, {"column", d.in.column}, {"conference", d.in.conf},
+	} {
+		if s.name != "" {
+			fmt.Fprintf(&b, "%s %q ", s.kind, s.name)
+		}
+	}
+	b.WriteString(field)
+	if format != "" {
+		b.WriteString(": ")
+		fmt.Fprintf(&b, format, args...)
+	}
+	return &FormatError{Section: d.section, Offset: int64(d.off), Msg: b.String(), Err: cause}
 }
 
 // remaining returns the unread byte count.
@@ -32,9 +63,9 @@ func (d *dec) remaining() int { return len(d.data) - d.off }
 
 // finished reports whether the payload was fully consumed; codecs call it
 // last so trailing garbage inside a section is rejected, not ignored.
-func (d *dec) finished(what string) error {
+func (d *dec) finished() error {
 	if d.remaining() != 0 {
-		return d.err(what+": trailing bytes after payload", ErrCorrupt)
+		return &FormatError{Section: d.section, Offset: int64(d.off), Msg: "trailing bytes after payload", Err: ErrCorrupt}
 	}
 	return nil
 }
@@ -42,7 +73,7 @@ func (d *dec) finished(what string) error {
 func (d *dec) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(d.data[d.off:])
 	if n <= 0 {
-		return 0, d.err(what, ErrTruncated)
+		return 0, d.err(what, ErrTruncated, "")
 	}
 	d.off += n
 	return v, nil
@@ -51,7 +82,7 @@ func (d *dec) uvarint(what string) (uint64, error) {
 func (d *dec) varint(what string) (int64, error) {
 	v, n := binary.Varint(d.data[d.off:])
 	if n <= 0 {
-		return 0, d.err(what, ErrTruncated)
+		return 0, d.err(what, ErrTruncated, "")
 	}
 	d.off += n
 	return v, nil
@@ -59,7 +90,7 @@ func (d *dec) varint(what string) (int64, error) {
 
 func (d *dec) u8(what string) (uint8, error) {
 	if d.remaining() < 1 {
-		return 0, d.err(what, ErrTruncated)
+		return 0, d.err(what, ErrTruncated, "")
 	}
 	v := d.data[d.off]
 	d.off++
@@ -72,14 +103,14 @@ func (d *dec) bool(what string) (bool, error) {
 		return false, err
 	}
 	if v > 1 {
-		return false, d.err(what+": boolean byte not 0 or 1", ErrCorrupt)
+		return false, d.err(what, ErrCorrupt, "boolean byte %d not 0 or 1", v)
 	}
 	return v == 1, nil
 }
 
 func (d *dec) f64(what string) (float64, error) {
 	if d.remaining() < 8 {
-		return 0, d.err(what, ErrTruncated)
+		return 0, d.err(what, ErrTruncated, "")
 	}
 	v := binary.LittleEndian.Uint64(d.data[d.off:])
 	d.off += 8
@@ -87,69 +118,68 @@ func (d *dec) f64(what string) (float64, error) {
 }
 
 func (d *dec) str(what string) (string, error) {
-	// Inlined uvarint so the hot path allocates no error-label strings.
-	n, adv := binary.Uvarint(d.data[d.off:])
-	if adv <= 0 {
-		return "", d.err(what+": truncated length", ErrTruncated)
+	n, err := d.uvarint(what)
+	if err != nil {
+		return "", err
 	}
-	d.off += adv
 	if n > uint64(d.remaining()) {
-		return "", d.err(what+": declared length exceeds remaining bytes", ErrTruncated)
+		return "", d.err(what, ErrTruncated, "declared length %d exceeds remaining bytes", n)
 	}
 	s := string(d.data[d.off : d.off+int(n)])
 	d.off += int(n)
 	return s, nil
 }
 
-// length reads a declared element count, rejecting counts that cannot fit
-// in the remaining bytes at minBytes per element.
-func (d *dec) length(what string, minBytes int) (int, error) {
-	n, err := d.uvarint(what + " count")
+// count reads a declared element count and proves it, in one place for
+// every reader: it must fit in the remaining bytes at minBytes per
+// element, and then equal want, the rows the caller expects, unless want
+// is anyCount.
+func (d *dec) count(what string, want, minBytes int) (int, error) {
+	n, err := d.uvarint(what)
 	if err != nil {
 		return 0, err
 	}
-	if minBytes > 0 && n > uint64(d.remaining())/uint64(minBytes) {
-		return 0, d.err(what+": declared count exceeds remaining bytes", ErrTruncated)
+	if n > uint64(d.remaining())/uint64(minBytes) {
+		return 0, d.err(what, ErrTruncated, "declared count %d exceeds remaining bytes", n)
+	}
+	if want != anyCount && n != uint64(want) {
+		return 0, d.err(what, ErrCorrupt, "declares %d, want %d", n, want)
 	}
 	return int(n), nil
 }
 
+// bitmap reads a bitmap over n rows and proves it canonical: exactly the
+// words n rows need, and no bit set at or beyond row n (a nonzero tail
+// would make popcount-dependent column lengths ambiguous).
+//
 //whpcvet:hot
-func (d *dec) words(what string) (query.Bitmap, error) {
-	n, err := d.length(what, 8)
-	if err != nil {
+func (d *dec) bitmap(what string, n int) (query.Bitmap, error) {
+	words, err := d.count(what, (n+63)/64, 8)
+	if err != nil || words == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make(query.Bitmap, n)
+	out := make(query.Bitmap, words)
 	for i := range out {
-		if d.remaining() < 8 {
-			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
-			return nil, d.err(what, ErrTruncated)
-		}
 		out[i] = binary.LittleEndian.Uint64(d.data[d.off:])
 		d.off += 8
+	}
+	if n%64 != 0 && out[words-1]>>(uint(n)&63) != 0 {
+		return nil, d.err(what, ErrCorrupt, "bits set beyond row %d", n)
 	}
 	return out, nil
 }
 
-func (d *dec) strDict(what string) ([]string, error) {
-	n, err := d.length(what, 1)
+// strs reads n length-prefixed strings (anyCount: as many as declared).
+// All values share one backing allocation (a single copy of the column's
+// byte region) instead of one allocation each, which dominates warm-boot
+// decode time for the large id/name/title columns.
+//
+//whpcvet:hot
+func (d *dec) strs(what string, n int) ([]string, error) {
+	n, err := d.count(what, n, 1)
 	if err != nil {
 		return nil, err
 	}
-	return d.strings(what, n)
-}
-
-// strings reads n length-prefixed strings. All values share one backing
-// allocation (a single copy of the column's byte region) instead of one
-// allocation each, which dominates warm-boot decode time for the large
-// id/name/title columns.
-//
-//whpcvet:hot
-func (d *dec) strings(what string, n int) ([]string, error) {
 	type span struct{ off, len int }
 	spans := make([]span, n)
 	start := d.off
@@ -157,12 +187,12 @@ func (d *dec) strings(what string, n int) ([]string, error) {
 		ln, adv := binary.Uvarint(d.data[d.off:])
 		if adv <= 0 {
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
-			return nil, d.err(what+": truncated value length", ErrTruncated)
+			return nil, d.err(what, ErrTruncated, "truncated value length")
 		}
 		d.off += adv
 		if ln > uint64(d.remaining()) {
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
-			return nil, d.err(what+": declared value length exceeds remaining bytes", ErrTruncated)
+			return nil, d.err(what, ErrTruncated, "declared value length %d exceeds remaining bytes", ln)
 		}
 		spans[i] = span{d.off, int(ln)}
 		d.off += int(ln)
@@ -177,8 +207,8 @@ func (d *dec) strings(what string, n int) ([]string, error) {
 }
 
 //whpcvet:hot
-func (d *dec) intCol(what string) ([]int64, error) {
-	n, err := d.length(what, 1)
+func (d *dec) ints(what string, n int) ([]int64, error) {
+	n, err := d.count(what, n, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -191,13 +221,31 @@ func (d *dec) intCol(what string) ([]int64, error) {
 	return out, nil
 }
 
-// codeCol reads a dictionary-code column, validating every code against
-// the dictionary cardinality so a decoded column can never index out of
-// range.
+// enums reads an int column of n rows whose every value is an enum code
+// from 0 through hi.
 //
 //whpcvet:hot
-func (d *dec) codeCol(what string, dictLen int) ([]int32, error) {
-	n, err := d.length(what, 1)
+func (d *dec) enums(what string, n int, hi int64) ([]int64, error) {
+	out, err := d.ints(what, n)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range out {
+		if v < 0 || v > hi {
+			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
+			return nil, d.err(what, ErrCorrupt, "row %d value %d outside [0, %d]", i, v, hi)
+		}
+	}
+	return out, nil
+}
+
+// codes reads a dictionary-code column of n rows, validating every code
+// against the dictionary cardinality so a decoded column can never index
+// out of range.
+//
+//whpcvet:hot
+func (d *dec) codes(what string, n, dictLen int) ([]int32, error) {
+	n, err := d.count(what, n, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -209,32 +257,26 @@ func (d *dec) codeCol(what string, dictLen int) ([]int32, error) {
 		}
 		if v >= uint64(dictLen) {
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
-			return nil, d.err(what+": dictionary code out of range", ErrCorrupt)
+			return nil, d.err(what, ErrCorrupt, "code %d out of range (%d values)", v, dictLen)
 		}
 		out[i] = int32(v)
 	}
 	return out, nil
 }
 
+// floats reads a float column of n rows; count has proven its bytes are
+// there.
+//
 //whpcvet:hot
-func (d *dec) floatCol(what string) ([]float64, error) {
-	n, err := d.length(what, 8)
+func (d *dec) floats(what string, n int) ([]float64, error) {
+	n, err := d.count(what, n, 8)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)
 	for i := range out {
-		if out[i], err = d.f64(what); err != nil {
-			return nil, err
-		}
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
+		d.off += 8
 	}
 	return out, nil
-}
-
-func (d *dec) strCol(what string) ([]string, error) {
-	n, err := d.length(what, 1)
-	if err != nil {
-		return nil, err
-	}
-	return d.strings(what, n)
 }

@@ -42,24 +42,24 @@ func encodeDelta(info DeltaInfo) []byte {
 func decodeDelta(data []byte) (DeltaInfo, error) {
 	dc := newDec(SectionDelta, data)
 	var info DeltaInfo
-	year, err := dc.uvarint("delta year")
+	year, err := dc.uvarint("year")
 	if err != nil {
 		return info, err
 	}
 	if year > 1<<20 {
-		return info, dc.err(fmt.Sprintf("delta year %d is implausible", year), ErrCorrupt)
+		return info, dc.err("year", ErrCorrupt, "%d is implausible", year)
 	}
 	info.Year = int(year)
-	if info.ConfID, err = dc.str("delta conference ID"); err != nil {
+	if info.ConfID, err = dc.str("conference ID"); err != nil {
 		return info, err
 	}
 	if info.ConfID == "" {
-		return info, dc.err("delta conference ID is empty", ErrCorrupt)
+		return info, dc.err("conference ID", ErrCorrupt, "empty")
 	}
-	if info.BaseFingerprint, err = dc.uvarint("delta base fingerprint"); err != nil {
+	if info.BaseFingerprint, err = dc.uvarint("base fingerprint"); err != nil {
 		return info, err
 	}
-	if err := dc.finished("delta"); err != nil {
+	if err := dc.finished(); err != nil {
 		return info, err
 	}
 	return info, nil

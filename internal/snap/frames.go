@@ -1,7 +1,6 @@
 package snap
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/query"
@@ -118,41 +117,40 @@ func decodeFrames(data []byte) ([]query.FrameData, error) {
 	if err != nil {
 		return nil, err
 	}
-	nFrames, err := dc.length("frame", 1)
+	nFrames, err := dc.count("frame count", anyCount, 1)
 	if err != nil {
 		return nil, err
 	}
-	frames := make([]query.FrameData, 0, nFrames)
-	for fi := 0; fi < nFrames; fi++ {
-		name, err := dc.str("frame name")
+	frames := make([]query.FrameData, nFrames)
+	for fi := range frames {
+		f := &frames[fi]
+		dc.in = scope{}
+		if f.Name, err = dc.str("frame name"); err != nil {
+			return nil, err
+		}
+		dc.in.frame = f.Name
+		rows, err := dc.uvarint("row count")
 		if err != nil {
 			return nil, err
 		}
-		rows64, err := dc.uvarint(fmt.Sprintf("frame %q row count", name))
-		if err != nil {
-			return nil, err
-		}
-		if rows64 > uint64(len(data))*64 {
+		if rows > uint64(len(data))*64 {
 			// Even a single one-bit-per-row column would need more bytes
 			// than the whole payload holds.
-			return nil, dc.err(fmt.Sprintf("frame %q declares %d rows, more than the payload could hold", name, rows64), ErrCorrupt)
+			return nil, dc.err("row count", ErrCorrupt, "%d rows, more than the payload could hold", rows)
 		}
-		n := int(rows64)
-		nCols, err := dc.length(fmt.Sprintf("frame %q column", name), 1)
+		f.NumRows = int(rows)
+		nCols, err := dc.count("column count", anyCount, 1)
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]*query.Column, 0, nCols)
-		for ci := 0; ci < nCols; ci++ {
-			c, err := decodeColumn(dc, tables, name, n)
-			if err != nil {
+		f.Columns = make([]*query.Column, nCols)
+		for ci := range f.Columns {
+			if f.Columns[ci], err = decodeColumn(dc, tables, f.NumRows); err != nil {
 				return nil, err
 			}
-			cols = append(cols, c)
 		}
-		frames = append(frames, query.FrameData{Name: name, NumRows: n, Columns: cols})
 	}
-	if err := dc.finished("frames"); err != nil {
+	if err := dc.finished(); err != nil {
 		return nil, err
 	}
 	return frames, nil
@@ -162,94 +160,73 @@ func decodeFrames(data []byte) ([]query.FrameData, error) {
 // strictly ascending, which proves it repeats no value without hashing
 // one.
 func decodeEntityTables(dc *dec) ([]entityTable, error) {
-	n, err := dc.length("entity table", 1)
+	n, err := dc.count("entity table count", anyCount, 1)
 	if err != nil {
 		return nil, err
 	}
 	tables := make([]entityTable, n)
 	for k := range tables {
 		t := &tables[k]
+		dc.in = scope{}
 		if t.name, err = dc.str("entity table name"); err != nil {
 			return nil, err
 		}
-		what := fmt.Sprintf("entity table %q", t.name)
-		if t.vals, err = dc.strDict(what); err != nil {
+		dc.in.table = t.name
+		if t.vals, err = dc.strs("values", anyCount); err != nil {
 			return nil, err
 		}
 		for i := 1; i < len(t.vals); i++ {
 			if t.vals[i-1] >= t.vals[i] {
-				return nil, dc.err(fmt.Sprintf("%s not strictly ascending at value %d", what, i), ErrCorrupt)
+				return nil, dc.err("values", ErrCorrupt, "not strictly ascending at value %d", i)
 			}
 		}
 		t.seen = query.NewBitmap(len(t.vals))
 	}
+	dc.in = scope{}
 	return tables, nil
 }
 
-func decodeColumn(dc *dec, tables []entityTable, frame string, n int) (*query.Column, error) {
-	colName, err := dc.str(fmt.Sprintf("frame %q column name", frame))
+// decodeColumn reads one column of a frame of n rows, every part checked
+// against n by its reader.
+func decodeColumn(dc *dec, tables []entityTable, n int) (*query.Column, error) {
+	dc.in.column = ""
+	name, err := dc.str("column name")
 	if err != nil {
 		return nil, err
 	}
-	what := fmt.Sprintf("frame %q column %q", frame, colName)
-	typ, err := dc.u8(what + " type")
+	dc.in.column = name
+	typ, err := dc.u8("type")
 	if err != nil {
 		return nil, err
 	}
-	c := &query.Column{Name: colName, Type: query.ColType(typ)}
-	hasValid, err := dc.bool(what + " validity flag")
+	c := &query.Column{Name: name, Type: query.ColType(typ)}
+	hasValid, err := dc.bool("validity flag")
 	if err != nil {
 		return nil, err
 	}
 	if hasValid {
-		w, err := dc.words(what + " validity bitmap")
-		if err != nil {
+		if c.Valid, err = dc.bitmap("validity bitmap", n); err != nil {
 			return nil, err
 		}
-		if err := checkBitmap(dc, what+" validity", w, n); err != nil {
-			return nil, err
-		}
-		c.Valid = w
 	}
 	switch c.Type {
 	case query.TInt:
-		if c.Ints, err = dc.intCol(what); err != nil {
-			return nil, err
-		}
-		if len(c.Ints) != n {
-			return nil, dc.err(fmt.Sprintf("%s has %d rows, want %d", what, len(c.Ints), n), ErrCorrupt)
-		}
+		c.Ints, err = dc.ints("ints", n)
 	case query.TFloat:
-		if c.Floats, err = dc.floatCol(what); err != nil {
-			return nil, err
-		}
-		if len(c.Floats) != n {
-			return nil, dc.err(fmt.Sprintf("%s has %d rows, want %d", what, len(c.Floats), n), ErrCorrupt)
-		}
+		c.Floats, err = dc.floats("floats", n)
 	case query.TBool:
-		w, err := dc.words(what + " bitmap")
-		if err != nil {
-			return nil, err
-		}
-		if err := checkBitmap(dc, what, w, n); err != nil {
-			return nil, err
-		}
-		c.Bools = w
+		c.Bools, err = dc.bitmap("bitmap", n)
 	case query.TStr:
-		vals, entity, err := decodeDict(dc, tables, what)
-		if err != nil {
-			return nil, err
-		}
-		c.Entity = entity
-		c.Dict = query.DictOf(vals)
-		if c.Codes, err = dc.codeCol(what+" codes", len(vals)); err != nil {
-			return nil, err
-		}
-		if len(c.Codes) != n {
-			return nil, dc.err(fmt.Sprintf("%s has %d rows, want %d", what, len(c.Codes), n), ErrCorrupt)
+		var vals []string
+		if vals, c.Entity, err = decodeDict(dc, tables); err == nil {
+			c.Dict = query.DictOf(vals)
+			c.Codes, err = dc.codes("codes", n, len(vals))
 		}
 	default:
-		return nil, dc.err(fmt.Sprintf("%s has unknown column type %d", what, typ), ErrCorrupt)
+		err = dc.err("type", ErrCorrupt, "unknown column type %d", typ)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -260,13 +237,13 @@ func decodeColumn(dc *dec, tables []entityTable, frame string, n int) (*query.Co
 // table are the table's strings, positions checked in range and unrepeated
 // against the table's bitmap; a column's own values are checked on a
 // sorted copy. Neither check hashes a string.
-func decodeDict(dc *dec, tables []entityTable, what string) ([]string, string, error) {
-	src, err := dc.uvarint(what + " dictionary source")
+func decodeDict(dc *dec, tables []entityTable) ([]string, string, error) {
+	src, err := dc.uvarint("dictionary source")
 	if err != nil {
 		return nil, "", err
 	}
 	if src == dictOwn {
-		vals, err := dc.strDict(what + " dictionary")
+		vals, err := dc.strs("dictionary", anyCount)
 		if err != nil {
 			return nil, "", err
 		}
@@ -274,31 +251,30 @@ func decodeDict(dc *dec, tables []entityTable, what string) ([]string, string, e
 		slices.Sort(sorted)
 		for i := 1; i < len(sorted); i++ {
 			if sorted[i-1] == sorted[i] {
-				return nil, "", dc.err(what+": dictionary repeats a value", ErrCorrupt)
+				return nil, "", dc.err("dictionary", ErrCorrupt, "repeats a value")
 			}
 		}
 		return vals, "", nil
 	}
 	if src > uint64(len(tables)) {
-		return nil, "", dc.err(fmt.Sprintf("%s: dictionary source %d names no entity table (%d tables)", what, src, len(tables)), ErrCorrupt)
+		return nil, "", dc.err("dictionary source", ErrCorrupt, "%d names no entity table (%d tables)", src, len(tables))
 	}
 	t := &tables[src-1]
-	n, err := dc.length(what+" dictionary positions", 1)
+	n, err := dc.count("dictionary positions", anyCount, 1)
 	if err != nil {
 		return nil, "", err
 	}
 	vals := make([]string, n)
-	posWhat := what + " dictionary position"
 	for i := range vals {
-		pos, err := dc.uvarint(posWhat)
+		pos, err := dc.uvarint("dictionary position")
 		if err != nil {
 			return nil, "", err
 		}
 		if pos >= uint64(len(t.vals)) {
-			return nil, "", dc.err(fmt.Sprintf("%s: dictionary position %d outside entity table %q of %d values", what, pos, t.name, len(t.vals)), ErrCorrupt)
+			return nil, "", dc.err("dictionary position", ErrCorrupt, "%d outside entity table %q of %d values", pos, t.name, len(t.vals))
 		}
 		if t.seen.Get(int(pos)) {
-			return nil, "", dc.err(fmt.Sprintf("%s: dictionary repeats entity table %q position %d", what, t.name, pos), ErrCorrupt)
+			return nil, "", dc.err("dictionary position", ErrCorrupt, "repeats entity table %q position %d", t.name, pos)
 		}
 		t.seen.Set(int(pos))
 		vals[i] = t.vals[pos]

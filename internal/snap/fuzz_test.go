@@ -64,3 +64,59 @@ func FuzzReader(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSections: arbitrary payload bytes handed straight to each section
+// decoder — past the checksums that keep FuzzReader's mutations out of
+// them — must never panic it, and every refusal is a *FormatError naming
+// the decoder's own section. Each input is decoded as the persons,
+// conferences and papers of both the tiny corpus and the tiny delta's
+// mini-corpus (their counts and person ID tables), as frames, and as a
+// delta identity. Seeds are the sections of the tiny snapshot with frames
+// and of the tiny delta.
+func FuzzSections(f *testing.F) {
+	type corpus struct {
+		meta  metaInfo
+		ids   []string
+		confs []byte // the valid conferences payload, which papers need decoded
+	}
+	var corpora []corpus
+	for _, data := range [][]byte{tinySnapshot(f, true), tinyDeltaSnapshot(f)} {
+		r, err := parse(data, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ids, err := decodePersons(r.payloads[SectionPersons], r.meta.persons, dataset.New())
+		if err != nil {
+			f.Fatal(err)
+		}
+		corpora = append(corpora, corpus{r.meta, ids, r.payloads[SectionConferences]})
+		for _, s := range r.sections {
+			if s.name != SectionMeta {
+				f.Add(r.payloads[s.name])
+			}
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(section string, err error) {
+			var fe *FormatError
+			if err != nil && (!errors.As(err, &fe) || fe.Section != section) {
+				t.Fatalf("%s decoder refused with %v (%T), not a *FormatError naming its section", section, err, err)
+			}
+		}
+		for _, c := range corpora {
+			_, err := decodePersons(data, c.meta.persons, dataset.New())
+			check(SectionPersons, err)
+			check(SectionConferences, decodeConferences(data, c.meta.conferences, c.ids, dataset.New()))
+			withConfs := dataset.New()
+			if err := decodeConferences(c.confs, c.meta.conferences, c.ids, withConfs); err != nil {
+				t.Fatal(err)
+			}
+			check(SectionPapers, decodePapers(data, c.meta.papers, c.ids, withConfs))
+		}
+		_, err := decodeFrames(data)
+		check(SectionFrames, err)
+		_, err = decodeDelta(data)
+		check(SectionDelta, err)
+	})
+}

@@ -201,23 +201,23 @@ func (r *reader) decodeMeta() error {
 		return err
 	}
 	if flags&^uint64(flagHasFrames|flagIsDelta) != 0 {
-		return dc.err(fmt.Sprintf("unknown flag bits %#x", flags), ErrCorrupt)
+		return dc.err("flags", ErrCorrupt, "unknown flag bits %#x", flags)
 	}
 	r.meta.hasFrames = flags&flagHasFrames != 0
 	r.meta.isDelta = flags&flagIsDelta != 0
 	counts := [3]*int{&r.meta.persons, &r.meta.conferences, &r.meta.papers}
-	names := [3]string{"person", "conference", "paper"}
+	names := [3]string{"person count", "conference count", "paper count"}
 	for i, dst := range counts {
-		v, err := dc.uvarint(names[i] + " count")
+		v, err := dc.uvarint(names[i])
 		if err != nil {
 			return err
 		}
 		if v > uint64(1)<<40 {
-			return dc.err(fmt.Sprintf("%s count %d is implausible", names[i], v), ErrCorrupt)
+			return dc.err(names[i], ErrCorrupt, "%d is implausible", v)
 		}
 		*dst = int(v)
 	}
-	return dc.finished("meta")
+	return dc.finished()
 }
 
 // chaosStep consults the reader's injector before decoding section; any

@@ -101,7 +101,7 @@ var (
 type FormatError struct {
 	Section string // "" for file-level errors
 	Offset  int64  // byte offset within the section (or file)
-	Msg     string // human context, e.g. "person column ids"
+	Msg     string // human context, e.g. `frame "slots" column "person" codes: declares 64, want 65`
 	Err     error  // sentinel cause (ErrTruncated, ErrCorrupt, ...)
 }
 

@@ -100,17 +100,17 @@ func TestSnapshotRoundTripQueries(t *testing.T) {
 // Work budgets of one OpenSnapshot of the default seed-2021 snapshot,
 // checked by TestSnapshotOpenBeatsRegeneration beside its timing bound.
 // Unlike the timing ratio they do not depend on what else shares the CPUs.
-// Measured on linux/amd64 with Go 1.24 as 2,030 allocations and 3.66 MB
+// Measured on linux/amd64 with Go 1.24 as 919 allocations and 3.62 MB
 // per open; the budgets leave about 5% headroom on each.
 const (
-	snapshotOpenAllocs = 2130
-	snapshotOpenBytes  = 3_840_000
+	snapshotOpenAllocs = 965
+	snapshotOpenBytes  = 3_800_000
 )
 
 // TestSnapshotOpenBeatsRegeneration is the warm-boot perf floor from the
 // snapshot design: loading a snapshot (corpus + frames) must be at least
 // 10x faster than synthesizing the corpus and building the frames, in the
-// medians of alternating rounds (perffloor.Medians). The race detector's
+// medians of alternating rounds (perffloor.MedianResults). The race detector's
 // instrumentation distorts both sides unevenly, so the gate only runs on
 // uninstrumented builds.
 func TestSnapshotOpenBeatsRegeneration(t *testing.T) {
@@ -335,11 +335,11 @@ func BenchmarkMaterializeCompacted(b *testing.B) {
 
 // Work budgets of one open of the compacted flagship+SC'21 snapshot,
 // checked by TestCompactedOpenBeatsDeltaApply beside its timing bound.
-// Measured on linux/amd64 with Go 1.24 as 2,191 allocations and 4.73 MB
+// Measured on linux/amd64 with Go 1.24 as 1,039 allocations and 4.69 MB
 // per open; the budgets leave about 5% headroom on each.
 const (
-	compactedOpenAllocs = 2300
-	compactedOpenBytes  = 4_960_000
+	compactedOpenAllocs = 1090
+	compactedOpenBytes  = 4_920_000
 )
 
 // TestCompactedOpenBeatsDeltaApply is the compaction perf floor: opening
