@@ -229,6 +229,18 @@ func (d *Dataset) memo() *populations {
 	return m
 }
 
+// AdoptPopulations installs the all-conference unique populations of a
+// corpus whose builder has proven them: the authors, the PC members and
+// their union, each sorted by ID, duplicate-free and equal to what
+// UniqueAuthors, UniqueRoleHolders(RolePCMember) and UniqueAuthorsAndPC
+// would build. The snapshot decoder, which builds them from bitmaps over
+// its sorted person table, is the one caller. They stand in for the memo,
+// so the next AddConference, AddPaper or Reindex drops them and the next
+// read rebuilds them from the corpus. The dataset keeps the slices.
+func (d *Dataset) AdoptPopulations(authors, pcMembers, authorsAndPC []PersonID) {
+	d.populations.Store(&populations{authors: authors, pcMembers: pcMembers, authorsAndPC: authorsAndPC})
+}
+
 // mergeSorted returns the sorted union of two sorted, duplicate-free ID
 // lists in one linear pass.
 func mergeSorted(a, b []PersonID) []PersonID {

@@ -115,6 +115,41 @@ func TestUniquePopulationsMemo(t *testing.T) {
 	t.Run("concurrent first use", testConcurrentFirstUse)
 }
 
+// TestAdoptedPopulations: adopted populations answer the accessors,
+// through a copy, until a mutation drops them like the memo they stand in
+// for; the next read then builds the corpus's own.
+func TestAdoptedPopulations(t *testing.T) {
+	for _, mutate := range []struct {
+		name string
+		do   func(d *Dataset) error
+	}{
+		{"AddConference", func(d *Dataset) error {
+			return d.AddConference(&Conference{ID: "ICS18", Name: "ICS", Year: 2018, PCMembers: []PersonID{"alice"}})
+		}},
+		{"AddPaper", func(d *Dataset) error {
+			return d.AddPaper(&Paper{ID: "p9", Conf: d.Conferences[0].ID, Authors: []PersonID{"alice"}})
+		}},
+		{"Reindex", func(d *Dataset) error { d.Reindex(); return nil }},
+	} {
+		d := tinyCorpus(t)
+		adopted := []PersonID{"adopted"}
+		d.AdoptPopulations(adopted, adopted, adopted)
+		for _, got := range [][]PersonID{d.UniqueAuthors(), d.UniqueRoleHolders(RolePCMember), d.UniqueAuthorsAndPC()} {
+			if !slices.Equal(got, adopted) {
+				t.Fatalf("before %s: accessor = %v, want the adopted %v", mutate.name, got, adopted)
+			}
+			got[0] = "scribbled"
+		}
+		if got := d.UniqueAuthors(); !slices.Equal(got, []PersonID{"adopted"}) {
+			t.Fatalf("adopted populations changed through a returned slice: %v", got)
+		}
+		if err := mutate.do(d); err != nil {
+			t.Fatal(err)
+		}
+		checkPopulations(t, d, "after "+mutate.name)
+	}
+}
+
 func testConcurrentFirstUse(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		d := tinyCorpus(t)

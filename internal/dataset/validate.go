@@ -12,11 +12,23 @@ func invalidf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInvalid, fmt.Sprintf(format, args...))
 }
 
+// PlausibleYear reports whether year is a conference year Validate
+// accepts: 1980 through 2100.
+func PlausibleYear(year int) bool { return year >= 1980 && year <= 2100 }
+
+// ValidAcceptanceRate reports whether r is an acceptance rate Validate
+// accepts: one not outside (0, 1].
+func ValidAcceptanceRate(r float64) bool { return !(r <= 0 || r > 1) }
+
 // Validate checks referential and value integrity of the whole corpus:
 // every referenced person exists, author lists are nonempty and
 // duplicate-free, per-conference role rosters are duplicate-free,
 // acceptance rates and citation counts are in range, and person records
 // are self-consistent. It returns the first violation found.
+//
+// It is the check for corpora built in memory: loaded from CSV,
+// synthesized or harvested. The snapshot decoder proves the same
+// invariants as it decodes and does not call it.
 func (d *Dataset) Validate() error {
 	if len(d.Conferences) == 0 {
 		return invalidf("no conferences")
@@ -40,6 +52,10 @@ func (d *Dataset) Validate() error {
 			return invalidf("person %q: Semantic Scholar count %d < 1", id, p.S2Pubs)
 		}
 	}
+	// One seen-set, cleared per roster, serves every roster repeat check,
+	// and another every author list's. Clearing a map costs its capacity,
+	// so the author lists, many and short, keep theirs small.
+	seen := make(map[PersonID]bool)
 	seenConf := make(map[ConfID]bool, len(d.Conferences))
 	for _, c := range d.Conferences {
 		if c == nil || c.ID == "" {
@@ -49,14 +65,14 @@ func (d *Dataset) Validate() error {
 			return invalidf("duplicate conference %q", c.ID)
 		}
 		seenConf[c.ID] = true
-		if c.AcceptanceRate <= 0 || c.AcceptanceRate > 1 {
+		if !ValidAcceptanceRate(c.AcceptanceRate) {
 			return invalidf("conference %q acceptance rate %g outside (0, 1]", c.ID, c.AcceptanceRate)
 		}
-		if c.Year < 1980 || c.Year > 2100 {
+		if !PlausibleYear(c.Year) {
 			return invalidf("conference %q implausible year %d", c.ID, c.Year)
 		}
 		for _, r := range []Role{RolePCChair, RolePCMember, RoleKeynote, RolePanelist, RoleSessionChair} {
-			seen := make(map[PersonID]bool)
+			clear(seen)
 			for _, id := range c.RoleHolders(r) {
 				if _, ok := d.Persons[id]; !ok {
 					return invalidf("conference %q %s roster references unknown person %q", c.ID, r, id)
@@ -69,6 +85,7 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	seenPaper := make(map[PaperID]bool, len(d.Papers))
+	seenAuthor := make(map[PersonID]bool)
 	for _, p := range d.Papers {
 		if p == nil || p.ID == "" {
 			return invalidf("nil or unidentified paper")
@@ -86,7 +103,7 @@ func (d *Dataset) Validate() error {
 		if p.Citations36 < 0 {
 			return invalidf("paper %q has negative citations %d", p.ID, p.Citations36)
 		}
-		seenAuthor := make(map[PersonID]bool, len(p.Authors))
+		clear(seenAuthor)
 		for _, a := range p.Authors {
 			if _, ok := d.Persons[a]; !ok {
 				return invalidf("paper %q references unknown author %q", p.ID, a)

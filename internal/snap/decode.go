@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/query"
@@ -279,4 +280,17 @@ func (d *dec) floats(what string, n int) ([]float64, error) {
 		d.off += 8
 	}
 	return out, nil
+}
+
+// repeated returns a value vals holds twice, if any. It compares
+// neighbours of a sorted copy, so no string is hashed.
+func repeated(vals []string) (string, bool) {
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i-1] == sorted[i] {
+			return sorted[i], true
+		}
+	}
+	return "", false
 }

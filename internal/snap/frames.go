@@ -247,12 +247,8 @@ func decodeDict(dc *dec, tables []entityTable) ([]string, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		sorted := slices.Clone(vals)
-		slices.Sort(sorted)
-		for i := 1; i < len(sorted); i++ {
-			if sorted[i-1] == sorted[i] {
-				return nil, "", dc.err("dictionary", ErrCorrupt, "repeats a value")
-			}
+		if _, ok := repeated(vals); ok {
+			return nil, "", dc.err("dictionary", ErrCorrupt, "repeats a value")
 		}
 		return vals, "", nil
 	}

@@ -6,15 +6,13 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/query"
 )
 
 // FuzzReader: arbitrary byte streams must never panic Read, asked for
-// either kind. Every header, directory, checksum, kind or section-decode
-// rejection is a structured *FormatError; the one other rejection is the
-// decoded corpus's referential check (dataset.ErrInvalid), which runs
-// only after every section decoded cleanly. Seeds cover a valid snapshot
+// either kind, and every rejection — header, directory, checksum, kind,
+// section decode or corpus invariant — is a structured *FormatError.
+// Seeds cover a valid snapshot
 // (with and without frames), a delta snapshot, their prefixes, version-1
 // and version-2 files, garbage, and a checksum-valid snapshot whose frames
 // decode whole but have the wrong shape.
@@ -58,8 +56,8 @@ func FuzzReader(f *testing.F) {
 		for _, kind := range []Kind{Full, Delta} {
 			_, err := Read(data, kind, nil)
 			var fe *FormatError
-			if err != nil && !errors.As(err, &fe) && !errors.Is(err, dataset.ErrInvalid) {
-				t.Fatalf("Read(kind %d) rejection %v (%T) is neither a *FormatError nor a corpus validation failure", kind, err, err)
+			if err != nil && !errors.As(err, &fe) {
+				t.Fatalf("Read(kind %d) rejection %v (%T) is not a *FormatError", kind, err, err)
 			}
 		}
 	})
@@ -70,26 +68,17 @@ func FuzzReader(f *testing.F) {
 // them — must never panic it, and every refusal is a *FormatError naming
 // the decoder's own section. Each input is decoded as the persons,
 // conferences and papers of both the tiny corpus and the tiny delta's
-// mini-corpus (their counts and person ID tables), as frames, and as a
-// delta identity. Seeds are the sections of the tiny snapshot with frames
-// and of the tiny delta.
+// mini-corpus (their counts, and the sections decoded before), as frames,
+// and as a delta identity. Seeds are the sections of the tiny snapshot
+// with frames and of the tiny delta.
 func FuzzSections(f *testing.F) {
-	type corpus struct {
-		meta  metaInfo
-		ids   []string
-		confs []byte // the valid conferences payload, which papers need decoded
-	}
-	var corpora []corpus
+	var corpora []*reader
 	for _, data := range [][]byte{tinySnapshot(f, true), tinyDeltaSnapshot(f)} {
 		r, err := parse(data, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
-		ids, err := decodePersons(r.payloads[SectionPersons], r.meta.persons, dataset.New())
-		if err != nil {
-			f.Fatal(err)
-		}
-		corpora = append(corpora, corpus{r.meta, ids, r.payloads[SectionConferences]})
+		corpora = append(corpora, r)
 		for _, s := range r.sections {
 			if s.name != SectionMeta {
 				f.Add(r.payloads[s.name])
@@ -104,19 +93,39 @@ func FuzzSections(f *testing.F) {
 				t.Fatalf("%s decoder refused with %v (%T), not a *FormatError naming its section", section, err, err)
 			}
 		}
-		for _, c := range corpora {
-			_, err := decodePersons(data, c.meta.persons, dataset.New())
-			check(SectionPersons, err)
-			check(SectionConferences, decodeConferences(data, c.meta.conferences, c.ids, dataset.New()))
-			withConfs := dataset.New()
-			if err := decodeConferences(c.confs, c.meta.conferences, c.ids, withConfs); err != nil {
-				t.Fatal(err)
-			}
-			check(SectionPapers, decodePapers(data, c.meta.papers, c.ids, withConfs))
+		for _, r := range corpora {
+			check(SectionPersons, newCorpusDecoder().persons(data, r.meta.persons))
+			check(SectionConferences, decoderThrough(t, r, SectionPersons).conferences(data, r.meta.conferences))
+			check(SectionPapers, decoderThrough(t, r, SectionConferences).papers(data, r.meta.papers))
 		}
 		_, err := decodeFrames(data)
 		check(SectionFrames, err)
 		_, err = decodeDelta(data)
 		check(SectionDelta, err)
 	})
+}
+
+// decoderThrough returns a corpus decoder that has decoded r's entity
+// sections up to and including last, in decode order.
+func decoderThrough(t testing.TB, r *reader, last string) *corpusDecoder {
+	t.Helper()
+	c := newCorpusDecoder()
+	steps := []struct {
+		name   string
+		decode func([]byte, int) error
+		want   int
+	}{
+		{SectionPersons, c.persons, r.meta.persons},
+		{SectionConferences, c.conferences, r.meta.conferences},
+		{SectionPapers, c.papers, r.meta.papers},
+	}
+	for _, s := range steps {
+		if err := s.decode(r.payloads[s.name], s.want); err != nil {
+			t.Fatal(err)
+		}
+		if s.name == last {
+			break
+		}
+	}
+	return c
 }

@@ -85,10 +85,14 @@ func Open(path string, kind Kind, inj chaos.Injector) (Snapshot, error) {
 // structure, per-section CRC-32s, the whole-file checksum, and the
 // kind — runs before any section is decoded.
 //
+// The corpus comes back proven: the decoder checks every invariant
+// dataset.Validate checks as it reads, refusing a violation with a
+// *FormatError of its section, and hands the dataset its all-conference
+// populations, built from bitmaps over the sorted person table.
+//
 // inj (nil means none) is consulted at the snap.decode point once per
 // decoded section: persons, conferences, papers, then frames when
-// present. The delta-identity section and the validation pass are not
-// injectable.
+// present. The delta-identity section is not injectable.
 func Read(data []byte, kind Kind, inj chaos.Injector) (Snapshot, error) {
 	r, err := parse(data, inj)
 	if err != nil {
@@ -284,30 +288,28 @@ func (r *reader) decode() (Snapshot, error) {
 	return s, nil
 }
 
-// corpus decodes the three entity sections into a validated dataset.
+// corpus decodes the three entity sections into a dataset whose every
+// invariant the decoders proved, with its all-conference populations.
 func (r *reader) corpus() (*dataset.Dataset, error) {
-	d := dataset.New()
+	c := newCorpusDecoder()
 	if err := r.chaosStep(SectionPersons); err != nil {
 		return nil, err
 	}
-	ids, err := decodePersons(r.payloads[SectionPersons], r.meta.persons, d)
-	if err != nil {
+	if err := c.persons(r.payloads[SectionPersons], r.meta.persons); err != nil {
 		return nil, err
 	}
 	if err := r.chaosStep(SectionConferences); err != nil {
 		return nil, err
 	}
-	if err := decodeConferences(r.payloads[SectionConferences], r.meta.conferences, ids, d); err != nil {
+	if err := c.conferences(r.payloads[SectionConferences], r.meta.conferences); err != nil {
 		return nil, err
 	}
 	if err := r.chaosStep(SectionPapers); err != nil {
 		return nil, err
 	}
-	if err := decodePapers(r.payloads[SectionPapers], r.meta.papers, ids, d); err != nil {
+	if err := c.papers(r.payloads[SectionPapers], r.meta.papers); err != nil {
 		return nil, err
 	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("snap: decoded corpus failed validation: %w", err)
-	}
-	return d, nil
+	c.adoptPopulations()
+	return c.d, nil
 }

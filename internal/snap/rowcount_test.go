@@ -102,7 +102,7 @@ func TestCorpusRowCountRefused(t *testing.T) {
 	e.uvarint(2)
 	e.strCol([]string{"p1", "p2"})
 	e.strCol([]string{"Ada One"})
-	_, err := decodePersons(e.bytesOut(), 2, dataset.New())
+	err := newCorpusDecoder().persons(e.bytesOut(), 2)
 	wantRowCountRefusal(t, "persons names", SectionPersons, err, "names: declares 1, want 2")
 
 	e = &enc{}
@@ -111,7 +111,7 @@ func TestCorpusRowCountRefused(t *testing.T) {
 	e.strCol([]string{"Ada One", "Bob Two"})
 	e.strCol([]string{"Ada", "Bob"})
 	e.intCol([]int64{1})
-	_, err = decodePersons(e.bytesOut(), 2, dataset.New())
+	err = newCorpusDecoder().persons(e.bytesOut(), 2)
 	wantRowCountRefusal(t, "persons true_gender", SectionPersons, err, "true_gender: declares 1, want 2")
 
 	papers := func(refs []int32) []byte {
@@ -127,17 +127,25 @@ func TestCorpusRowCountRefused(t *testing.T) {
 		e.codeCol(refs)
 		return e.bytesOut()
 	}
-	withConf := func() *dataset.Dataset {
+	withConf := func() *corpusDecoder {
 		d := dataset.New()
-		if err := d.AddConference(&dataset.Conference{ID: "SC17"}); err != nil {
+		for _, id := range []dataset.PersonID{"p1", "p2"} {
+			if err := d.AddPerson(&dataset.Person{ID: id, Name: string(id)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := newCorpusDecoder()
+		if err := c.persons(encodePersons(d, sortedPersonIDs(d)), 2); err != nil {
 			t.Fatal(err)
 		}
-		return d
+		if err := c.d.AddConference(&dataset.Conference{ID: "SC17"}); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	ids := []string{"p1", "p2"}
-	if err := decodePapers(papers([]int32{0, 1}), 1, ids, withConf()); err != nil {
+	if err := withConf().papers(papers([]int32{0, 1}), 1); err != nil {
 		t.Errorf("author refs one per author slot refused: %v", err)
 	}
 	wantRowCountRefusal(t, "paper author refs", SectionPapers,
-		decodePapers(papers([]int32{0}), 1, ids, withConf()), "author refs: declares 1, want 2")
+		withConf().papers(papers([]int32{0}), 1), "author refs: declares 1, want 2")
 }

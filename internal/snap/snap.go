@@ -30,7 +30,9 @@
 // section CRC, the file checksum, and all structural invariants
 // (dictionary code ranges, column lengths, bitmap sizes, and the frames'
 // shape against the frame schema and the corpus) before any value is
-// handed out; truncated, bit-flipped, or future-version inputs
+// handed out, and proves every invariant dataset.Validate checks of the
+// decoded corpus, whose all-conference populations it builds on the way;
+// truncated, bit-flipped, inconsistent or future-version inputs
 // return a *FormatError naming the failing section and byte offset, and
 // never panic. A corpus loaded from a snapshot is proven byte-identical
 // to the freshly generated one at the report level (see the round-trip

@@ -30,7 +30,9 @@ func (s *Study) snapshot() snap.Snapshot {
 
 // OpenSnapshot reads a snapshot written by WriteSnapshot from r. The
 // snapshot is fully validated (checksums, format version, structural
-// invariants, dataset referential integrity) before a Study is returned.
+// invariants, and every corpus invariant dataset.Validate checks, proven
+// by the decoder as it reads) before a Study is returned, and the study's
+// author and PC-member populations come built by the decoder.
 func OpenSnapshot(r io.Reader) (*Study, error) {
 	var buf bytes.Buffer
 	// Size hint (bytes.Reader, bytes.Buffer, strings.Reader) avoids the

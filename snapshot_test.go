@@ -100,11 +100,11 @@ func TestSnapshotRoundTripQueries(t *testing.T) {
 // Work budgets of one OpenSnapshot of the default seed-2021 snapshot,
 // checked by TestSnapshotOpenBeatsRegeneration beside its timing bound.
 // Unlike the timing ratio they do not depend on what else shares the CPUs.
-// Measured on linux/amd64 with Go 1.24 as 919 allocations and 3.62 MB
+// Measured on linux/amd64 with Go 1.24 as 753 allocations and 3.56 MB
 // per open; the budgets leave about 5% headroom on each.
 const (
-	snapshotOpenAllocs = 965
-	snapshotOpenBytes  = 3_800_000
+	snapshotOpenAllocs = 790
+	snapshotOpenBytes  = 3_740_000
 )
 
 // TestSnapshotOpenBeatsRegeneration is the warm-boot perf floor from the
@@ -335,11 +335,11 @@ func BenchmarkMaterializeCompacted(b *testing.B) {
 
 // Work budgets of one open of the compacted flagship+SC'21 snapshot,
 // checked by TestCompactedOpenBeatsDeltaApply beside its timing bound.
-// Measured on linux/amd64 with Go 1.24 as 1,039 allocations and 4.69 MB
+// Measured on linux/amd64 with Go 1.24 as 793 allocations and 4.59 MB
 // per open; the budgets leave about 5% headroom on each.
 const (
-	compactedOpenAllocs = 1090
-	compactedOpenBytes  = 4_920_000
+	compactedOpenAllocs = 832
+	compactedOpenBytes  = 4_820_000
 )
 
 // TestCompactedOpenBeatsDeltaApply is the compaction perf floor: opening
