@@ -29,7 +29,7 @@ var benchStudy = func() *Study {
 }()
 
 var benchFlagship = func() *Study {
-	s, err := NewFlagshipStudy(2021)
+	s, err := NewStudyFromConfig(synth.FlagshipSeries(2021))
 	if err != nil {
 		panic(err)
 	}
@@ -531,7 +531,7 @@ func BenchmarkExtGenderInferenceBenchmark(b *testing.B) {
 }
 
 func BenchmarkExtSubfieldComparison(b *testing.B) {
-	ext, err := NewExtendedStudy(2021)
+	ext, err := NewStudyFromConfig(synth.ExtendedSystems(2021))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,42 +1,48 @@
 // Command whpc reproduces the full SC '21 paper "Representation of Women
 // in HPC Conferences": it generates (or loads) a corpus and prints every
-// table and figure of the paper's evaluation.
+// table and figure of the paper's evaluation. It is also the corpus tool:
+// it writes a corpus as CSVs (-save), as a binary snapshot (-snapshot-out)
+// or as a year delta (-delta-out), and analyzes any of them.
 //
 // Usage:
 //
-//	whpc [-seed N] [-load DIR] [-save DIR] [-flagship] [-fault-profile NAME]
-//	     [-snapshot-in FILE] [-snapshot-out FILE]
-//	     [-delta-in FILES] [-delta-out FILE -delta-year N [-delta-series S]]
-//	     [-list] [-exhibit ID] [-query SPEC] [-csv DIR]
+//	whpc [-seed N] [-flagship | -extended] [-fault-profile NAME]
+//	     [-load DIR | -snapshot-in FILE] [-delta-in FILES]
+//	     [-save DIR] [-snapshot-out FILE] [-csv DIR]
+//	     [-delta-out FILE -delta-year N [-delta-series S]]
+//	     [-list | -exhibit ID | -query SPEC]
 //
 // With -flagship the §3.4 SC/ISC 2016-2020 corpus is used instead of the
-// main nine-conference 2017 corpus. -save writes the corpus CSVs before
-// reporting; -load analyzes a previously saved corpus instead of
-// generating one. -fault-profile harvests the bibliometric services
-// through a named fault-injection profile (clean, flaky, degraded,
-// outage) and appends the resilient-ingestion and degraded-coverage
-// sections to the report; it cannot be combined with -load (a saved
-// corpus carries no live services to harvest). -list prints the stable
-// exhibit IDs and titles; -exhibit renders a single exhibit instead of the
-// whole report. -query runs an ad-hoc columnar query (inline JSON, or
-// @file to read the spec from a file; see the README's Querying section)
-// and prints the result in the spec's format — json by default, csv on
-// request. -snapshot-out saves the study as a checksummed binary snapshot
-// (corpus plus pre-built query frames) after construction; -snapshot-in
-// loads such a snapshot instead of generating, which is an order of
-// magnitude faster and cannot be combined with -load or -fault-profile.
-// -csv also writes every exhibit family as DIR/<family>.csv, the bytes
-// whpcd serves at /v1/csv/<family>; a family the corpus cannot answer is
-// named on stderr and skipped.
+// main nine-conference 2017 corpus, and with -extended the nine HPC venues
+// plus a cross-section of other computer-systems subfields (future work);
+// the two are mutually exclusive. -save writes the corpus CSVs before
+// reporting; -load analyzes a previously saved corpus (or CSVs of a corpus
+// you assembled yourself) instead of generating one. -fault-profile
+// harvests the bibliometric services through a named fault-injection
+// profile (clean, flaky, degraded, outage) and appends the
+// resilient-ingestion and degraded-coverage sections to the report; it
+// cannot be combined with -load (a saved corpus carries no live services
+// to harvest). -list prints the stable exhibit IDs and titles; -exhibit
+// renders a single exhibit instead of the whole report. -query runs an
+// ad-hoc columnar query (inline JSON, or @file to read the spec from a
+// file; see the README's Querying section) and prints the result in the
+// spec's format — json by default, csv on request. -snapshot-out saves
+// the study as a checksummed binary snapshot (corpus plus pre-built query
+// frames) after construction; -snapshot-in loads such a snapshot instead
+// of generating, which is an order of magnitude faster and cannot be
+// combined with -load or -fault-profile. -csv also writes every exhibit
+// family as DIR/<family>.csv, the bytes whpcd serves at /v1/csv/<family>;
+// a family the corpus cannot answer is named on stderr and skipped.
 //
-// -delta-in applies year-delta snapshots (synthgen -delta-year, see the
+// -delta-in applies year-delta snapshots (written by -delta-out, see the
 // README's Longitudinal deltas section) to the study before analysis:
 // comma-separated paths, applied in order, each patching the corpus and
 // its query frames in place instead of rebuilding them. -delta-out
 // generates the next -delta-year edition of -delta-series (default SC)
 // against the generated corpus and writes it as a delta snapshot; it
 // requires a generated corpus, since the delta is fingerprinted against
-// the exact base it extends.
+// the exact base it extends, and -delta-year without -delta-out is
+// refused.
 package main
 
 import (
@@ -78,80 +84,109 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.Uint64Var(&o.seed, "seed", 2021, "generator seed (deterministic corpus per seed)")
-	flag.StringVar(&o.load, "load", "", "load a saved corpus from this directory instead of generating")
-	flag.StringVar(&o.save, "save", "", "save the corpus CSVs into this directory")
-	flag.StringVar(&o.csvOut, "csv", "", "also export the exhibits as CSV files into this directory")
-	flag.BoolVar(&o.flagship, "flagship", false, "use the SC/ISC 2016-2020 flagship corpus (§3.4)")
-	flag.BoolVar(&o.extended, "extended", false, "use the extended all-systems-subfields corpus (future work)")
-	flag.StringVar(&o.faultProfile, "fault-profile", "",
-		"harvest the bibliometric services under a fault profile ("+strings.Join(faulty.ProfileNames(), ", ")+")")
-	flag.BoolVar(&o.list, "list", false, "list the exhibit IDs and titles instead of reporting")
-	flag.StringVar(&o.exhibit, "exhibit", "", "render only the exhibit with this ID")
-	flag.StringVar(&o.querySpec, "query", "",
-		"run an ad-hoc columnar query instead of reporting (inline JSON, or @file to read the spec from a file)")
-	flag.StringVar(&o.snapIn, "snapshot-in", "", "load the study from a binary snapshot instead of generating")
-	flag.StringVar(&o.snapOut, "snapshot-out", "", "save the study as a binary snapshot to this file")
-	flag.StringVar(&o.deltaIn, "delta-in", "", "apply year-delta snapshots before analysis (comma-separated files, in order)")
-	flag.StringVar(&o.deltaOut, "delta-out", "", "write the -delta-year edition as a year-delta snapshot to this file")
-	flag.IntVar(&o.deltaYear, "delta-year", 0, "year of the edition -delta-out generates")
-	flag.StringVar(&o.deltaSeries, "delta-series", "SC", "conference series the -delta-out edition extends")
-	flag.Parse()
-
-	if err := run(o); err != nil {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
+	}
+	if err := run(o, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "whpc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
-	var study *repro.Study
-	var err error
+// parseFlags parses the command line args (without the program name);
+// parse errors and -help print to stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("whpc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Uint64Var(&o.seed, "seed", 2021, "generator seed (deterministic corpus per seed)")
+	fs.StringVar(&o.load, "load", "", "load a saved corpus from this directory instead of generating")
+	fs.StringVar(&o.save, "save", "", "save the corpus CSVs into this directory")
+	fs.StringVar(&o.csvOut, "csv", "", "also export the exhibits as CSV files into this directory")
+	fs.BoolVar(&o.flagship, "flagship", false, "use the SC/ISC 2016-2020 flagship corpus (§3.4)")
+	fs.BoolVar(&o.extended, "extended", false, "use the extended all-systems-subfields corpus (future work)")
+	fs.StringVar(&o.faultProfile, "fault-profile", "",
+		"harvest the bibliometric services under a fault profile ("+strings.Join(faulty.ProfileNames(), ", ")+")")
+	fs.BoolVar(&o.list, "list", false, "list the exhibit IDs and titles instead of reporting")
+	fs.StringVar(&o.exhibit, "exhibit", "", "render only the exhibit with this ID")
+	fs.StringVar(&o.querySpec, "query", "",
+		"run an ad-hoc columnar query instead of reporting (inline JSON, or @file to read the spec from a file)")
+	fs.StringVar(&o.snapIn, "snapshot-in", "", "load the study from a binary snapshot instead of generating")
+	fs.StringVar(&o.snapOut, "snapshot-out", "", "save the study as a binary snapshot to this file")
+	fs.StringVar(&o.deltaIn, "delta-in", "", "apply year-delta snapshots before analysis (comma-separated files, in order)")
+	fs.StringVar(&o.deltaOut, "delta-out", "", "write the -delta-year edition as a year-delta snapshot to this file")
+	fs.IntVar(&o.deltaYear, "delta-year", 0, "year of the edition -delta-out generates")
+	fs.StringVar(&o.deltaSeries, "delta-series", "SC", "conference series the -delta-out edition extends")
+	return o, fs.Parse(args)
+}
+
+// check refuses flag combinations whose meaning would otherwise be
+// silently dropped, before any corpus is built.
+func check(o options) error {
+	switch {
+	case o.flagship && o.extended:
+		return errors.New("-flagship and -extended are mutually exclusive")
+	case o.snapIn != "" && o.load != "":
+		return errors.New("-snapshot-in and -load are mutually exclusive")
+	case o.faultProfile != "" && o.snapIn != "":
+		return errors.New("-fault-profile requires a generated corpus, not -snapshot-in")
+	case o.faultProfile != "" && o.load != "":
+		return errors.New("-fault-profile requires a generated corpus, not -load")
+	}
+	if o.deltaOut == "" {
+		if o.deltaYear != 0 {
+			return errors.New("-delta-year requires -delta-out (the file the edition is written to)")
+		}
+		return nil
+	}
+	switch {
+	case o.deltaYear == 0:
+		return errors.New("-delta-out requires -delta-year (the edition to generate)")
+	case o.load != "" || o.snapIn != "" || o.faultProfile != "":
+		return errors.New("-delta-out fingerprints the delta against a generated corpus; it cannot be combined with -load, -snapshot-in, or -fault-profile")
+	case o.deltaIn != "":
+		return errors.New("-delta-out generates against the pristine corpus; it cannot be combined with -delta-in")
+	}
+	return nil
+}
+
+// run builds the study o asks for, writes the files it names, and prints
+// the report, exhibit, list or query result to stdout; progress notes go
+// to stderr.
+func run(o options, stdout, stderr io.Writer) error {
+	if err := check(o); err != nil {
+		return err
+	}
 	cfg := synth.Default2017(o.seed)
 	if o.flagship {
 		cfg = synth.FlagshipSeries(o.seed)
 	} else if o.extended {
 		cfg = synth.ExtendedSystems(o.seed)
 	}
-	generated := false
+	var study *repro.Study
+	var err error
 	switch {
 	case o.snapIn != "":
-		if o.load != "" {
-			return fmt.Errorf("-snapshot-in and -load are mutually exclusive")
-		}
-		if o.faultProfile != "" {
-			return fmt.Errorf("-fault-profile requires a generated corpus, not -snapshot-in")
-		}
 		study, err = repro.OpenSnapshotFile(o.snapIn)
 	case o.load != "":
-		if o.faultProfile != "" {
-			return fmt.Errorf("-fault-profile requires a generated corpus, not -load")
-		}
 		study, err = repro.Load(o.load)
 	case o.faultProfile != "":
-		study, err = repro.NewHarvestedStudyFromConfig(cfg, o.faultProfile)
+		study, err = repro.NewHarvestedStudy(cfg, o.faultProfile, repro.HarvestHooks{})
 	default:
-		generated = true
 		study, err = repro.NewStudyFromConfig(cfg)
 	}
 	if err != nil {
 		return err
 	}
 	if o.deltaOut != "" {
-		if o.deltaYear == 0 {
-			return fmt.Errorf("-delta-out requires -delta-year (the edition to generate)")
-		}
-		if !generated {
-			return fmt.Errorf("-delta-out fingerprints the delta against a generated corpus; it cannot be combined with -load, -snapshot-in, or -fault-profile")
-		}
-		if o.deltaIn != "" {
-			return fmt.Errorf("-delta-out generates against the pristine corpus; it cannot be combined with -delta-in")
-		}
 		if err := writeDelta(cfg, o.deltaOut, o.deltaSeries, o.deltaYear); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "delta saved to %s\n", o.deltaOut)
+		fmt.Fprintf(stderr, "delta saved to %s\n", o.deltaOut)
 	}
 	if o.deltaIn != "" {
 		paths := strings.Split(o.deltaIn, ",")
@@ -160,28 +195,28 @@ func run(o options) error {
 				return err
 			}
 		}
-		fmt.Fprintf(os.Stderr, "applied %d delta(s); corpus now has %d conferences\n",
+		fmt.Fprintf(stderr, "applied %d delta(s); corpus now has %d conferences\n",
 			len(paths), len(study.Dataset().Conferences))
 	}
 	if o.save != "" {
 		if err := study.Save(o.save); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "corpus saved to %s\n", o.save)
+		fmt.Fprintf(stderr, "corpus saved to %s\n", o.save)
 	}
 	if o.csvOut != "" {
-		if err := exportCSVs(o.csvOut, study, os.Stderr); err != nil {
+		if err := exportCSVs(o.csvOut, study, stderr); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "exhibit CSVs exported to %s\n", o.csvOut)
+		fmt.Fprintf(stderr, "exhibit CSVs exported to %s\n", o.csvOut)
 	}
 	if o.snapOut != "" {
 		if err := study.SaveSnapshot(o.snapOut); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "snapshot saved to %s\n", o.snapOut)
+		fmt.Fprintf(stderr, "snapshot saved to %s\n", o.snapOut)
 	}
-	w := bufio.NewWriter(os.Stdout)
+	w := bufio.NewWriter(stdout)
 	switch {
 	case o.querySpec != "":
 		if err := runQuery(w, study, o.querySpec); err != nil {

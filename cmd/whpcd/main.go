@@ -20,9 +20,10 @@
 // splits every scan into fixed partitions across GOMAXPROCS workers.
 //
 // With -snapshot-dir, pristine studies warm-boot from <corpus>-<seed>.whpcsnap
-// files (written by synthgen -snap or whpc -snapshot-out) instead of
-// synthesizing, and apply the <corpus>-<seed>.delta-<year>.whpcsnap year
-// deltas beside them; missing or invalid snapshots fall back to synthesis.
+// files (written by whpc -snapshot-out) instead of synthesizing, and apply
+// the <corpus>-<seed>.delta-<year>.whpcsnap year deltas beside them
+// (written by whpc -delta-out); missing or invalid snapshots fall back to
+// synthesis.
 // whpcd writes to the directory too. A snapshot that fails validation
 // twice is quarantined in place (renamed to *.whpcsnap.quarantined) and
 // never re-read; the study synthesizes instead. A base that absorbed all

@@ -10,7 +10,7 @@ import (
 )
 
 // ApplyDelta appends one conference-year — a delta packed by
-// internal/delta (the synthgen -delta-year path) — to the study in place:
+// internal/delta (the whpc -delta-out path) — to the study in place:
 // the mini-corpus merges into the dataset and, when the columnar FrameSet
 // has already been built, every frame is patched incrementally (dict
 // columns extended, rows appended, bitmaps grown) instead of rebuilt, so

@@ -307,7 +307,7 @@ func TestDeltaRefusalIndependentOfLazyState(t *testing.T) {
 			return s
 		}},
 		{"from snapshot", func(t *testing.T) *Study {
-			s, err := OpenSnapshot(bytes.NewReader(base))
+			s, err := openSnapshot(base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -441,7 +441,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 	base := deltaBaseSnapshot()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := OpenSnapshot(bytes.NewReader(base))
+		s, err := openSnapshot(base)
 		if err != nil {
 			b.Fatal(err)
 		}

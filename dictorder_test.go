@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/synth"
 )
 
 // dictOrderQueries returns, for every string column of every frame of s,
@@ -68,7 +69,7 @@ func TestSnapshotKeepsDictionaryOrder(t *testing.T) {
 		opened func(*Study) (*Study, error)
 	}{
 		{"default", func() (*Study, error) { return NewStudy(2021) }, reopen},
-		{"flagship", func() (*Study, error) { return NewFlagshipStudy(2021) }, reopen},
+		{"flagship", func() (*Study, error) { return NewStudyFromConfig(synth.FlagshipSeries(2021)) }, reopen},
 		{"flagship+SC21 compacted", func() (*Study, error) { return deltaFix.resynth, nil },
 			func(*Study) (*Study, error) { return OpenSnapshotFile(materializeFiles(t)["compacted"]) }},
 	}
@@ -98,7 +99,7 @@ func reopen(s *Study) (*Study, error) {
 	if err := s.WriteSnapshot(&buf); err != nil {
 		return nil, err
 	}
-	return OpenSnapshot(&buf)
+	return openSnapshot(buf.Bytes())
 }
 
 // TestConcurrentFirstLookups: queries on a freshly opened study may build

@@ -11,13 +11,14 @@ import (
 
 	"repro"
 	"repro/internal/report"
+	"repro/internal/synth"
 )
 
 func main() {
 	seed := flag.Uint64("seed", 42, "corpus seed")
 	flag.Parse()
 
-	study, err := repro.NewExtendedStudy(*seed)
+	study, err := repro.NewStudyFromConfig(synth.ExtendedSystems(*seed))
 	if err != nil {
 		log.Fatal(err)
 	}

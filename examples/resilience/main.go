@@ -14,6 +14,7 @@ import (
 	"repro"
 	"repro/internal/faulty"
 	"repro/internal/report"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -21,7 +22,7 @@ func main() {
 	profile := flag.String("profile", faulty.ProfileOutage, "fault profile to harvest under")
 	flag.Parse()
 
-	study, err := repro.NewHarvestedStudy(*seed, *profile)
+	study, err := repro.NewHarvestedStudy(synth.Default2017(*seed), *profile, repro.HarvestHooks{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,13 +9,14 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/synth"
 )
 
 func main() {
 	seed := flag.Uint64("seed", 42, "corpus seed")
 	flag.Parse()
 
-	study, err := repro.NewFlagshipStudy(*seed)
+	study, err := repro.NewStudyFromConfig(synth.FlagshipSeries(*seed))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/faulty"
+	"repro/internal/synth"
 )
 
 // TestHarvestedStudyCleanMatchesNewStudy: the clean-profile harvested
 // study must be indistinguishable from the directly constructed one.
 func TestHarvestedStudyCleanMatchesNewStudy(t *testing.T) {
-	h, err := NewHarvestedStudy(2021, faulty.ProfileClean)
+	h, err := NewHarvestedStudy(synth.Default2017(2021), faulty.ProfileClean, HarvestHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestHarvestedStudyCleanMatchesNewStudy(t *testing.T) {
 // report, now with the harvest and coverage-sensitivity sections, and its
 // key observations stay stable at the default seed.
 func TestHarvestedStudyFlakyReport(t *testing.T) {
-	h, err := NewHarvestedStudy(2021, faulty.ProfileFlaky)
+	h, err := NewHarvestedStudy(synth.Default2017(2021), faulty.ProfileFlaky, HarvestHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestHarvestedStudyFlakyReport(t *testing.T) {
 
 // TestHarvestedStudyRejectsUnknownProfile: profile names are validated.
 func TestHarvestedStudyRejectsUnknownProfile(t *testing.T) {
-	if _, err := NewHarvestedStudy(2021, "catastrophic"); err == nil {
+	if _, err := NewHarvestedStudy(synth.Default2017(2021), "catastrophic", HarvestHooks{}); err == nil {
 		t.Error("unknown profile accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,5 +169,23 @@ func TestLoadDirStillRoundTrips(t *testing.T) {
 	if len(got.Persons) != len(d.Persons) || len(got.Papers) != len(d.Papers) {
 		t.Fatalf("round trip lost entities: %d/%d persons, %d/%d papers",
 			len(got.Persons), len(d.Persons), len(got.Papers), len(d.Papers))
+	}
+}
+
+// TestLoadDirRefusesAcceptanceRateOutsideUnitInterval: an acceptance rate
+// that parses as a float but is not in (0, 1] — NaN included, which
+// strconv.ParseFloat accepts — fails the load with ErrInvalid.
+func TestLoadDirRefusesAcceptanceRateOutsideUnitInterval(t *testing.T) {
+	for _, rate := range []string{"NaN", "0", "1.5"} {
+		dir := mangleCorpusDir(t, func(dir string) {
+			rewriteLine(t, dir, "conferences.csv", 2, func(l string) string {
+				cells := strings.Split(l, ",")
+				cells[6] = rate // acceptance_rate
+				return strings.Join(cells, ",")
+			})
+		})
+		if _, err := LoadDir(dir); !errors.Is(err, ErrInvalid) {
+			t.Errorf("acceptance_rate %s: LoadDir error = %v, want ErrInvalid", rate, err)
+		}
 	}
 }

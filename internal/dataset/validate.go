@@ -17,8 +17,8 @@ func invalidf(format string, args ...any) error {
 func PlausibleYear(year int) bool { return year >= 1980 && year <= 2100 }
 
 // ValidAcceptanceRate reports whether r is an acceptance rate Validate
-// accepts: one not outside (0, 1].
-func ValidAcceptanceRate(r float64) bool { return !(r <= 0 || r > 1) }
+// accepts: one in (0, 1]. NaN is in no interval, so it is refused.
+func ValidAcceptanceRate(r float64) bool { return r > 0 && r <= 1 }
 
 // Validate checks referential and value integrity of the whole corpus:
 // every referenced person exists, author lists are nonempty and

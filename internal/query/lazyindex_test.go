@@ -1,7 +1,7 @@
 package query_test
 
 import (
-	"bytes"
+	"path/filepath"
 	"testing"
 
 	"repro"
@@ -18,11 +18,11 @@ func TestSnapshotDictsIndexOnFirstLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := fresh.WriteSnapshot(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "default.whpcsnap")
+	if err := fresh.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := repro.OpenSnapshot(bytes.NewReader(buf.Bytes()))
+	opened, err := repro.OpenSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

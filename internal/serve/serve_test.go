@@ -606,8 +606,8 @@ func TestCSVFamiliesMatchOracle(t *testing.T) {
 		study  func() (*repro.Study, error)
 	}{
 		{"default", plain, CorpusDefault, func() (*repro.Study, error) { return repro.NewStudy(testSeed) }},
-		{"flagship", plain, CorpusFlagship, func() (*repro.Study, error) { return repro.NewFlagshipStudy(testSeed) }},
-		{"extended", plain, CorpusExtended, func() (*repro.Study, error) { return repro.NewExtendedStudy(testSeed) }},
+		{"flagship", plain, CorpusFlagship, func() (*repro.Study, error) { return repro.NewStudyFromConfig(synth.FlagshipSeries(testSeed)) }},
+		{"extended", plain, CorpusExtended, func() (*repro.Study, error) { return repro.NewStudyFromConfig(synth.ExtendedSystems(testSeed)) }},
 		{"flagship+SC21", grown, CorpusFlagship, func() (*repro.Study, error) { return grownFlagship(t), nil }},
 	}
 	for _, tc := range cases {
@@ -701,7 +701,7 @@ func TestCSVFamilyWithNoRows(t *testing.T) {
 // byte-identical to the direct harvested render, and the harvest telemetry
 // lands in the metrics registry.
 func TestHarvestedStudyEndToEnd(t *testing.T) {
-	direct, err := repro.NewHarvestedStudy(testSeed, "flaky")
+	direct, err := repro.NewHarvestedStudy(synth.Default2017(testSeed), "flaky", repro.HarvestHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

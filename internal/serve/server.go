@@ -452,7 +452,7 @@ func (s *Server) buildStudy(key StudyKey) (Resident, error) {
 		}
 		return newResident(key, study, lineage), nil
 	}
-	study, err := repro.NewObservedHarvestedStudy(cfg, key.Profile, repro.HarvestHooks{
+	study, err := repro.NewHarvestedStudy(cfg, key.Profile, repro.HarvestHooks{
 		OnRetry:   s.met.harvestRetries.Inc,
 		OnOutcome: func(outcome string) { s.met.harvestOutcomes.With(outcome).Inc() },
 	})

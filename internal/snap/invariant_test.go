@@ -3,6 +3,7 @@ package snap
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -32,6 +33,7 @@ func TestCorpusInvariantsRefusedAtOpen(t *testing.T) {
 		{"duplicate conference ID", SectionConferences, "conference id", func(d *dataset.Dataset) { conf(d, 1).ID = "SC17" }},
 		{"zero acceptance rate", SectionConferences, "acceptance_rate", func(d *dataset.Dataset) { conf(d, 0).AcceptanceRate = 0 }},
 		{"acceptance rate above 1", SectionConferences, "acceptance_rate", func(d *dataset.Dataset) { conf(d, 1).AcceptanceRate = 1.25 }},
+		{"NaN acceptance rate", SectionConferences, "acceptance_rate", func(d *dataset.Dataset) { conf(d, 0).AcceptanceRate = math.NaN() }},
 		{"year before 1980", SectionConferences, "year", func(d *dataset.Dataset) { conf(d, 0).Year = 1979 }},
 		{"year after 2100", SectionConferences, "year", func(d *dataset.Dataset) { conf(d, 1).Year = 2101 }},
 		{"person repeated in a roster", SectionConferences, "panelists roster", func(d *dataset.Dataset) {

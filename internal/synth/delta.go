@@ -25,8 +25,9 @@ type YearDelta struct {
 
 // YearSpec derives the calibration for a new edition of an existing series
 // by cloning the series' latest spec in cfg: same quotas, policies and FAR
-// targets, with the ID, year and date advanced. It is how `synthgen
-// -delta-year N` extends a corpus without a hand-written spec.
+// targets, with the ID, year and date advanced. It is how `whpc
+// -delta-year N -delta-out FILE` extends a corpus without a hand-written
+// spec.
 func YearSpec(cfg Config, series string, year int) (ConfSpec, error) {
 	var latest *ConfSpec
 	for i := range cfg.Confs {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/synth"
 )
 
 // genericPopulations computes the three all-conference populations from a
@@ -65,13 +66,13 @@ func checkPopulations(t *testing.T, what string, d *dataset.Dataset) {
 func TestSnapshotPopulationsMatchGeneric(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		make func(uint64) (*Study, error)
+		cfg  synth.Config
 	}{
-		{"default", NewStudy},
-		{"flagship", NewFlagshipStudy},
-		{"extended", NewExtendedStudy},
+		{"default", synth.Default2017(2021)},
+		{"flagship", synth.FlagshipSeries(2021)},
+		{"extended", synth.ExtendedSystems(2021)},
 	} {
-		fresh, err := c.make(2021)
+		fresh, err := NewStudyFromConfig(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestSnapshotPopulationsMatchGeneric(t *testing.T) {
 		if err := fresh.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		opened, err := OpenSnapshot(&buf)
+		opened, err := openSnapshot(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func equivalenceStudies(t *testing.T) []namedStudy {
 		}
 		out = append(out, namedStudy{d.name, s})
 	}
-	h, err := NewHarvestedStudy(2021, "degraded")
+	h, err := NewHarvestedStudy(synth.Default2017(2021), "degraded", HarvestHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestExhibitsEnumeration(t *testing.T) {
 	if _, ok := study.Exhibit("harvest"); ok {
 		t.Error("unharvested study resolves the harvest exhibit by ID")
 	}
-	harvested, err := NewHarvestedStudy(11, "clean")
+	harvested, err := NewHarvestedStudy(synth.Default2017(11), "clean", HarvestHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestReportDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		build func() (*Study, error)
 	}{
 		{"generated", func() (*Study, error) { return NewStudy(2021) }},
-		{"harvested", func() (*Study, error) { return NewHarvestedStudy(2021, "flaky") }},
+		{"harvested", func() (*Study, error) { return NewHarvestedStudy(synth.Default2017(2021), "flaky", HarvestHooks{}) }},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -226,7 +226,7 @@ func TestFromDataset(t *testing.T) {
 }
 
 func TestFlagshipStudyTrend(t *testing.T) {
-	fs, err := NewFlagshipStudy(9)
+	fs, err := NewStudyFromConfig(synth.FlagshipSeries(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestStudyAnalysesAgreeWithCore(t *testing.T) {
 }
 
 func TestExtendedStudySubfields(t *testing.T) {
-	ext, err := NewExtendedStudy(11)
+	ext, err := NewStudyFromConfig(synth.ExtendedSystems(11))
 	if err != nil {
 		t.Fatal(err)
 	}

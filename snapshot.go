@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"bytes"
-	"fmt"
 	"io"
 
 	"repro/internal/chaos"
@@ -28,29 +26,11 @@ func (s *Study) snapshot() snap.Snapshot {
 	return snap.Snapshot{Corpus: s.data, Frames: s.Frames()}
 }
 
-// OpenSnapshot reads a snapshot written by WriteSnapshot from r. The
+// OpenSnapshotFile reads a snapshot file written by SaveSnapshot. The
 // snapshot is fully validated (checksums, format version, structural
 // invariants, and every corpus invariant dataset.Validate checks, proven
 // by the decoder as it reads) before a Study is returned, and the study's
-// author and PC-member populations come built by the decoder.
-func OpenSnapshot(r io.Reader) (*Study, error) {
-	var buf bytes.Buffer
-	// Size hint (bytes.Reader, bytes.Buffer, strings.Reader) avoids the
-	// doubling-regrowth copies that io.ReadAll would pay on a large file.
-	if l, ok := r.(interface{ Len() int }); ok {
-		buf.Grow(l.Len() + 1)
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("repro: reading snapshot: %w", err)
-	}
-	sn, err := snap.Read(buf.Bytes(), snap.Full, nil)
-	if err != nil {
-		return nil, err
-	}
-	return studyFromSnapshot(sn), nil
-}
-
-// OpenSnapshotFile reads a snapshot file written by SaveSnapshot. Errors
+// author and PC-member populations come built by the decoder. Errors
 // carry the file path, and decode failures keep their *FormatError
 // section context underneath.
 func OpenSnapshotFile(path string) (*Study, error) {

@@ -15,6 +15,16 @@ import (
 	"repro/internal/synth"
 )
 
+// openSnapshot opens a study from snapshot bytes the way OpenSnapshotFile
+// opens one from a file.
+func openSnapshot(data []byte) (*Study, error) {
+	sn, err := snap.Read(data, snap.Full, nil)
+	if err != nil {
+		return nil, err
+	}
+	return studyFromSnapshot(sn), nil
+}
+
 // TestSnapshotRoundTripReport is the tentpole guarantee of the snapshot
 // format: a study loaded from a snapshot renders the complete paper
 // byte-identically to the study it was written from — including at
@@ -42,9 +52,9 @@ func TestSnapshotRoundTripReport(t *testing.T) {
 	want := render(fresh, 1)
 
 	for _, procs := range []int{1, 8} {
-		loaded, err := OpenSnapshot(bytes.NewReader(snap.Bytes()))
+		loaded, err := openSnapshot(snap.Bytes())
 		if err != nil {
-			t.Fatalf("OpenSnapshot: %v", err)
+			t.Fatalf("openSnapshot: %v", err)
 		}
 		got := render(loaded, procs)
 		if bytes.Equal(want, got) {
@@ -97,14 +107,15 @@ func TestSnapshotRoundTripQueries(t *testing.T) {
 	}
 }
 
-// Work budgets of one OpenSnapshot of the default seed-2021 snapshot,
+// Work budgets of one snapshot open (openSnapshot) of the default seed-2021 snapshot,
 // checked by TestSnapshotOpenBeatsRegeneration beside its timing bound.
 // Unlike the timing ratio they do not depend on what else shares the CPUs.
-// Measured on linux/amd64 with Go 1.24 as 753 allocations and 3.56 MB
-// per open; the budgets leave about 5% headroom on each.
+// Measured on linux/amd64 with Go 1.24 as 751 allocations and 2.97 MB
+// per open of the snapshot bytes in memory; the budgets leave about 5%
+// headroom on each.
 const (
 	snapshotOpenAllocs = 790
-	snapshotOpenBytes  = 3_740_000
+	snapshotOpenBytes  = 3_120_000
 )
 
 // TestSnapshotOpenBeatsRegeneration is the warm-boot perf floor from the
@@ -132,7 +143,7 @@ func TestSnapshotOpenBeatsRegeneration(t *testing.T) {
 
 	open, regen := perffloor.MedianResults(t, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := OpenSnapshot(bytes.NewReader(data)); err != nil {
+			if _, err := openSnapshot(data); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -175,7 +186,7 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OpenSnapshot(bytes.NewReader(data)); err != nil {
+		if _, err := openSnapshot(data); err != nil {
 			b.Fatal(err)
 		}
 	}

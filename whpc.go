@@ -40,8 +40,11 @@ import (
 )
 
 // Study wraps a corpus with the paper's analyses. The zero value is not
-// usable; construct with NewStudy, NewFlagshipStudy, NewStudyFromConfig or
-// Load.
+// usable; construct with NewStudy or NewStudyFromConfig (generated),
+// NewHarvestedStudy (generated, then harvested through a fault profile),
+// FromDataset or Load (a corpus of your own), or OpenSnapshotFile (a
+// snapshot written by SaveSnapshot; OpenSnapshotFileInjected threads a
+// chaos injector through the read).
 type Study struct {
 	data *dataset.Dataset
 	// scID is the SC edition used by the §3.2 PC breakdown ("" when the
@@ -66,17 +69,6 @@ func NewStudy(seed uint64) (*Study, error) {
 	return NewStudyFromConfig(synth.Default2017(seed))
 }
 
-// NewFlagshipStudy generates the §3.4 SC/ISC 2016-2020 corpus.
-func NewFlagshipStudy(seed uint64) (*Study, error) {
-	return NewStudyFromConfig(synth.FlagshipSeries(seed))
-}
-
-// NewExtendedStudy generates the future-work extended corpus: the nine HPC
-// venues plus a cross-section of other computer-systems subfields.
-func NewExtendedStudy(seed uint64) (*Study, error) {
-	return NewStudyFromConfig(synth.ExtendedSystems(seed))
-}
-
 // NewStudyFromConfig generates a corpus from a custom calibration.
 func NewStudyFromConfig(cfg synth.Config) (*Study, error) {
 	corpus, err := synth.Generate(cfg)
@@ -84,23 +76,6 @@ func NewStudyFromConfig(cfg synth.Config) (*Study, error) {
 		return nil, err
 	}
 	return &Study{data: corpus.Data, scID: findSC(corpus.Data)}, nil
-}
-
-// NewHarvestedStudy generates the main 2017 corpus, then re-links every
-// researcher's bibliometric record by harvesting the simulated Google
-// Scholar and Semantic Scholar services through the named fault profile
-// ("clean", "flaky", "degraded", "outage"). Under "clean" the result is
-// identical to NewStudy; under faulty profiles the analyses run on the
-// degraded coverage the harvest achieved, and the report annotates which
-// exhibits consumed partial data.
-func NewHarvestedStudy(seed uint64, profile string) (*Study, error) {
-	return NewHarvestedStudyFromConfig(synth.Default2017(seed), profile)
-}
-
-// NewHarvestedStudyFromConfig is NewHarvestedStudy over a custom corpus
-// calibration (e.g. synth.FlagshipSeries or synth.ExtendedSystems).
-func NewHarvestedStudyFromConfig(cfg synth.Config, profile string) (*Study, error) {
-	return NewObservedHarvestedStudy(cfg, profile, HarvestHooks{})
 }
 
 // HarvestHooks forwards live harvest telemetry (retries and per-researcher
@@ -116,10 +91,17 @@ type HarvestHooks struct {
 	OnOutcome func(outcome string)
 }
 
-// NewObservedHarvestedStudy is NewHarvestedStudyFromConfig with live
-// telemetry: the hooks see every retry and outcome as the harvest workers
-// progress, rather than only the aggregate HarvestReport at the end.
-func NewObservedHarvestedStudy(cfg synth.Config, profile string, hooks HarvestHooks) (*Study, error) {
+// NewHarvestedStudy generates the corpus cfg calibrates (e.g.
+// synth.Default2017, synth.FlagshipSeries or synth.ExtendedSystems), then
+// re-links every researcher's bibliometric record by harvesting the
+// simulated Google Scholar and Semantic Scholar services through the named
+// fault profile ("clean", "flaky", "degraded", "outage"). Under "clean" the
+// result is identical to NewStudyFromConfig; under faulty profiles the
+// analyses run on the degraded coverage the harvest achieved, and the
+// report annotates which exhibits consumed partial data. The hooks (the
+// zero HarvestHooks for none) see every retry and outcome as the harvest
+// workers progress, rather than only the aggregate HarvestReport at the end.
+func NewHarvestedStudy(cfg synth.Config, profile string, hooks HarvestHooks) (*Study, error) {
 	prof, err := faulty.ByName(profile)
 	if err != nil {
 		return nil, err
@@ -167,7 +149,7 @@ func (s *Study) Harvest() *ingest.HarvestReport { return s.harvest }
 // studies constructed without a harvest.
 func (s *Study) CoverageSensitivity() (core.CoverageSensitivity, error) {
 	if s.harvest == nil || s.baseline == nil {
-		return core.CoverageSensitivity{}, fmt.Errorf("repro: study has no harvest (use NewHarvestedStudy)")
+		return core.CoverageSensitivity{}, fmt.Errorf("repro: study has no harvest (construct it with NewHarvestedStudy(cfg, profile, hooks))")
 	}
 	return core.CoverageSensitivityAnalysis(s.baseline, s.data, s.scID)
 }
