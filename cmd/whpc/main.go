@@ -17,7 +17,9 @@
 // plus a cross-section of other computer-systems subfields (future work);
 // the two are mutually exclusive. -save writes the corpus CSVs before
 // reporting; -load analyzes a previously saved corpus (or CSVs of a corpus
-// you assembled yourself) instead of generating one. -fault-profile
+// you assembled yourself) instead of generating one, so -seed, -flagship
+// and -extended, which choose the corpus to generate, are refused with it
+// and with -snapshot-in. -fault-profile
 // harvests the bibliometric services through a named fault-injection
 // profile (clean, flaky, degraded, outage) and appends the
 // resilient-ingestion and degraded-coverage sections to the report; it
@@ -41,8 +43,8 @@
 // generates the next -delta-year edition of -delta-series (default SC)
 // against the generated corpus and writes it as a delta snapshot; it
 // requires a generated corpus, since the delta is fingerprinted against
-// the exact base it extends, and -delta-year without -delta-out is
-// refused.
+// the exact base it extends, and that base is the study analyzed.
+// -delta-year without -delta-out is refused.
 package main
 
 import (
@@ -66,6 +68,7 @@ import (
 // options carries the parsed command line.
 type options struct {
 	seed         uint64
+	seedSet      bool // -seed was given, even at its default
 	load         string
 	save         string
 	csvOut       string
@@ -121,7 +124,13 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.deltaOut, "delta-out", "", "write the -delta-year edition as a year-delta snapshot to this file")
 	fs.IntVar(&o.deltaYear, "delta-year", 0, "year of the edition -delta-out generates")
 	fs.StringVar(&o.deltaSeries, "delta-series", "SC", "conference series the -delta-out edition extends")
-	return o, fs.Parse(args)
+	err := fs.Parse(args)
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			o.seedSet = true
+		}
+	})
+	return o, err
 }
 
 // check refuses flag combinations whose meaning would otherwise be
@@ -132,6 +141,8 @@ func check(o options) error {
 		return errors.New("-flagship and -extended are mutually exclusive")
 	case o.snapIn != "" && o.load != "":
 		return errors.New("-snapshot-in and -load are mutually exclusive")
+	case (o.load != "" || o.snapIn != "") && (o.seedSet || o.flagship || o.extended):
+		return errors.New("-seed, -flagship and -extended choose the corpus to generate; they cannot be combined with -load or -snapshot-in")
 	case o.faultProfile != "" && o.snapIn != "":
 		return errors.New("-fault-profile requires a generated corpus, not -snapshot-in")
 	case o.faultProfile != "" && o.load != "":
@@ -176,6 +187,8 @@ func run(o options, stdout, stderr io.Writer) error {
 		study, err = repro.Load(o.load)
 	case o.faultProfile != "":
 		study, err = repro.NewHarvestedStudy(cfg, o.faultProfile, repro.HarvestHooks{})
+	case o.deltaOut != "":
+		study, err = writeDelta(cfg, o.deltaOut, o.deltaSeries, o.deltaYear)
 	default:
 		study, err = repro.NewStudyFromConfig(cfg)
 	}
@@ -183,9 +196,6 @@ func run(o options, stdout, stderr io.Writer) error {
 		return err
 	}
 	if o.deltaOut != "" {
-		if err := writeDelta(cfg, o.deltaOut, o.deltaSeries, o.deltaYear); err != nil {
-			return err
-		}
 		fmt.Fprintf(stderr, "delta saved to %s\n", o.deltaOut)
 	}
 	if o.deltaIn != "" {
@@ -267,18 +277,22 @@ func exportCSVs(dir string, study *repro.Study, log io.Writer) error {
 	return nil
 }
 
-// writeDelta generates the next edition of series against cfg's corpus and
-// writes it as a year-delta snapshot.
-func writeDelta(cfg synth.Config, path, series string, year int) error {
+// writeDelta generates the next edition of series against cfg's corpus,
+// writes it as a year-delta snapshot, and returns the study of the base
+// corpus it generated the edition against, so the base is synthesized once.
+func writeDelta(cfg synth.Config, path, series string, year int) (*repro.Study, error) {
 	spec, err := synth.YearSpec(cfg, series, year)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	yd, base, err := synth.GenerateYearDelta(cfg, spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return delta.WriteFile(path, yd, base.Data)
+	if err := delta.WriteFile(path, yd, base.Data); err != nil {
+		return nil, err
+	}
+	return repro.FromDataset(base.Data)
 }
 
 // runQuery parses the -query spec (inline JSON, or @file) and writes the

@@ -349,6 +349,13 @@ func TestRejectsBadFlagCombinations(t *testing.T) {
 		{"snapshot-in-with-load", []string{"-snapshot-in", out, "-load", dir}},
 		{"fault-profile-with-load", []string{"-fault-profile", "clean", "-load", dir}},
 		{"fault-profile-with-snapshot-in", []string{"-fault-profile", "clean", "-snapshot-in", out}},
+		// -seed at its default value is refused too: it was given.
+		{"seed-with-load", []string{"-seed", "2021", "-load", dir}},
+		{"seed-with-snapshot-in", []string{"-seed", "7", "-snapshot-in", out}},
+		{"flagship-with-load", []string{"-flagship", "-load", dir}},
+		{"flagship-with-snapshot-in", []string{"-flagship", "-snapshot-in", out}},
+		{"extended-with-load", []string{"-extended", "-load", dir}},
+		{"extended-with-snapshot-in", []string{"-extended", "-snapshot-in", out}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			o, err := parseFlags(c.args, io.Discard)

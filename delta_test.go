@@ -470,12 +470,12 @@ var deltaBaseSnapshot = sync.OnceValue(func() []byte {
 
 // Work budgets of one BenchmarkDeltaApply apply (flagship base opened
 // from a snapshot, SC'21 delta), checked by TestDeltaApplyBeatsResynthesis
-// beside its timing bound. Measured on linux/amd64 with Go 1.24 as 1,972
-// allocations and 3.52 MB per apply; the budgets leave about 5% headroom
+// beside its timing bound. Measured on linux/amd64 with Go 1.24 as 1,936
+// allocations and 3.14 MB per apply; the budgets leave about 5% headroom
 // on each.
 const (
-	deltaApplyAllocs = 2070
-	deltaApplyBytes  = 3_700_000
+	deltaApplyAllocs = 2033
+	deltaApplyBytes  = 3_300_000
 )
 
 // TestDeltaApplyBeatsResynthesis is the incremental-maintenance perf

@@ -90,10 +90,13 @@ func NewDict(seed ...string) *Dict {
 // hashing), and the dictionary takes ownership of the slice.
 func DictOf(vals []string) *Dict { return &Dict{vals: vals} }
 
-// index returns the value→code index, building it on first use.
+// index returns the value→code index, building it on first use. The index
+// has room for a quarter more values than the dictionary holds: a decoded
+// dictionary's first Code is usually a delta appending one conference's
+// new values, which then fit without the map doubling.
 func (d *Dict) index() map[string]int32 {
 	d.idxOnce.Do(func() {
-		d.idx = make(map[string]int32, len(d.vals))
+		d.idx = make(map[string]int32, len(d.vals)+len(d.vals)/4)
 		for i, v := range d.vals {
 			d.idx[v] = int32(i)
 		}

@@ -81,10 +81,13 @@ type CareerModel struct {
 	MaxPubs   int     // safety cap; zero means 5000
 }
 
-// DrawCareer samples a publication-citation vector for one researcher.
-// latent shifts the publication count on the log scale: a latent of 0 is
-// an average researcher for this model, positive values are more senior.
-func (c CareerModel) DrawCareer(rng *rand.Rand, latent float64) []int {
+// DrawCareer samples a publication-citation vector for one researcher into
+// buf, allocating only when buf is too short, and returns it. latent shifts
+// the publication count on the log scale: a latent of 0 is an average
+// researcher for this model, positive values are more senior. The vector
+// shares buf's memory, so a caller that passes the previous vector back
+// as buf must be done reading it.
+func (c CareerModel) DrawCareer(rng *rand.Rand, latent float64, buf []int) []int {
 	maxPubs := c.MaxPubs
 	if maxPubs == 0 {
 		maxPubs = 5000
@@ -97,7 +100,10 @@ func (c CareerModel) DrawCareer(rng *rand.Rand, latent float64) []int {
 		pubs = maxPubs
 	}
 	cm := CitationModel{Mu: c.CiteMu, Sigma: c.CiteSigma, PZero: c.PZero}
-	vec := make([]int, pubs)
+	if cap(buf) < pubs {
+		buf = make([]int, pubs)
+	}
+	vec := buf[:pubs]
 	for i := range vec {
 		vec[i] = cm.Draw(rng)
 	}

@@ -11,10 +11,7 @@
 // directories standing in for the two services.
 package scholar
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Profile is a Google-Scholar-style researcher profile snapshot (circa the
 // conference date, as the paper collected them).
@@ -54,20 +51,35 @@ func (p Profile) Validate() error {
 }
 
 // HIndex returns Hirsch's h-index: the largest h such that at least h
-// publications have at least h citations each.
+// publications have at least h citations each. It counts instead of
+// sorting: a publication with c > 0 citations supports every h up to
+// min(c, n), so bucketing publications by min(c, n) and walking down from
+// n finds h in O(n). Vectors of up to smallHIndex publications, most
+// researchers', bucket on the stack.
 func HIndex(citations []int) int {
-	sorted := append([]int(nil), citations...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	h := 0
-	for i, c := range sorted {
-		if c >= i+1 {
-			h = i + 1
-		} else {
-			break
+	n := len(citations)
+	var small [smallHIndex + 1]int
+	buckets := small[:]
+	if n > smallHIndex {
+		buckets = make([]int, n+1)
+	}
+	for _, c := range citations {
+		if c > 0 {
+			buckets[min(c, n)]++
 		}
 	}
-	return h
+	atLeast := 0
+	for h := n; h > 0; h-- {
+		atLeast += buckets[h]
+		if atLeast >= h {
+			return h
+		}
+	}
+	return 0
 }
+
+// smallHIndex is the longest citation vector HIndex buckets on the stack.
+const smallHIndex = 127
 
 // I10Index returns Google Scholar's i10-index: the number of publications
 // with at least 10 citations.

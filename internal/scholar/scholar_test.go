@@ -3,6 +3,7 @@ package scholar
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,6 +65,82 @@ func TestHIndexAxioms(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortHIndex is Hirsch's definition read literally: sort the counts in
+// descending order and take the last rank i whose count is at least i.
+func sortHIndex(citations []int) int {
+	sorted := slices.Clone(citations)
+	slices.Sort(sorted)
+	slices.Reverse(sorted)
+	h := 0
+	for i, c := range sorted {
+		if c < i+1 {
+			break
+		}
+		h = i + 1
+	}
+	return h
+}
+
+// TestHIndexMatchesSortDefinition: the counting HIndex equals the
+// sort-based definition on edge cases and on seeded random vectors, short
+// ones that bucket on the stack and long ones up to MaxPubs' default.
+func TestHIndexMatchesSortDefinition(t *testing.T) {
+	long := func(n, c int) []int {
+		v := make([]int, n)
+		for i := range v {
+			v[i] = c
+		}
+		return v
+	}
+	cases := [][]int{
+		nil,
+		{},
+		{0, 0, 0},
+		{-3, -1, 0},
+		{-5, 4, -2, 9, 3},
+		{4, 4, 4, 4},
+		{9, 9, 9},
+		{100, 200, 300},
+		{1 << 40, 1 << 40},
+		long(smallHIndex, smallHIndex),
+		long(smallHIndex+1, smallHIndex+1),
+		long(smallHIndex+1, smallHIndex),
+		long(5000, 5000),
+		long(5000, 3),
+		long(5000, 0),
+	}
+	rng := rand.New(rand.NewPCG(28, 28))
+	for range 2000 {
+		n := rng.IntN(300)
+		if rng.IntN(20) == 0 {
+			n = 5000 - rng.IntN(100)
+		}
+		v := make([]int, n)
+		top := 1 + rng.IntN(2*n+2)
+		for i := range v {
+			v[i] = rng.IntN(top+3) - 3
+		}
+		cases = append(cases, v)
+	}
+	for _, c := range cases {
+		if got, want := HIndex(c), sortHIndex(c); got != want {
+			t.Fatalf("HIndex over %d counts = %d, sort definition gives %d (first counts %v)", len(c), got, want, c[:min(len(c), 20)])
+		}
+	}
+}
+
+// TestHIndexShortVectorsDoNotAllocate: a vector of up to smallHIndex
+// counts, most researchers', is bucketed on the stack.
+func TestHIndexShortVectorsDoNotAllocate(t *testing.T) {
+	v := make([]int, smallHIndex)
+	for i := range v {
+		v[i] = i
+	}
+	if n := testing.AllocsPerRun(10, func() { HIndex(v) }); n != 0 {
+		t.Errorf("HIndex over %d counts allocates %.0f times, want 0", len(v), n)
 	}
 }
 
@@ -238,7 +315,7 @@ func TestCareerModelShape(t *testing.T) {
 	pubs := make([]float64, 3000)
 	sawBig := false
 	for i := range pubs {
-		career := cm.DrawCareer(rng, 0)
+		career := cm.DrawCareer(rng, 0, nil)
 		if len(career) < 1 {
 			t.Fatal("empty career")
 		}
@@ -258,14 +335,14 @@ func TestCareerModelShape(t *testing.T) {
 		t.Error("no researcher with >1000 publications; the paper's tail is missing")
 	}
 	// Latent shifts seniority.
-	senior := cm.DrawCareer(rand.New(rand.NewPCG(1, 1)), 2.0)
-	junior := cm.DrawCareer(rand.New(rand.NewPCG(1, 1)), -2.0)
+	senior := cm.DrawCareer(rand.New(rand.NewPCG(1, 1)), 2.0, nil)
+	junior := cm.DrawCareer(rand.New(rand.NewPCG(1, 1)), -2.0, nil)
 	if len(senior) <= len(junior) {
 		t.Errorf("latent 2.0 gave %d pubs vs %d for -2.0", len(senior), len(junior))
 	}
 	// Explicit cap respected.
 	capped := CareerModel{PubMu: 10, PubSigma: 0.1, CiteMu: 1, CiteSigma: 1, MaxPubs: 50}
-	if got := len(capped.DrawCareer(rng, 0)); got != 50 {
+	if got := len(capped.DrawCareer(rng, 0, nil)); got != 50 {
 		t.Errorf("cap ignored: %d pubs", got)
 	}
 }

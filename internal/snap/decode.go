@@ -173,7 +173,8 @@ func (d *dec) bitmap(what string, n int) (query.Bitmap, error) {
 // strs reads n length-prefixed strings (anyCount: as many as declared).
 // All values share one backing allocation (a single copy of the column's
 // byte region) instead of one allocation each, which dominates warm-boot
-// decode time for the large id/name/title columns.
+// decode time for the large id/name/title columns. A first pass proves
+// every length fits; the second, which cannot fail, slices the copy.
 //
 //whpcvet:hot
 func (d *dec) strs(what string, n int) ([]string, error) {
@@ -181,10 +182,8 @@ func (d *dec) strs(what string, n int) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	type span struct{ off, len int }
-	spans := make([]span, n)
 	start := d.off
-	for i := range spans {
+	for range n {
 		ln, adv := binary.Uvarint(d.data[d.off:])
 		if adv <= 0 {
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
@@ -195,18 +194,24 @@ func (d *dec) strs(what string, n int) ([]string, error) {
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
 			return nil, d.err(what, ErrTruncated, "declared value length %d exceeds remaining bytes", ln)
 		}
-		spans[i] = span{d.off, int(ln)}
 		d.off += int(ln)
 	}
-	blob := string(d.data[start:d.off])
+	region := d.data[start:d.off]
+	blob := string(region)
 	out := make([]string, n)
-	for i, sp := range spans {
-		rel := sp.off - start
-		out[i] = blob[rel : rel+sp.len]
+	off := 0
+	for i := range out {
+		ln, adv := binary.Uvarint(region[off:])
+		off += adv
+		out[i] = blob[off : off+int(ln)]
+		off += int(ln)
 	}
 	return out, nil
 }
 
+// ints reads an int column of n rows. Most values fit one varint byte,
+// which the loop decodes itself; longer ones go through binary.Varint.
+//
 //whpcvet:hot
 func (d *dec) ints(what string, n int) ([]int64, error) {
 	n, err := d.count(what, n, 1)
@@ -214,11 +219,24 @@ func (d *dec) ints(what string, n int) ([]int64, error) {
 		return nil, err
 	}
 	out := make([]int64, n)
+	data, off := d.data, d.off
 	for i := range out {
-		if out[i], err = d.varint(what); err != nil {
-			return nil, err
+		if off < len(data) && data[off] < 0x80 {
+			ux := int64(data[off])
+			out[i] = ux>>1 ^ -(ux & 1) // zigzag, as binary.Varint decodes it
+			off++
+			continue
 		}
+		v, adv := binary.Varint(data[off:])
+		if adv <= 0 {
+			d.off = off
+			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
+			return nil, d.err(what, ErrTruncated, "")
+		}
+		out[i] = v
+		off += adv
 	}
+	d.off = off
 	return out, nil
 }
 
@@ -251,17 +269,25 @@ func (d *dec) codes(what string, n, dictLen int) ([]int32, error) {
 		return nil, err
 	}
 	out := make([]int32, n)
+	data, off := d.data, d.off
 	for i := range out {
-		v, err := d.uvarint(what)
-		if err != nil {
-			return nil, err
+		v, adv := uint64(0), 1
+		if off < len(data) && data[off] < 0x80 {
+			v = uint64(data[off])
+		} else if v, adv = binary.Uvarint(data[off:]); adv <= 0 {
+			d.off = off
+			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
+			return nil, d.err(what, ErrTruncated, "")
 		}
+		off += adv
 		if v >= uint64(dictLen) {
+			d.off = off
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
 			return nil, d.err(what, ErrCorrupt, "code %d out of range (%d values)", v, dictLen)
 		}
 		out[i] = int32(v)
 	}
+	d.off = off
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package snap
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"repro/internal/query"
@@ -261,20 +262,28 @@ func decodeDict(dc *dec, tables []entityTable) ([]string, string, error) {
 		return nil, "", err
 	}
 	vals := make([]string, n)
+	data, off := dc.data, dc.off
 	for i := range vals {
-		pos, err := dc.uvarint("dictionary position")
-		if err != nil {
-			return nil, "", err
+		pos, adv := uint64(0), 1
+		if off < len(data) && data[off] < 0x80 {
+			pos = uint64(data[off])
+		} else if pos, adv = binary.Uvarint(data[off:]); adv <= 0 {
+			dc.off = off
+			return nil, "", dc.err("dictionary position", ErrTruncated, "")
 		}
+		off += adv
 		if pos >= uint64(len(t.vals)) {
+			dc.off = off
 			return nil, "", dc.err("dictionary position", ErrCorrupt, "%d outside entity table %q of %d values", pos, t.name, len(t.vals))
 		}
 		if t.seen.Get(int(pos)) {
+			dc.off = off
 			return nil, "", dc.err("dictionary position", ErrCorrupt, "repeats entity table %q position %d", t.name, pos)
 		}
 		t.seen.Set(int(pos))
 		vals[i] = t.vals[pos]
 	}
+	dc.off = off
 	clear(t.seen)
 	return vals, t.name, nil
 }

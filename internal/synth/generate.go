@@ -123,6 +123,9 @@ type gen struct {
 	s2      *scholar.SemanticScholar
 	cascade gender.Cascade
 	career  scholar.CareerModel
+	// careerBuf is the citation vector every researcher's career is drawn
+	// into; newPerson reads each career before it draws the next.
+	careerBuf []int
 
 	nextPerson int
 	pool       map[gender.Gender][]*dataset.Person
@@ -239,7 +242,8 @@ func (g *gen) newPerson(truth gender.Gender, conf *ConfSpec, pcRole bool) *datas
 	} else {
 		latent += g.cfg.FemaleShift
 	}
-	careerVec := g.career.DrawCareer(g.rng, latent)
+	careerVec := g.career.DrawCareer(g.rng, latent, g.careerBuf)
+	g.careerBuf = careerVec
 
 	p := &dataset.Person{
 		ID:           id,

@@ -110,12 +110,12 @@ func TestSnapshotRoundTripQueries(t *testing.T) {
 // Work budgets of one snapshot open (openSnapshot) of the default seed-2021 snapshot,
 // checked by TestSnapshotOpenBeatsRegeneration beside its timing bound.
 // Unlike the timing ratio they do not depend on what else shares the CPUs.
-// Measured on linux/amd64 with Go 1.24 as 751 allocations and 2.97 MB
+// Measured on linux/amd64 with Go 1.24 as 709 allocations and 2.67 MB
 // per open of the snapshot bytes in memory; the budgets leave about 5%
 // headroom on each.
 const (
-	snapshotOpenAllocs = 790
-	snapshotOpenBytes  = 3_120_000
+	snapshotOpenAllocs = 745
+	snapshotOpenBytes  = 2_800_000
 )
 
 // TestSnapshotOpenBeatsRegeneration is the warm-boot perf floor from the
@@ -346,11 +346,11 @@ func BenchmarkMaterializeCompacted(b *testing.B) {
 
 // Work budgets of one open of the compacted flagship+SC'21 snapshot,
 // checked by TestCompactedOpenBeatsDeltaApply beside its timing bound.
-// Measured on linux/amd64 with Go 1.24 as 793 allocations and 4.59 MB
+// Measured on linux/amd64 with Go 1.24 as 751 allocations and 4.20 MB
 // per open; the budgets leave about 5% headroom on each.
 const (
-	compactedOpenAllocs = 832
-	compactedOpenBytes  = 4_820_000
+	compactedOpenAllocs = 789
+	compactedOpenBytes  = 4_410_000
 )
 
 // TestCompactedOpenBeatsDeltaApply is the compaction perf floor: opening
