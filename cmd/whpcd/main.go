@@ -16,8 +16,8 @@
 // serves an exhibit family as CSV, and POST /v1/trend and POST /v1/cite
 // serve the longitudinal and citation-flow families under view names,
 // with the same bytes and cache entries. Queries and every family but
-// experience_bands run in-process on the query engine, which already
-// splits every scan into fixed partitions across GOMAXPROCS workers.
+// experience_bands run in-process on the query engine, which scans each
+// request's frame serially, on the request's goroutine.
 //
 // With -snapshot-dir, pristine studies warm-boot from <corpus>-<seed>.whpcsnap
 // files (written by whpc -snapshot-out) instead of synthesizing, and apply

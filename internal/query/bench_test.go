@@ -124,17 +124,17 @@ func BenchmarkNaiveGroupBy(b *testing.B) {
 
 // Work budgets of one run of the columnar benchmarks, checked by the
 // floors below beside their timing bounds; unlike the timing ratios they
-// do not depend on what else shares the CPUs. A grouped scan allocates
-// one accumulator set per worker, so the counts grow by one per
-// GOMAXPROCS up to the partition count. Measured on linux/amd64 with Go
-// 1.24 at -cpu 1,2,4 as at most 543 allocations and 65.1 KB per group-by,
-// 184 and 31.3 KB per FAR query, and 27 and 22.1 KB per projection; the
-// budgets leave about 5% headroom on the maximum.
+// do not depend on what else shares the CPUs. A grouped scan runs on the
+// caller's goroutine and reuses one partition's accumulator set and
+// scratch, so the counts do not depend on GOMAXPROCS. Measured on
+// linux/amd64 with Go 1.24 at -cpu 1,2 as 395 allocations and 45.7 KB per
+// group-by and 129 and 16.3 KB per FAR query, and at -cpu 1,2,4 as at most
+// 27 and 22.1 KB per projection; the budgets leave about 5% headroom.
 const (
-	groupByAllocs    = 570
-	groupByBytes     = 68_400
-	farAllocs        = 193
-	farBytes         = 32_900
+	groupByAllocs    = 415
+	groupByBytes     = 48_000
+	farAllocs        = 136
+	farBytes         = 17_100
 	projectionAllocs = 29
 	projectionBytes  = 23_300
 )

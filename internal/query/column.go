@@ -6,8 +6,8 @@
 // JSON query model — predicate-pushdown filters, multi-key group-by,
 // aggregate kernels (count, sum, mean, min, max, first, FAR-style
 // ratio-of-flags) and two-group comparison kernels (Welch t-test and
-// two-proportion chi-squared, reusing internal/stats) — in parallel over
-// fixed-size row partitions with a deterministic merge, so results are
+// two-proportion chi-squared, reusing internal/stats) — serially over
+// fixed-size row partitions merged in partition order, so results are
 // byte-identical regardless of GOMAXPROCS.
 //
 // The engine is correctness-checked against the paper itself: the named

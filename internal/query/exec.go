@@ -1,22 +1,21 @@
 package query
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
 
-// partitionRows is the fixed partition width. It is deliberately
-// independent of GOMAXPROCS: workers race to claim partitions, but the
-// merge walks partitions in index order, so the result is byte-identical
-// no matter how the claims landed. 1024 keeps several partitions in play
-// even on the default nine-conference corpus (~3.6k slot rows).
+// partitionRows is the fixed partition width: the unit of the columnar
+// filter's bitmaps and of float accumulation. A grouped scan sums each
+// partition on its own and merges the partials in partition order, so the
+// width fixes the addition tree of every float sum, mean and Welch moment
+// (see stats.Moments); changing it changes result bits.
 const partitionRows = 1024
 
 // accCell is one aggregate accumulator. The field roles depend on the
@@ -43,10 +42,10 @@ type accSet struct {
 	dense  []*groupAcc // nil when sparse
 	sparse map[string]*groupAcc
 	order  []*groupAcc
+	spare  []*groupAcc // groups released by reset, recycled by newGroup
 	// welch sufficient statistics, accumulated in row order within the
 	// partition. Moments merge by field-wise addition, so merging the
-	// per-partition sets in partition order reproduces a one-pass scan
-	// exactly.
+	// partition sets in partition order fixes the addition tree.
 	cmp [2]stats.Moments
 
 	strides []uint64 // dense strides per key
@@ -115,18 +114,40 @@ func token(col *Column, row int) uint64 {
 	}
 }
 
+// slot is a token tuple's index in the dense array.
+func (a *accSet) slot(tokens []uint64) uint64 {
+	idx := uint64(0)
+	for i, t := range tokens {
+		idx += t * a.strides[i]
+	}
+	return idx
+}
+
+// newGroup appends a zeroed accumulator for a token tuple to the group
+// order, recycling a group released by reset when there is one. The caller
+// indexes it.
+func (a *accSet) newGroup(tokens []uint64) *groupAcc {
+	var g *groupAcc
+	if n := len(a.spare); n > 0 {
+		g = a.spare[n-1]
+		a.spare = a.spare[:n-1]
+		copy(g.tokens, tokens)
+		clear(g.cells)
+	} else {
+		g = &groupAcc{tokens: append([]uint64(nil), tokens...), cells: make([]accCell, len(a.p.aggs))}
+	}
+	a.order = append(a.order, g)
+	return g
+}
+
 // group finds or creates the accumulator for a token tuple.
 func (a *accSet) group(tokens []uint64) *groupAcc {
 	if a.dense != nil {
-		idx := uint64(0)
-		for i, t := range tokens {
-			idx += t * a.strides[i]
-		}
+		idx := a.slot(tokens)
 		g := a.dense[idx]
 		if g == nil {
-			g = &groupAcc{tokens: append([]uint64(nil), tokens...), cells: make([]accCell, len(a.p.aggs))}
+			g = a.newGroup(tokens)
 			a.dense[idx] = g
-			a.order = append(a.order, g)
 		}
 		return g
 	}
@@ -135,9 +156,8 @@ func (a *accSet) group(tokens []uint64) *groupAcc {
 	}
 	g := a.sparse[string(a.scratch)]
 	if g == nil {
-		g = &groupAcc{tokens: append([]uint64(nil), tokens...), cells: make([]accCell, len(a.p.aggs))}
+		g = a.newGroup(tokens)
 		a.sparse[string(a.scratch)] = g
-		a.order = append(a.order, g)
 	}
 	return g
 }
@@ -145,16 +165,27 @@ func (a *accSet) group(tokens []uint64) *groupAcc {
 // lookup finds an existing group without creating one.
 func (a *accSet) lookup(tokens []uint64) *groupAcc {
 	if a.dense != nil {
-		idx := uint64(0)
-		for i, t := range tokens {
-			idx += t * a.strides[i]
-		}
-		return a.dense[idx]
+		return a.dense[a.slot(tokens)]
 	}
 	for i, t := range tokens {
 		binary.LittleEndian.PutUint64(a.scratch[i*8:], t)
 	}
 	return a.sparse[string(a.scratch)]
+}
+
+// reset empties the set for the next partition, keeping its index and its
+// groups for reuse.
+func (a *accSet) reset() {
+	if a.dense != nil {
+		for _, g := range a.order {
+			a.dense[a.slot(g.tokens)] = nil
+		}
+	} else {
+		clear(a.sparse)
+	}
+	a.spare = append(a.spare, a.order...)
+	a.order = a.order[:0]
+	a.cmp = [2]stats.Moments{}
 }
 
 // setPrefix sets the first n bits of out.
@@ -528,53 +559,72 @@ func (a *accSet) merge(part *accSet) {
 	a.cmp[1].Merge(part.cmp[1])
 }
 
-// scanPartition runs the grouped scan over rows [lo, hi): the filter and
-// every aggregate where-filter evaluate column-wise into bitmaps first,
-// then a single pass over the selected bits groups and accumulates.
-//
-//whpcvet:hot
-func scanPartition(p *plan, a *accSet, lo, hi int) {
-	n := hi - lo
-	words := (n + 63) / 64
-	sel := make(Bitmap, words)
-	tmp := make(Bitmap, words)
-	filterBits(p.where, lo, hi, sel, tmp)
-	aggSel := make([]Bitmap, len(p.aggs))
+// partScratch is scanPartition's working memory, sized once per query at
+// partition width and reused by every partition.
+type partScratch struct {
+	sel, tmp Bitmap
+	aggSel   []Bitmap // per-aggregate where-filter bitmaps, nil when unfiltered
+	tokens   []uint64
+	denseIdx []uint32 // nil unless the set is dense and has keys
+}
+
+// newPartScratch sizes the scratch of a scan of p into a for partitions of
+// at most width rows. The per-aggregate bitmaps share one backing arena.
+func newPartScratch(p *plan, a *accSet, width int) *partScratch {
+	words := (width + 63) / 64
+	s := &partScratch{
+		sel:    make(Bitmap, words),
+		tmp:    make(Bitmap, words),
+		aggSel: make([]Bitmap, len(p.aggs)),
+		tokens: make([]uint64, len(p.keys)),
+	}
 	nsel := 0
 	for ai := range p.aggs {
 		if len(p.aggs[ai].where) != 0 {
 			nsel++
 		}
 	}
-	if nsel > 0 {
-		// One flat backing array for every per-agg bitmap instead of one
-		// allocation per filtered aggregate.
-		arena := make(Bitmap, nsel*words)
-		for ai := range p.aggs {
-			if len(p.aggs[ai].where) == 0 {
-				continue
-			}
-			b := arena[:words:words]
+	arena := make(Bitmap, nsel*words)
+	for ai := range p.aggs {
+		if len(p.aggs[ai].where) != 0 {
+			s.aggSel[ai] = arena[:words:words]
 			arena = arena[words:]
-			filterBits(p.aggs[ai].where, lo, hi, b, tmp)
-			aggSel[ai] = b
 		}
 	}
-	tokens := make([]uint64, len(p.keys))
-	var denseIdx []uint32
 	if a.dense != nil && len(p.keys) > 0 {
-		denseIdx = make([]uint32, n)
+		s.denseIdx = make([]uint32, width)
+	}
+	return s
+}
+
+// scanPartition runs the grouped scan over rows [lo, hi) into the empty
+// set a: the filter and every aggregate where-filter evaluate column-wise
+// into bitmaps first, then a single pass over the selected bits groups and
+// accumulates.
+//
+//whpcvet:hot
+func scanPartition(p *plan, a *accSet, s *partScratch, lo, hi int) {
+	n := hi - lo
+	words := (n + 63) / 64
+	sel, tmp := s.sel[:words], s.tmp[:words]
+	filterBits(p.where, lo, hi, sel, tmp)
+	for ai, b := range s.aggSel {
+		if b != nil {
+			filterBits(p.aggs[ai].where, lo, hi, b[:words], tmp)
+		}
+	}
+	tokens := s.tokens
+	var denseIdx []uint32
+	if s.denseIdx != nil {
+		denseIdx = s.denseIdx[:n]
+		clear(denseIdx)
 		denseIndex(p, a.strides, lo, hi, denseIdx)
 	}
 	welch := p.compare != nil && p.compare.test == "welch"
 	var cmpIdx [2]uint32
 	if welch && denseIdx != nil {
 		for gi := 0; gi < 2; gi++ {
-			s := uint64(0)
-			for ki, t := range p.compare.tokens[gi] {
-				s += t * a.strides[ki]
-			}
-			cmpIdx[gi] = uint32(s)
+			cmpIdx[gi] = uint32(a.slot(p.compare.tokens[gi]))
 		}
 	}
 	for w := 0; w < words; w++ {
@@ -595,9 +645,8 @@ func scanPartition(p *plan, a *accSet, lo, hi int) {
 						tokens[ki] = token(p.keys[ki].col, row)
 					}
 					//whpcvet:ignore hotalloc group construction happens once per group per partition, not per row; the common path above is a plain slice index
-					g = &groupAcc{tokens: append([]uint64(nil), tokens...), cells: make([]accCell, len(p.aggs))}
+					g = a.newGroup(tokens)
 					a.dense[di] = g
-					a.order = append(a.order, g)
 				}
 			} else {
 				for ki := range p.keys {
@@ -605,14 +654,14 @@ func scanPartition(p *plan, a *accSet, lo, hi int) {
 				}
 				g = a.group(tokens)
 			}
-			accumulate(p.aggs, aggSel, g, row, rel)
+			accumulate(p.aggs, s.aggSel, g, row, rel)
 			if welch && p.compare.col.valid(row) {
 				for gi := 0; gi < 2; gi++ {
 					match := false
 					if denseIdx != nil {
 						match = denseIdx[rel] == cmpIdx[gi]
 					} else {
-						match = tokensEqual(g.tokens, p.compare.tokens[gi])
+						match = slices.Equal(g.tokens, p.compare.tokens[gi])
 					}
 					if match {
 						if p.compare.col.Type == TInt {
@@ -627,76 +676,23 @@ func scanPartition(p *plan, a *accSet, lo, hi int) {
 	}
 }
 
-func tokensEqual(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scanGrouped runs the partitioned parallel scan, returning one
-// accumulator set per fixed-width partition, in partition-index order. No
-// merging happens here: the merge order is the single determinism-bearing
-// step and is fixed by mergeGrouped.
-func scanGrouped(p *plan) []*accSet {
+// scanGrouped scans the frame's fixed-width partitions in index order on
+// the caller's goroutine and returns the merged accumulator set. Each
+// partition accumulates into one reused partition set, which is merged
+// into the global set and reset; merging in partition order fixes the
+// float addition tree (see partitionRows). The largest frame of the
+// study's corpora is about ten partitions, too few for a worker pool to
+// pay for itself (DESIGN §11).
+func scanGrouped(p *plan) *accSet {
 	n := p.f.NumRows
-	parts := (n + partitionRows - 1) / partitionRows
-	results := make([]*accSet, parts)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > parts {
-		workers = parts
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pi := int(next.Add(1)) - 1
-				if pi >= parts {
-					return
-				}
-				a := newAccSet(p)
-				lo := pi * partitionRows
-				hi := lo + partitionRows
-				if hi > n {
-					hi = n
-				}
-				scanPartition(p, a, lo, hi)
-				results[pi] = a
-			}
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
-// mergeGrouped folds per-partition accumulator sets into one global set,
-// in the order given, and applies the empty-result rules. Sequential merge
-// in partition-index order: the only ordering that matters is fixed here,
-// not in the scheduler.
-func mergeGrouped(p *plan, partitions []*accSet) (*accSet, error) {
-	global := newAccSet(p)
-	for _, part := range partitions {
+	global, part := newAccSet(p), newAccSet(p)
+	s := newPartScratch(p, part, min(n, partitionRows))
+	for lo := 0; lo < n; lo += partitionRows {
+		scanPartition(p, part, s, lo, min(lo+partitionRows, n))
 		global.merge(part)
+		part.reset()
 	}
-
-	if len(global.order) == 0 && len(p.keys) > 0 && !p.complete {
-		return nil, fmt.Errorf("%w (frame %q)", ErrEmpty, p.f.Name)
-	}
-	if len(p.keys) == 0 {
-		// Global aggregation: guarantee the single output row even when
-		// nothing matched.
-		global.group(make([]uint64, 0))
-	}
-	return global, nil
+	return global
 }
 
 // completeGroups replaces the observed group list with the full cross
@@ -809,9 +805,9 @@ type execRow struct {
 }
 
 // Run executes q against fs. The result is deterministic: identical input
-// bytes yield identical output bytes at any GOMAXPROCS, because the scan's
-// per-partition state is merged in partition order before any
-// order-sensitive step runs.
+// bytes yield identical output bytes, because the scan merges its
+// per-partition state in partition order before any order-sensitive step
+// runs.
 func Run(fs *FrameSet, q *Query) (*Result, error) {
 	p, err := compile(fs, q)
 	if err != nil {
@@ -821,16 +817,20 @@ func Run(fs *FrameSet, q *Query) (*Result, error) {
 	if !p.grouped {
 		return finalizeSelect(p, pt), nil
 	}
-	acc, err := mergeGrouped(p, pt.parts)
-	if err != nil {
-		return nil, err
-	}
-	return finalizeGrouped(p, acc)
+	return finalizeGrouped(p, pt.acc)
 }
 
-// finalizeGrouped renders a merged accumulator set: optional domain
-// completion, sort, limit, totals, compare.
+// finalizeGrouped renders a merged accumulator set: the empty-result
+// rules, optional domain completion, sort, limit, totals, compare.
 func finalizeGrouped(p *plan, acc *accSet) (*Result, error) {
+	if len(acc.order) == 0 && len(p.keys) > 0 && !p.complete {
+		return nil, fmt.Errorf("%w (frame %q)", ErrEmpty, p.f.Name)
+	}
+	if len(p.keys) == 0 {
+		// Global aggregation: guarantee the single output row even when
+		// nothing matched.
+		acc.group(nil)
+	}
 	groups := acc.order
 	if p.complete {
 		groups = completeGroups(p, acc)
@@ -938,7 +938,7 @@ func sortRows(p *plan, rows []execRow) {
 		for _, o := range p.orderBy {
 			var c int
 			if o.appearance {
-				c = cmpUint64(rows[i].tokens[o.slot], rows[j].tokens[o.slot])
+				c = cmp.Compare(rows[i].tokens[o.slot], rows[j].tokens[o.slot])
 			} else {
 				c = cmpValue(rows[i].vals[o.slot], rows[j].vals[o.slot])
 			}
@@ -954,18 +954,8 @@ func sortRows(p *plan, rows []execRow) {
 	})
 }
 
-func cmpUint64(a, b uint64) int {
-	if a < b {
-		return -1
-	}
-	if a > b {
-		return 1
-	}
-	return 0
-}
-
 // cmpValue orders two cells of the same kind: nulls first, NaN before any
-// number, otherwise natural order.
+// number (cmp.Compare's float order), otherwise natural order.
 func cmpValue(a, b Value) int {
 	if a.Null || b.Null {
 		if a.Null && b.Null {
@@ -978,40 +968,11 @@ func cmpValue(a, b Value) int {
 	}
 	switch a.Kind {
 	case TInt:
-		if a.I < b.I {
-			return -1
-		}
-		if a.I > b.I {
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.I, b.I)
 	case TFloat:
-		an := a.F != a.F
-		bn := b.F != b.F
-		if an || bn {
-			if an && bn {
-				return 0
-			}
-			if an {
-				return -1
-			}
-			return 1
-		}
-		if a.F < b.F {
-			return -1
-		}
-		if a.F > b.F {
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.F, b.F)
 	case TStr:
-		if a.S < b.S {
-			return -1
-		}
-		if a.S > b.S {
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.S, b.S)
 	default:
 		if a.B == b.B {
 			return 0

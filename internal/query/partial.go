@@ -1,14 +1,14 @@
 package query
 
-// Partial is the intermediate state of one scan: per-partition accumulator
-// sets for grouped queries (group cells plus Welch moment partials, in
+// Partial is the intermediate state of one scan: the merged accumulator
+// set for grouped queries (group cells plus Welch moments, folded in
 // partition order), or, for ungrouped selects, the matching row indexes in
 // frame row order plus the frame's projected columns — no cell is
 // materialized until the result is ordered and limited. A Partial carries
 // no finalization — no sorting, no limits, no totals, no empty-result
 // decisions; Run applies those after the scan.
 type Partial struct {
-	parts   []*accSet // grouped: one accumulator set per partition
+	acc     *accSet   // grouped: the partition sets merged in partition order
 	rows    []int32   // select: matching frame rows, pre-sort and pre-limit
 	cols    []*Column // select: the frame's projected columns, in select order
 	scanned int       // rows scanned (the frame's row count)
@@ -31,7 +31,7 @@ func ExecPartial(fs *FrameSet, q *Query) (*Partial, error) {
 func execPartial(p *plan) *Partial {
 	pt := &Partial{scanned: p.f.NumRows}
 	if p.grouped {
-		pt.parts = scanGrouped(p)
+		pt.acc = scanGrouped(p)
 	} else {
 		pt.rows = scanSelect(p)
 		pt.cols = make([]*Column, len(p.selects))

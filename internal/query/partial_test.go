@@ -87,3 +87,103 @@ func TestMergedPartialsEqualPooledStatsOnEverySplit(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatScanFollowsPartitionMergeTree pins the float addition tree of a
+// grouped scan: each 1024-row partition is summed on its own, and the
+// partials are merged in partition order. The frame has a float column of
+// i/3 values over three partitions plus a tail, with every seventh row
+// null, and a bool key that splits odd rows from even ones. On this frame a
+// one-pass sum rounds differently from the merge tree. So a scan that
+// accumulated straight into one set would fail the exact checks of sum,
+// mean and a Welch compare against the replayed tree.
+func TestFloatScanFollowsPartitionMergeTree(t *testing.T) {
+	const n = 3*partitionRows + 557
+	null := func(i int) bool { return i%7 == 0 }
+	fs := NewSplitFrameSet(TFloat)
+	WriteSplitRows(fs, n, null)
+	f, _ := fs.Frame("split")
+	odd := &Column{Name: "odd", Type: TBool, Bools: NewBitmap(n)}
+	for i := 1; i < n; i += 2 {
+		odd.Bools.Set(i)
+	}
+	fs.frames[0] = newFrame("split", n, []*Column{f.cols[0], odd})
+
+	// Replay the tree: per parity, one Moments per partition, merged into
+	// the total in partition order. onePass adds every row in row order.
+	var tree, part, onePass [2]stats.Moments
+	for i := 0; i < n; i++ {
+		if i%partitionRows == 0 {
+			for k := range tree {
+				tree[k].Merge(part[k])
+			}
+			part = [2]stats.Moments{}
+		}
+		if !null(i) {
+			part[i%2].Add(float64(i) / 3)
+			onePass[i%2].Add(float64(i) / 3)
+		}
+	}
+	for k := range tree {
+		tree[k].Merge(part[k])
+	}
+	if tree == onePass {
+		t.Fatal("fixture does not tell the merge tree from a one-pass scan")
+	}
+	// The ungrouped sum's tree: one partial over both parities per
+	// partition, merged in order.
+	var sum, count float64
+	for lo := 0; lo < n; lo += partitionRows {
+		var p float64
+		for i := lo; i < min(lo+partitionRows, n); i++ {
+			if !null(i) {
+				p += float64(i) / 3
+				count++
+			}
+		}
+		sum += p
+	}
+	var whole float64
+	for i := 0; i < n; i++ {
+		if !null(i) {
+			whole += float64(i) / 3
+		}
+	}
+	if sum == whole {
+		t.Fatal("fixture does not tell the merge tree's sum from a one-pass sum")
+	}
+
+	run := func(q *Query) *Result {
+		t.Helper()
+		res, err := Run(fs, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(&Query{Frame: "split", Aggs: []Agg{{Op: "sum", Col: "c", As: "s"}, {Op: "mean", Col: "c", As: "m"}}})
+	if got := res.Rows[0]; got[0].F != sum || got[1].F != sum/count {
+		t.Errorf("sum, mean = %v, %v; merge tree gives %v, %v", got[0].F, got[1].F, sum, sum/count)
+	}
+
+	res = run(&Query{
+		Frame:   "split",
+		GroupBy: []Key{{Col: "odd"}},
+		Aggs:    []Agg{{Op: "sum", Col: "c", As: "s"}, {Op: "mean", Col: "c", As: "m"}},
+		Compare: &Compare{Test: "welch", Col: "c", Groups: [][]any{{false}, {true}}},
+	})
+	if len(res.Rows) != 2 {
+		t.Fatalf("%d groups, want odd=false and odd=true", len(res.Rows))
+	}
+	for k, row := range res.Rows {
+		if mean, _ := tree[k].Mean(); row[1].F != tree[k].Sum || row[2].F != mean {
+			t.Errorf("odd=%v: sum, mean = %v, %v; merge tree gives %v, %v", row[0].B, row[1].F, row[2].F, tree[k].Sum, mean)
+		}
+	}
+	want, err := stats.WelchTTestFromMoments(tree[0], tree[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := res.Compare; c.Stat != want.T || c.DF != want.DF || c.P != want.P {
+		t.Errorf("welch = (%v, %v, %v); merge tree gives (%v, %v, %v)", c.Stat, c.DF, c.P, want.T, want.DF, want.P)
+	}
+}

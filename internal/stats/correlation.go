@@ -72,21 +72,6 @@ func PearsonCorrelation(x, y []float64) (CorrelationResult, error) {
 	}, nil
 }
 
-// SpearmanCorrelation computes Spearman's rank correlation (Pearson on
-// ranks, average ranks for ties). Used as a robustness check on the
-// heavy-tailed bibliometric pairs where Pearson is outlier-sensitive.
-func SpearmanCorrelation(x, y []float64) (CorrelationResult, error) {
-	if len(x) != len(y) {
-		return CorrelationResult{}, fmt.Errorf("stats: correlation needs equal-length samples (got %d, %d)", len(x), len(y))
-	}
-	res, err := PearsonCorrelation(Ranks(x), Ranks(y))
-	if err != nil {
-		return res, err
-	}
-	res.Method = "Spearman rank correlation"
-	return res, nil
-}
-
 // Ranks returns the fractional ranks of xs (1-based, ties get the average
 // of the ranks they span).
 func Ranks(xs []float64) []float64 {

@@ -15,11 +15,11 @@ import (
 //
 // Determinism contract: Add and Merge use plain (uncompensated) float64
 // addition, so the result is a pure function of the order of operations.
-// Callers that need byte-identical results across worker topologies must
-// fix that order — the query engine accumulates per 1024-row partition and
-// merges partials in global partition order, which makes a merge of
-// partials scanned from aligned frame slices reproduce the single-scan
-// addition tree exactly.
+// Callers that need byte-identical results must fix that order. The query
+// engine adds the rows of each 1024-row partition into a partial and
+// merges the partials in partition order, so its addition tree depends on
+// the frame's rows alone; a one-pass sum over the same rows may round
+// differently.
 type Moments struct {
 	N     int     // number of observations
 	Sum   float64 // Σx

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,101 +103,6 @@ func TestTwoProportionZTestDirection(t *testing.T) {
 	}
 	if _, _, err := TwoProportionZTest(Proportion{K: 0, N: 5}, Proportion{K: 0, N: 9}); err == nil {
 		t.Error("want error for degenerate pooled proportion")
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 17))
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = 5 + rng.NormFloat64()
-	}
-	lo, hi, err := BootstrapCI(rng, xs, 2000, 0.95, func(s []float64) float64 { return MustMean(s) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(lo < 5 && 5 < hi) {
-		t.Errorf("bootstrap CI [%g, %g] misses the true mean 5", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("bootstrap CI suspiciously wide: [%g, %g]", lo, hi)
-	}
-}
-
-func TestBootstrapErrors(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	if _, err := Bootstrap(rng, nil, 10, MustMean); err != ErrEmpty {
-		t.Error("want ErrEmpty")
-	}
-	if _, err := Bootstrap(rng, []float64{1}, 0, MustMean); err == nil {
-		t.Error("want error for zero reps")
-	}
-	if _, err := Bootstrap(rng, []float64{1}, 10, nil); err == nil {
-		t.Error("want error for nil stat")
-	}
-	if _, _, err := BootstrapCI(rng, []float64{1, 2}, 10, 1.2, MustMean); err == nil {
-		t.Error("want error for bad confidence")
-	}
-}
-
-func TestBootstrapSorted(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	dist, err := Bootstrap(rng, []float64{1, 5, 9, 2, 7}, 200, MustMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(dist); i++ {
-		if dist[i] < dist[i-1] {
-			t.Fatal("bootstrap distribution not sorted")
-		}
-	}
-}
-
-func TestPermutationTestAgreesWithT(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 42))
-	x := make([]float64, 60)
-	y := make([]float64, 60)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64() + 1
-	}
-	_, pPerm, err := PermutationTest(rng, x, y, 2000, MustMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, err := WelchTTest(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both should decisively reject a unit shift at n=60.
-	if pPerm > 0.01 || tt.P > 0.01 {
-		t.Errorf("permutation p = %g, t-test p = %g; both should be < 0.01", pPerm, tt.P)
-	}
-}
-
-func TestPermutationTestNull(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 15))
-	x := make([]float64, 50)
-	y := make([]float64, 50)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64()
-	}
-	_, p, err := PermutationTest(rng, x, y, 1000, MustMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.01 {
-		t.Errorf("null data rejected at p = %g", p)
-	}
-	if _, _, err := PermutationTest(rng, nil, y, 10, MustMean); err == nil {
-		t.Error("want error for empty group")
-	}
-	if _, _, err := PermutationTest(rng, x, y, 0, MustMean); err == nil {
-		t.Error("want error for zero reps")
-	}
-	if _, _, err := PermutationTest(rng, x, y, 10, nil); err == nil {
-		t.Error("want error for nil stat")
 	}
 }
 

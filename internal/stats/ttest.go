@@ -109,33 +109,3 @@ func PooledTTest(x, y []float64) (TTestResult, error) {
 		Pooled: true,
 	}, nil
 }
-
-// OneSampleTTest tests whether the mean of x differs from mu.
-func OneSampleTTest(x []float64, mu float64) (TTestResult, error) {
-	if len(x) < 2 {
-		return TTestResult{}, fmt.Errorf("stats: one-sample t-test needs >=2 observations (got %d): %w", len(x), ErrTooFew)
-	}
-	m := MustMean(x)
-	v, _ := Variance(x)
-	n := float64(len(x))
-	se := math.Sqrt(v / n)
-	if AlmostZero(se) {
-		return TTestResult{}, errors.New("stats: one-sample t-test undefined for a constant sample")
-	}
-	t := (m - mu) / se
-	df := n - 1
-	dist := StudentsT{DF: df}
-	tcrit := dist.Quantile(0.975)
-	return TTestResult{
-		T:      t,
-		DF:     df,
-		P:      dist.TwoSidedP(t),
-		MeanX:  m,
-		MeanY:  mu,
-		StdErr: se,
-		CILow:  m - mu - tcrit*se,
-		CIHigh: m - mu + tcrit*se,
-		Method: "One-sample t-test",
-		NX:     len(x),
-	}, nil
-}

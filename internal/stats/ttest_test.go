@@ -138,25 +138,6 @@ func TestPooledEqualsWelchForBalancedEqualVariance(t *testing.T) {
 	approx(t, "p equal", w.P, p.P, 1e-9)
 }
 
-func TestOneSampleTTest(t *testing.T) {
-	// x = 1..5 against mu=2: mean 3, var 2.5, se = sqrt(0.5), t = sqrt(2).
-	r, err := OneSampleTTest([]float64{1, 2, 3, 4, 5}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "t", r.T, math.Sqrt2, 1e-12)
-	approx(t, "df", r.DF, 4, 0)
-	// R: t.test(1:5, mu=2) gives p-value = 0.2302; sanity check against
-	// t tables: t_{0.90, 4} = 1.533 > sqrt(2), so two-sided p > 0.2.
-	approx(t, "p", r.P, 0.2302, 5e-4)
-	if r.P < 0.2 {
-		t.Errorf("p = %g contradicts t-table bound (> 0.2)", r.P)
-	}
-	if _, err := OneSampleTTest([]float64{4, 4, 4}, 3); err == nil {
-		t.Error("want error for constant sample")
-	}
-}
-
 func TestTTestResultString(t *testing.T) {
 	r := TTestResult{Method: "Welch two-sample t-test", T: -2.18, DF: 86, P: 0.032}
 	got := r.String()

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cite"
+	"repro/internal/perffloor"
 	"repro/internal/query"
 	"repro/internal/report"
 	"repro/internal/synth"
@@ -167,15 +168,20 @@ func TestExhibitQueriesRoundTripJSON(t *testing.T) {
 	}
 }
 
-// TestQueryDeterministicAcrossGOMAXPROCS runs every exhibit query single-
-// threaded and at 8 workers and demands byte-identical output — the
-// whpcvet determinism contract applied to the parallel scan and merge.
+// TestQueryDeterministicAcrossGOMAXPROCS runs every exhibit query at
+// GOMAXPROCS 1 and 8 and demands byte-identical output — the whpcvet
+// determinism contract applied to the scan and its partition merge. Each
+// query must also allocate as often at 8 as at 1, so per-worker scan
+// state cannot come back unseen. testing.AllocsPerRun pins GOMAXPROCS to 1
+// while it counts, so the counts are read from runtime.MemStats instead.
 func TestQueryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	// A fresh FrameSet per GOMAXPROCS setting would hide nothing (frames
 	// are built serially); reuse the study's.
-	run := func() map[string][]byte {
-		out := make(map[string][]byte)
-		for _, eq := range ExhibitQueries() {
+	queries := ExhibitQueries()
+	run := func(procs int) (out map[string][]byte, allocs map[string]uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out, allocs = make(map[string][]byte), make(map[string]uint64)
+		for _, eq := range queries {
 			res, err := study.Query(eq.Query)
 			if err != nil {
 				t.Fatalf("%s: %v", eq.Name, err)
@@ -185,17 +191,32 @@ func TestQueryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 				t.Fatal(err)
 			}
 			out[eq.Name] = b
+			if perffloor.RaceEnabled {
+				continue // the race detector's instrumentation allocates
+			}
+			// The fewest allocations over several runs: work elsewhere in
+			// the process only ever adds to one run's count.
+			var ms runtime.MemStats
+			for i := 0; i < 10; i++ {
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				_, _ = study.Query(eq.Query)
+				runtime.ReadMemStats(&ms)
+				if n := ms.Mallocs - before; i == 0 || n < allocs[eq.Name] {
+					allocs[eq.Name] = n
+				}
+			}
 		}
-		return out
+		return out, allocs
 	}
-	prev := runtime.GOMAXPROCS(1)
-	serial := run()
-	runtime.GOMAXPROCS(8)
-	parallel := run()
-	runtime.GOMAXPROCS(prev)
+	serial, serialAllocs := run(1)
+	parallel, parallelAllocs := run(8)
 	for name, want := range serial {
 		if !bytes.Equal(parallel[name], want) {
 			t.Errorf("%s: output differs between GOMAXPROCS=1 and 8", name)
+		}
+		if serialAllocs[name] != parallelAllocs[name] {
+			t.Errorf("%s: %d allocations per run at GOMAXPROCS=1, %d at 8", name, serialAllocs[name], parallelAllocs[name])
 		}
 	}
 }
