@@ -9,32 +9,26 @@ import (
 	"repro/internal/snap"
 )
 
-// ApplyDelta appends one conference-year — a delta packed by
-// internal/delta (the whpc -delta-out path) — to the study in place:
-// the mini-corpus merges into the dataset and, when the columnar FrameSet
-// has already been built, every frame is patched incrementally (dict
-// columns extended, rows appended, bitmaps grown) instead of rebuilt, so
-// the apply costs O(new rows). The resulting study is byte-identical — at
-// report, exhibit-query, and trend level — to one synthesized from scratch
-// with the extra year in its calibration (proven by the delta identity
-// suite).
+// ApplyDeltaFile opens the delta snapshot at path — one conference-year
+// packed by internal/delta (the whpc -delta-out path) — and appends it to
+// the study in place: the mini-corpus merges into the dataset and, when
+// the columnar FrameSet has already been built, every frame is patched
+// incrementally (dict columns extended, rows appended, bitmaps grown)
+// instead of rebuilt, so the apply costs O(new rows). The resulting study
+// is byte-identical — at report, exhibit-query, and trend level — to one
+// synthesized from scratch with the extra year in its calibration (proven
+// by the delta identity suite).
 //
 // The apply is atomic without a copy: delta.Apply runs every check before
 // its first write, so on any error the study is unchanged. Its corpus
 // rules alone decide whether a delta is accepted, so that does not depend
 // on whether the frames were built; frames opened from a snapshot had
-// their shape proven by the decoder. The
-// study's dataset (the one Dataset returns) grows in place, and exhibits
-// read it at render time, so nothing else needs invalidating. ApplyDelta
-// must not run concurrently with queries or report rendering on the same
-// study; the serve layer applies deltas at materialization time, before a
-// study is published to request handlers, and the CLIs before any
-// analysis.
-func (s *Study) ApplyDelta(info snap.DeltaInfo, mini *dataset.Dataset) error {
-	return s.applyDelta(info, mini, nil)
-}
-
-// ApplyDeltaFile opens the delta snapshot at path and applies it.
+// their shape proven by the decoder. The study's dataset (the one Dataset
+// returns) grows in place, and exhibits read it at render time, so nothing
+// else needs invalidating. A delta must not be applied concurrently with
+// queries or report rendering on the same study; the serve layer applies
+// deltas at materialization time, before a study is published to request
+// handlers, and the CLI before any analysis.
 func (s *Study) ApplyDeltaFile(path string) error {
 	return s.ApplyDeltaFileInjected(path, nil)
 }

@@ -61,7 +61,7 @@ type deltaFixture struct {
 }
 
 // newBase builds a fresh warm study of the base corpus with frames built,
-// ready for an ApplyDelta.
+// ready for a delta apply.
 func (fx *deltaFixture) newBase(t *testing.T) *Study {
 	t.Helper()
 	s, err := NewStudyFromConfig(fx.cfg)
@@ -80,7 +80,7 @@ func (fx *deltaFixture) newBase(t *testing.T) *Study {
 func snapshotBytes(t *testing.T, s *Study) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := snap.Write(&buf, s.snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -110,8 +110,8 @@ func TestDeltaApplyMatchesResynthesis(t *testing.T) {
 				t.Fatal(err)
 			}
 			applied := fx.newBase(t)
-			if err := applied.ApplyDelta(fx.info, fx.mini); err != nil {
-				t.Fatalf("ApplyDelta: %v", err)
+			if err := applied.applyDelta(fx.info, fx.mini, nil); err != nil {
+				t.Fatalf("applyDelta: %v", err)
 			}
 			if got, want := delta.Fingerprint(applied.Dataset()), delta.Fingerprint(fx.resynth.Dataset()); got != want {
 				t.Errorf("fingerprint %#x after apply, resynthesis has %#x", got, want)
@@ -157,7 +157,7 @@ func runExhibitQuery(t *testing.T, s *Study, eq ExhibitQuery) []byte {
 }
 
 // TestExhibitsTakenBeforeDeltaRenderGrownStudy: exhibits read the study
-// when they render, so ones looked up before ApplyDelta (through Exhibits
+// when they render, so ones looked up before a delta apply (through Exhibits
 // and Exhibit) render the grown study's bytes afterwards, the bytes of the
 // resynthesized study.
 func TestExhibitsTakenBeforeDeltaRenderGrownStudy(t *testing.T) {
@@ -167,8 +167,8 @@ func TestExhibitsTakenBeforeDeltaRenderGrownStudy(t *testing.T) {
 	if !ok {
 		t.Fatal("no ext-citation-flow exhibit")
 	}
-	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+	if err := applied.applyDelta(deltaFix.info, deltaFix.mini, nil); err != nil {
+		t.Fatalf("applyDelta: %v", err)
 	}
 	render := func(ex Exhibit) string {
 		var buf bytes.Buffer
@@ -195,8 +195,8 @@ func TestDeltaApplyColdFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Frames() call: the delta merges the dataset only.
-	if err := s.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+	if err := s.applyDelta(deltaFix.info, deltaFix.mini, nil); err != nil {
+		t.Fatalf("applyDelta: %v", err)
 	}
 	if got, want := snapshotBytes(t, s), snapshotBytes(t, deltaFix.resynth); !bytes.Equal(got, want) {
 		t.Errorf("snapshot differs between cold-frames delta-applied and resynthesized study")
@@ -208,8 +208,8 @@ func TestDeltaApplyColdFrames(t *testing.T) {
 // output — the queryrepro determinism contract extended to patched frames.
 func TestDeltaApplyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	applied := deltaFix.newBase(t)
-	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+	if err := applied.applyDelta(deltaFix.info, deltaFix.mini, nil); err != nil {
+		t.Fatalf("applyDelta: %v", err)
 	}
 	run := func() map[string][]byte {
 		out := make(map[string][]byte)
@@ -240,8 +240,8 @@ func TestDeltaApplyRejectsWrongBase(t *testing.T) {
 	}
 	other.Frames()
 	before := snapshotBytes(t, other)
-	if err := other.ApplyDelta(deltaFix.info, deltaFix.mini); err == nil {
-		t.Fatal("ApplyDelta accepted a delta generated against a different base")
+	if err := other.applyDelta(deltaFix.info, deltaFix.mini, nil); err == nil {
+		t.Fatal("applyDelta accepted a delta generated against a different base")
 	}
 	if !bytes.Equal(before, snapshotBytes(t, other)) {
 		t.Errorf("rejected delta mutated the study")
@@ -253,12 +253,12 @@ func TestDeltaApplyRejectsWrongBase(t *testing.T) {
 // re-apply leaves the study's bytes as they were.
 func TestDeltaApplyRejectsDoubleApply(t *testing.T) {
 	applied := deltaFix.newBase(t)
-	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-		t.Fatalf("first ApplyDelta: %v", err)
+	if err := applied.applyDelta(deltaFix.info, deltaFix.mini, nil); err != nil {
+		t.Fatalf("first applyDelta: %v", err)
 	}
 	before := snapshotBytes(t, applied)
-	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err == nil {
-		t.Fatal("second ApplyDelta of the same delta succeeded")
+	if err := applied.applyDelta(deltaFix.info, deltaFix.mini, nil); err == nil {
+		t.Fatal("second applyDelta of the same delta succeeded")
 	}
 	if !bytes.Equal(before, snapshotBytes(t, applied)) {
 		t.Errorf("rejected re-apply mutated the study")
@@ -331,13 +331,13 @@ func TestDeltaRefusalIndependentOfLazyState(t *testing.T) {
 				s, twin := b.open(t), b.open(t)
 				if tc.grow {
 					for _, st := range []*Study{s, twin} {
-						if err := st.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-							t.Fatalf("first ApplyDelta: %v", err)
+						if err := st.applyDelta(deltaFix.info, deltaFix.mini, nil); err != nil {
+							t.Fatalf("first applyDelta: %v", err)
 						}
 					}
 				}
-				if err := s.ApplyDelta(tc.info, tc.mini); err == nil {
-					t.Fatal("ApplyDelta accepted the delta")
+				if err := s.applyDelta(tc.info, tc.mini, nil); err == nil {
+					t.Fatal("applyDelta accepted the delta")
 				}
 				got, want := s.Dataset(), twin.Dataset()
 				if len(got.Conferences) != len(want.Conferences) || len(got.Papers) != len(want.Papers) || len(got.Persons) != len(want.Persons) {
@@ -447,7 +447,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 		}
 		runtime.GC()
 		b.StartTimer()
-		if err := s.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
+		if err := s.applyDelta(deltaFix.info, deltaFix.mini, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -462,7 +462,7 @@ var deltaBaseSnapshot = sync.OnceValue(func() []byte {
 		panic(err)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := snap.Write(&buf, s.snapshot()); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

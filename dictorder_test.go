@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/snap"
 	"repro/internal/synth"
 )
 
@@ -96,7 +97,7 @@ func TestSnapshotKeepsDictionaryOrder(t *testing.T) {
 // reopen writes s as a snapshot and opens it.
 func reopen(s *Study) (*Study, error) {
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := snap.Write(&buf, s.snapshot()); err != nil {
 		return nil, err
 	}
 	return openSnapshot(buf.Bytes())

@@ -135,7 +135,7 @@ func (def *exhibitDef) bind(s *Study) Exhibit {
 // IDs, order, and rendered bytes are deterministic for a given study.
 // WriteReport, whpc -list and the whpcd serving layer all derive their
 // exhibit lists from this single enumeration. Renders read the study
-// as it is when they run, so an exhibit taken before ApplyDelta renders
+// as it is when they run, so an exhibit taken before ApplyDeltaFile renders
 // the grown study.
 func (s *Study) Exhibits() []Exhibit {
 	exhibits := make([]Exhibit, 0, len(exhibitTable))

@@ -38,22 +38,6 @@ type Config struct {
 	// Profile is the fault universe to harvest under (default clean).
 	Profile faulty.FaultProfile
 
-	// MaxAttempts per service per researcher (default 4).
-	MaxAttempts int
-	// BackoffBase / BackoffCap bound the full-jitter backoff schedule
-	// (defaults 4ms / 50ms of virtual time).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// PerAttempt is the per-attempt context deadline (default 1s).
-	PerAttempt time.Duration
-	// Breaker configures the per-worker, per-service circuit breaker
-	// (defaults: threshold 3, cooldown 30ms, 1 half-open probe).
-	Breaker resilience.BreakerConfig
-	// RatePerSecond / RateBurst configure the per-worker token-bucket
-	// rate limiter (defaults 2000/s, burst 50).
-	RatePerSecond float64
-	RateBurst     int
-
 	// Hooks receives live harvest telemetry as the workers progress, so a
 	// serving layer can export retry and outcome counters without waiting
 	// for the final report. The zero value disables observation.
@@ -83,36 +67,26 @@ type Hooks struct {
 	OnOutcome func(Outcome)
 }
 
+// Each worker's resilience stack is tuned the same for every harvest; the
+// backoff and breaker times run on the worker's virtual clock.
+const (
+	maxAttempts   = 4 // per service per researcher
+	backoffBase   = 4 * time.Millisecond
+	backoffCap    = 50 * time.Millisecond
+	perAttempt    = time.Second // per-attempt context deadline
+	ratePerSecond = 2000        // per-worker token bucket
+	rateBurst     = 50
+)
+
+// breakerConfig configures each worker's per-service circuit breaker.
+var breakerConfig = resilience.BreakerConfig{FailureThreshold: 3, Cooldown: 30 * time.Millisecond, HalfOpenProbes: 1}
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
 	if c.Profile.Name == "" {
 		c.Profile = faulty.Clean()
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 4 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 50 * time.Millisecond
-	}
-	if c.PerAttempt <= 0 {
-		c.PerAttempt = time.Second
-	}
-	if c.Breaker.FailureThreshold <= 0 {
-		c.Breaker.FailureThreshold = 3
-	}
-	if c.Breaker.Cooldown <= 0 {
-		c.Breaker.Cooldown = 30 * time.Millisecond
-	}
-	if c.RatePerSecond <= 0 {
-		c.RatePerSecond = 2000
-	}
-	if c.RateBurst <= 0 {
-		c.RateBurst = 50
 	}
 	c.Chaos = chaos.Or(c.Chaos)
 	return c
@@ -217,21 +191,21 @@ func (h *Harvester) newChain(w *worker, src faulty.ProfileSource, spec faulty.Fa
 	c := &sourceChain{
 		w:       w,
 		inj:     faulty.NewInjector(src, spec, seed, w.clock),
-		breaker: resilience.NewBreaker(h.cfg.Breaker, w.clock),
+		breaker: resilience.NewBreaker(breakerConfig, w.clock),
 	}
 	var err error
-	c.limiter, err = resilience.NewTokenBucket(h.cfg.RateBurst, h.cfg.RatePerSecond, w.clock)
+	c.limiter, err = resilience.NewTokenBucket(rateBurst, ratePerSecond, w.clock)
 	if err != nil {
-		panic(err) // defaults guarantee a positive rate
+		panic(err) // the rate and burst are positive constants
 	}
 	c.retry = &resilience.Retryer{
-		MaxAttempts: h.cfg.MaxAttempts,
+		MaxAttempts: maxAttempts,
 		Backoff: &resilience.Backoff{
-			Base: h.cfg.BackoffBase,
-			Cap:  h.cfg.BackoffCap,
+			Base: backoffBase,
+			Cap:  backoffCap,
 			Rand: rand.New(rand.NewPCG(h.cfg.Seed, seed)),
 		},
-		PerAttempt: h.cfg.PerAttempt,
+		PerAttempt: perAttempt,
 		Clock:      w.clock,
 		OnRetry: func(int, error, time.Duration) {
 			w.rep.Retries++

@@ -125,16 +125,16 @@ func BenchmarkNaiveGroupBy(b *testing.B) {
 // Work budgets of one run of the columnar benchmarks, checked by the
 // floors below beside their timing bounds; unlike the timing ratios they
 // do not depend on what else shares the CPUs. A grouped scan runs on the
-// caller's goroutine and reuses one partition's accumulator set and
+// caller's goroutine into one accumulator set with one partition's
 // scratch, so the counts do not depend on GOMAXPROCS. Measured on
-// linux/amd64 with Go 1.24 at -cpu 1,2 as 395 allocations and 45.7 KB per
-// group-by and 129 and 16.3 KB per FAR query, and at -cpu 1,2,4 as at most
-// 27 and 22.1 KB per projection; the budgets leave about 5% headroom.
+// linux/amd64 with Go 1.24 at -cpu 1,2,4 as 315 allocations and 42.1 KB
+// per group-by, 109 and 15.6 KB per FAR query, and at most 27 and 22.1 KB
+// per projection; the budgets leave about 5% headroom.
 const (
-	groupByAllocs    = 415
-	groupByBytes     = 48_000
-	farAllocs        = 136
-	farBytes         = 17_100
+	groupByAllocs    = 331
+	groupByBytes     = 44_300
+	farAllocs        = 115
+	farBytes         = 16_300
 	projectionAllocs = 29
 	projectionBytes  = 23_300
 )

@@ -7,8 +7,8 @@
 // aggregate kernels (count, sum, mean, min, max, first, FAR-style
 // ratio-of-flags) and two-group comparison kernels (Welch t-test and
 // two-proportion chi-squared, reusing internal/stats) — serially over
-// fixed-size row partitions merged in partition order, so results are
-// byte-identical regardless of GOMAXPROCS.
+// fixed-size row partitions whose float partials are folded in partition
+// order, so results are byte-identical regardless of GOMAXPROCS.
 //
 // The engine is correctness-checked against the paper itself: the named
 // queries in ExhibitQueries reproduce the repository's exhibit CSV

@@ -12,19 +12,23 @@ import (
 )
 
 // partitionRows is the fixed partition width: the unit of the columnar
-// filter's bitmaps and of float accumulation. A grouped scan sums each
-// partition on its own and merges the partials in partition order, so the
-// width fixes the addition tree of every float sum, mean and Welch moment
-// (see stats.Moments); changing it changes result bits.
+// filter's bitmaps and of float accumulation. A grouped scan adds each
+// partition's floats into a partial and folds the partials into the totals
+// in partition order, so the width fixes the addition tree of every float
+// sum, mean and Welch moment (see stats.Moments); changing it changes
+// result bits.
 const partitionRows = 1024
 
 // accCell is one aggregate accumulator. The field roles depend on the
 // aggregate kind: count uses n; sum/min/max/first use i or f by column
-// type; mean uses n+f; ratio uses n (num hits) and i (den hits).
+// type; mean uses n+f; ratio uses n (num hits) and i (den hits). first
+// also keeps its value's row in n. Float sums and means add each row into
+// pf, the current partition's partial, which endPartition folds into f.
 type accCell struct {
 	n   int64
 	i   int64
 	f   float64
+	pf  float64
 	set bool
 }
 
@@ -34,19 +38,19 @@ type groupAcc struct {
 	cells  []accCell
 }
 
-// accSet accumulates groups for one partition (and, merged, for the whole
-// scan). Groups keep first-appearance order; the dense path indexes a flat
-// array when the key domain is small, otherwise keys are byte-encoded.
+// accSet accumulates the groups of one grouped scan. Groups keep
+// first-appearance order; the dense path indexes a flat array when the key
+// domain is small, otherwise keys are byte-encoded.
 type accSet struct {
 	p      *plan
 	dense  []*groupAcc // nil when sparse
 	sparse map[string]*groupAcc
 	order  []*groupAcc
-	spare  []*groupAcc // groups released by reset, recycled by newGroup
-	// welch sufficient statistics, accumulated in row order within the
-	// partition. Moments merge by field-wise addition, so merging the
-	// partition sets in partition order fixes the addition tree.
-	cmp [2]stats.Moments
+	folds  []int // indexes of the float sum and mean aggregates
+	// welch sufficient statistics: pcmp adds the current partition's rows in
+	// row order, and endPartition merges it into cmp, so the addition tree
+	// is the same as for float cells.
+	cmp, pcmp [2]stats.Moments
 
 	strides []uint64 // dense strides per key
 	scratch []byte   // sparse key encoding buffer
@@ -58,6 +62,12 @@ const denseLimit = 1 << 16
 // newAccSet sizes an accumulator set for the plan.
 func newAccSet(p *plan) *accSet {
 	a := &accSet{p: p}
+	for ai := range p.aggs {
+		op := &p.aggs[ai]
+		if op.kind == aMean || (op.kind == aSum && op.col.Type == TFloat) {
+			a.folds = append(a.folds, ai)
+		}
+	}
 	if size, strides, ok := denseLayout(p); ok {
 		a.dense = make([]*groupAcc, size)
 		a.strides = strides
@@ -124,18 +134,9 @@ func (a *accSet) slot(tokens []uint64) uint64 {
 }
 
 // newGroup appends a zeroed accumulator for a token tuple to the group
-// order, recycling a group released by reset when there is one. The caller
-// indexes it.
+// order. The caller indexes it.
 func (a *accSet) newGroup(tokens []uint64) *groupAcc {
-	var g *groupAcc
-	if n := len(a.spare); n > 0 {
-		g = a.spare[n-1]
-		a.spare = a.spare[:n-1]
-		copy(g.tokens, tokens)
-		clear(g.cells)
-	} else {
-		g = &groupAcc{tokens: append([]uint64(nil), tokens...), cells: make([]accCell, len(a.p.aggs))}
-	}
+	g := &groupAcc{tokens: append([]uint64(nil), tokens...), cells: make([]accCell, len(a.p.aggs))}
 	a.order = append(a.order, g)
 	return g
 }
@@ -173,19 +174,24 @@ func (a *accSet) lookup(tokens []uint64) *groupAcc {
 	return a.sparse[string(a.scratch)]
 }
 
-// reset empties the set for the next partition, keeping its index and its
-// groups for reuse.
-func (a *accSet) reset() {
-	if a.dense != nil {
+// endPartition folds the partition partials into the totals and clears
+// them, in group order. A group the partition did not touch folds a +0
+// partial, which is exact: its total started at +0, and adding gives -0
+// only when both operands are -0.
+func (a *accSet) endPartition() {
+	if len(a.folds) > 0 {
 		for _, g := range a.order {
-			a.dense[a.slot(g.tokens)] = nil
+			for _, ai := range a.folds {
+				c := &g.cells[ai]
+				c.f += c.pf
+				c.pf = 0
+			}
 		}
-	} else {
-		clear(a.sparse)
 	}
-	a.spare = append(a.spare, a.order...)
-	a.order = a.order[:0]
-	a.cmp = [2]stats.Moments{}
+	for gi := range a.cmp {
+		a.cmp[gi].Merge(a.pcmp[gi])
+	}
+	a.pcmp = [2]stats.Moments{}
 }
 
 // setPrefix sets the first n bits of out.
@@ -469,7 +475,7 @@ func accumulate(aggs []aggOp, aggSel []Bitmap, g *groupAcc, row, rel int) {
 			if op.col.Type == TInt {
 				c.i += op.col.Ints[row]
 			} else {
-				c.f += op.col.Floats[row]
+				c.pf += op.col.Floats[row]
 			}
 		case aMean:
 			if !op.col.valid(row) {
@@ -477,9 +483,9 @@ func accumulate(aggs []aggOp, aggSel []Bitmap, g *groupAcc, row, rel int) {
 			}
 			c.n++
 			if op.col.Type == TInt {
-				c.f += float64(op.col.Ints[row])
+				c.pf += float64(op.col.Ints[row])
 			} else {
-				c.f += op.col.Floats[row]
+				c.pf += op.col.Floats[row]
 			}
 		case aMin, aMax:
 			if !op.col.valid(row) {
@@ -500,7 +506,7 @@ func accumulate(aggs []aggOp, aggSel []Bitmap, g *groupAcc, row, rel int) {
 			if c.set || !op.col.valid(row) {
 				continue
 			}
-			c.set = true
+			c.set, c.n = true, int64(row)
 			switch op.col.Type {
 			case TInt:
 				c.i = op.col.Ints[row]
@@ -517,7 +523,8 @@ func accumulate(aggs []aggOp, aggSel []Bitmap, g *groupAcc, row, rel int) {
 	}
 }
 
-// mergeCell folds a partition cell into the global cell, kind-aware.
+// mergeCell folds a group's cell into the totals cell, kind-aware. first
+// keeps the value of the earliest row.
 func mergeCell(kind int, dst, src *accCell) {
 	switch kind {
 	case aCount:
@@ -540,23 +547,10 @@ func mergeCell(kind int, dst, src *accCell) {
 			*dst = *src
 		}
 	case aFirst:
-		if !dst.set && src.set {
+		if src.set && (!dst.set || src.n < dst.n) {
 			*dst = *src
 		}
 	}
-}
-
-// merge folds a partition accumulator set into the global one, preserving
-// the partition's first-appearance group order.
-func (a *accSet) merge(part *accSet) {
-	for _, pg := range part.order {
-		g := a.group(pg.tokens)
-		for ai := range a.p.aggs {
-			mergeCell(a.p.aggs[ai].kind, &g.cells[ai], &pg.cells[ai])
-		}
-	}
-	a.cmp[0].Merge(part.cmp[0])
-	a.cmp[1].Merge(part.cmp[1])
 }
 
 // partScratch is scanPartition's working memory, sized once per query at
@@ -597,10 +591,10 @@ func newPartScratch(p *plan, a *accSet, width int) *partScratch {
 	return s
 }
 
-// scanPartition runs the grouped scan over rows [lo, hi) into the empty
-// set a: the filter and every aggregate where-filter evaluate column-wise
-// into bitmaps first, then a single pass over the selected bits groups and
-// accumulates.
+// scanPartition runs the grouped scan over rows [lo, hi) into a, leaving
+// the float partials for endPartition to fold: the filter and every
+// aggregate where-filter evaluate column-wise into bitmaps first, then a
+// single pass over the selected bits groups and accumulates.
 //
 //whpcvet:hot
 func scanPartition(p *plan, a *accSet, s *partScratch, lo, hi int) {
@@ -639,12 +633,12 @@ func scanPartition(p *plan, a *accSet, s *partScratch, lo, hi int) {
 				di := denseIdx[rel]
 				g = a.dense[di]
 				if g == nil {
-					// Group creation is rare (once per group per partition):
-					// only here are the key tokens materialized per row.
+					// Group creation is rare (once per group per scan): only
+					// here are the key tokens materialized per row.
 					for ki := range p.keys {
 						tokens[ki] = token(p.keys[ki].col, row)
 					}
-					//whpcvet:ignore hotalloc group construction happens once per group per partition, not per row; the common path above is a plain slice index
+					//whpcvet:ignore hotalloc group construction happens once per group per scan, not per row; the common path above is a plain slice index
 					g = a.newGroup(tokens)
 					a.dense[di] = g
 				}
@@ -665,9 +659,9 @@ func scanPartition(p *plan, a *accSet, s *partScratch, lo, hi int) {
 					}
 					if match {
 						if p.compare.col.Type == TInt {
-							a.cmp[gi].Add(float64(p.compare.col.Ints[row]))
+							a.pcmp[gi].Add(float64(p.compare.col.Ints[row]))
 						} else {
-							a.cmp[gi].Add(p.compare.col.Floats[row])
+							a.pcmp[gi].Add(p.compare.col.Floats[row])
 						}
 					}
 				}
@@ -677,22 +671,20 @@ func scanPartition(p *plan, a *accSet, s *partScratch, lo, hi int) {
 }
 
 // scanGrouped scans the frame's fixed-width partitions in index order on
-// the caller's goroutine and returns the merged accumulator set. Each
-// partition accumulates into one reused partition set, which is merged
-// into the global set and reset; merging in partition order fixes the
-// float addition tree (see partitionRows). The largest frame of the
-// study's corpora is about ten partitions, too few for a worker pool to
-// pay for itself (DESIGN §11).
+// the caller's goroutine into one accumulator set and returns it. Counts,
+// int sums, min, max and first accumulate in row order; float partials are
+// folded after each partition, which fixes the float addition tree (see
+// partitionRows). The largest frame of the study's corpora is about ten
+// partitions, too few for a worker pool to pay for itself (DESIGN §11).
 func scanGrouped(p *plan) *accSet {
 	n := p.f.NumRows
-	global, part := newAccSet(p), newAccSet(p)
-	s := newPartScratch(p, part, min(n, partitionRows))
+	a := newAccSet(p)
+	s := newPartScratch(p, a, min(n, partitionRows))
 	for lo := 0; lo < n; lo += partitionRows {
-		scanPartition(p, part, s, lo, min(lo+partitionRows, n))
-		global.merge(part)
-		part.reset()
+		scanPartition(p, a, s, lo, min(lo+partitionRows, n))
+		a.endPartition()
 	}
-	return global
+	return a
 }
 
 // completeGroups replaces the observed group list with the full cross
@@ -805,9 +797,9 @@ type execRow struct {
 }
 
 // Run executes q against fs. The result is deterministic: identical input
-// bytes yield identical output bytes, because the scan merges its
-// per-partition state in partition order before any order-sensitive step
-// runs.
+// bytes yield identical output bytes, because the scan walks its rows and
+// folds its float partials in one fixed order before any order-sensitive
+// step runs.
 func Run(fs *FrameSet, q *Query) (*Result, error) {
 	p, err := compile(fs, q)
 	if err != nil {
@@ -820,7 +812,7 @@ func Run(fs *FrameSet, q *Query) (*Result, error) {
 	return finalizeGrouped(p, pt.acc)
 }
 
-// finalizeGrouped renders a merged accumulator set: the empty-result
+// finalizeGrouped renders the scan's accumulator set: the empty-result
 // rules, optional domain completion, sort, limit, totals, compare.
 func finalizeGrouped(p *plan, acc *accSet) (*Result, error) {
 	if len(acc.order) == 0 && len(p.keys) > 0 && !p.complete {
@@ -857,10 +849,11 @@ func finalizeGrouped(p *plan, acc *accSet) (*Result, error) {
 		res.addRow(p, r.vals)
 	}
 	if p.totals != "" {
-		// Every matched row lands in exactly one group, and the merged
-		// group order is global first-appearance order — so folding the
-		// group cells reproduces a whole-scan accumulation for every
-		// aggregate kind, including first.
+		// Every matched row lands in exactly one group, so folding the
+		// group cells gives the whole scan's count, ratio, int sum and
+		// first (which keeps the earliest row), and its min and max when no
+		// value is NaN. Float sums add the group totals in group order,
+		// which may round differently from the ungrouped scan.
 		tot := groupAcc{cells: make([]accCell, len(p.aggs))}
 		for _, g := range acc.order {
 			for ai := range p.aggs {
@@ -892,7 +885,7 @@ func finalizeGrouped(p *plan, acc *accSet) (*Result, error) {
 	return res, nil
 }
 
-// runCompare evaluates the two-group test over the merged accumulators.
+// runCompare evaluates the two-group test over the scan's accumulators.
 func runCompare(p *plan, acc *accSet) (*CompareResult, error) {
 	cp := p.compare
 	cr := &CompareResult{Test: cp.test, Groups: cp.labels}
@@ -929,7 +922,7 @@ func runCompare(p *plan, acc *accSet) (*CompareResult, error) {
 }
 
 // sortRows stable-sorts grouped rows per the plan's order_by; with no
-// order_by the merged first-appearance order stands.
+// order_by the scan's first-appearance order stands.
 func sortRows(p *plan, rows []execRow) {
 	if len(p.orderBy) == 0 {
 		return

@@ -1,14 +1,14 @@
 package query
 
-// Partial is the intermediate state of one scan: the merged accumulator
-// set for grouped queries (group cells plus Welch moments, folded in
-// partition order), or, for ungrouped selects, the matching row indexes in
-// frame row order plus the frame's projected columns — no cell is
-// materialized until the result is ordered and limited. A Partial carries
+// Partial is the intermediate state of one scan: the accumulator set for
+// grouped queries (group cells plus Welch moments, their float partials
+// folded in partition order), or, for ungrouped selects, the matching row
+// indexes in frame row order plus the frame's projected columns — no cell
+// is materialized until the result is ordered and limited. A Partial carries
 // no finalization — no sorting, no limits, no totals, no empty-result
 // decisions; Run applies those after the scan.
 type Partial struct {
-	acc     *accSet   // grouped: the partition sets merged in partition order
+	acc     *accSet   // grouped: the scan's one accumulator set
 	rows    []int32   // select: matching frame rows, pre-sort and pre-limit
 	cols    []*Column // select: the frame's projected columns, in select order
 	scanned int       // rows scanned (the frame's row count)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -89,13 +90,16 @@ func TestMergedPartialsEqualPooledStatsOnEverySplit(t *testing.T) {
 }
 
 // TestFloatScanFollowsPartitionMergeTree pins the float addition tree of a
-// grouped scan: each 1024-row partition is summed on its own, and the
-// partials are merged in partition order. The frame has a float column of
-// i/3 values over three partitions plus a tail, with every seventh row
-// null, and a bool key that splits odd rows from even ones. On this frame a
-// one-pass sum rounds differently from the merge tree. So a scan that
-// accumulated straight into one set would fail the exact checks of sum,
-// mean and a Welch compare against the replayed tree.
+// grouped scan: each 1024-row partition is summed into a partial, and the
+// partials are added to the totals in partition order. The frame has a
+// float column of i/3 values over three partitions plus a tail, with every
+// seventh row null, and a bool key that splits odd rows from even ones. On
+// this frame a one-pass sum rounds differently from the merge tree, so a
+// scan that added every row straight into its totals would fail the exact
+// checks of sum, mean and a Welch compare against the replayed tree. min,
+// max and first hold values rather than sums, so they must not depend on
+// where partitions start: over a second frame whose second partition opens
+// with NaN, they must equal a one-pass scan in row order.
 func TestFloatScanFollowsPartitionMergeTree(t *testing.T) {
 	const n = 3*partitionRows + 557
 	null := func(i int) bool { return i%7 == 0 }
@@ -185,5 +189,34 @@ func TestFloatScanFollowsPartitionMergeTree(t *testing.T) {
 	}
 	if c := res.Compare; c.Stat != want.T || c.DF != want.DF || c.P != want.P {
 		t.Errorf("welch = (%v, %v, %v); merge tree gives (%v, %v, %v)", c.Stat, c.DF, c.P, want.T, want.DF, want.P)
+	}
+
+	// One partition of 3s, then NaN, a smaller and a larger value.
+	vals := make([]float64, partitionRows, partitionRows+3)
+	for i := range vals {
+		vals[i] = 3
+	}
+	vals = append(vals, math.NaN(), 1, 5)
+	schema := []colDef{floatCol("c")}
+	nf := emptyFrame("split", schema)
+	w := newFrameWriter(nf, schema, nil)
+	for _, v := range vals {
+		w.addFloat(v)
+		w.endRow()
+	}
+	w.close()
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	fs = &FrameSet{frames: []*Frame{nf}}
+	res = run(&Query{Frame: "split", Aggs: []Agg{{Op: "min", Col: "c", As: "lo"}, {Op: "max", Col: "c", As: "hi"}, {Op: "first", Col: "c", As: "first"}}})
+	if got := res.Rows[0]; got[0].F != lo || got[1].F != hi || got[2].F != vals[0] {
+		t.Errorf("min, max, first = %v, %v, %v; a one-pass scan gives %v, %v, %v", got[0].F, got[1].F, got[2].F, lo, hi, vals[0])
 	}
 }

@@ -396,6 +396,45 @@ func TestMeanMinMaxSumAgree(t *testing.T) {
 	}
 }
 
+// TestTotalsFirstIsEarliestRow: a totals row's first is the value of the
+// earliest row with one, as without group_by, even when the group that
+// appears first has a null there.
+func TestTotalsFirstIsEarliestRow(t *testing.T) {
+	schema := []colDef{strCol("g", fixed("A", "B")), intCol("v")}
+	f := emptyFrame("t", schema)
+	w := newFrameWriter(f, schema, nil)
+	for _, r := range []struct {
+		g string
+		v int64 // 0 is null
+	}{{"A", 0}, {"B", 7}, {"A", 5}} {
+		w.addStr(r.g)
+		if r.v == 0 {
+			w.addNull()
+		} else {
+			w.addInt(r.v)
+		}
+		w.endRow()
+	}
+	w.close()
+	fs := &FrameSet{frames: []*Frame{f}}
+	aggs := []Agg{{Op: "first", Col: "v", As: "first"}}
+	whole, err := Run(fs, &Query{Frame: "t", Aggs: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := Run(fs, &Query{Frame: "t", GroupBy: []Key{{Col: "g"}}, Aggs: aggs, Totals: "ALL"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := whole.Rows[0][0]
+	if want.I != 7 {
+		t.Fatalf("ungrouped first = %v, want 7", want)
+	}
+	if got := grouped.Rows[len(grouped.Rows)-1][1]; got != want {
+		t.Errorf("totals first = %v, want %v as without group_by", got, want)
+	}
+}
+
 func TestJSONEncodingHandlesNaN(t *testing.T) {
 	// A completed group with no rows yields a 0/0 ratio (NaN): CSV renders
 	// "NaN", JSON renders null — both deterministic.

@@ -235,7 +235,7 @@ func (s *Server) deltaFiles(key StudyKey) []string {
 // applyDeltas extends a freshly materialized pristine study with the year
 // deltas at paths, in order, and returns its lineage grown by the deltas
 // that applied, and their count. Each apply is attempted twice — the
-// retry absorbs a torn read caught mid-rotation, and Study.ApplyDelta is
+// retry absorbs a torn read caught mid-rotation, and Study.ApplyDeltaFile is
 // atomic, so a failed attempt leaves the study exactly as it was. A delta
 // that still fails is quarantined like a corrupt base snapshot, left out
 // of the lineage, and the scan continues: the study serves without that

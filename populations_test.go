@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/snap"
 	"repro/internal/synth"
 )
 
@@ -61,7 +62,7 @@ func checkPopulations(t *testing.T, what string, d *dataset.Dataset) {
 // decoder builds from its person-table bitmaps are the ones the generic
 // builder builds from the corpus, on the default, flagship and extended
 // corpora and on the compacted snapshot of a delta-grown study; an
-// ApplyDelta after open drops them, and the populations read after it are
+// delta apply after open drops them, and the populations read after it are
 // the grown corpus's.
 func TestSnapshotPopulationsMatchGeneric(t *testing.T) {
 	for _, c := range []struct {
@@ -77,7 +78,7 @@ func TestSnapshotPopulationsMatchGeneric(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := fresh.WriteSnapshot(&buf); err != nil {
+		if err := snap.Write(&buf, fresh.snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		opened, err := openSnapshot(buf.Bytes())

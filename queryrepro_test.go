@@ -70,8 +70,8 @@ func equivalenceStudies(t *testing.T) []namedStudy {
 		fx   *deltaFixture
 	}{{"default-2021+SC18", sc18}, {"flagship-2021+SC21", deltaFix}} {
 		s := d.fx.newBase(t)
-		if err := s.ApplyDelta(d.fx.info, d.fx.mini); err != nil {
-			t.Fatalf("%s: ApplyDelta: %v", d.name, err)
+		if err := s.applyDelta(d.fx.info, d.fx.mini, nil); err != nil {
+			t.Fatalf("%s: applyDelta: %v", d.name, err)
 		}
 		out = append(out, namedStudy{d.name, s})
 	}

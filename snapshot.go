@@ -1,23 +1,16 @@
 package repro
 
 import (
-	"io"
-
 	"repro/internal/chaos"
 	"repro/internal/snap"
 )
 
-// WriteSnapshot serializes the study's corpus and its columnar FrameSet
+// SaveSnapshot serializes the study's corpus and its columnar FrameSet
 // (built first if it has not been yet; its citations frame carries the
-// citation graph) into the binary .whpcsnap format. A study opened from
-// the snapshot produces byte-identical reports and query results (see
-// TestSnapshotRoundTripReport).
-func (s *Study) WriteSnapshot(w io.Writer) error {
-	return snap.Write(w, s.snapshot())
-}
-
-// SaveSnapshot writes the snapshot atomically and durably to path; a
-// crash mid-write never leaves a partial file behind.
+// citation graph) into the binary .whpcsnap format at path, atomically and
+// durably: a crash mid-write never leaves a partial file behind. A study
+// opened from the snapshot produces byte-identical reports and query
+// results (see TestSnapshotRoundTripReport).
 func (s *Study) SaveSnapshot(path string) error {
 	return snap.WriteFile(path, s.snapshot())
 }

@@ -35,9 +35,9 @@ func TestSnapshotRoundTripReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := fresh.WriteSnapshot(&snap); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	var buf bytes.Buffer
+	if err := snap.Write(&buf, fresh.snapshot()); err != nil {
+		t.Fatalf("snap.Write: %v", err)
 	}
 
 	render := func(s *Study, procs int) []byte {
@@ -52,7 +52,7 @@ func TestSnapshotRoundTripReport(t *testing.T) {
 	want := render(fresh, 1)
 
 	for _, procs := range []int{1, 8} {
-		loaded, err := openSnapshot(snap.Bytes())
+		loaded, err := openSnapshot(buf.Bytes())
 		if err != nil {
 			t.Fatalf("openSnapshot: %v", err)
 		}
@@ -136,7 +136,7 @@ func TestSnapshotOpenBeatsRegeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := fresh.WriteSnapshot(&buf); err != nil {
+	if err := snap.Write(&buf, fresh.snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -179,7 +179,7 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := snap.Write(&buf, s.snapshot()); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -242,7 +242,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := s.WriteSnapshot(&buf); err != nil {
+		if err := snap.Write(&buf, s.snapshot()); err != nil {
 			b.Fatal(err)
 		}
 	}
