@@ -264,18 +264,15 @@ func TestSoloRate(t *testing.T) {
 	}
 }
 
-func TestDegreeDistributionSorted(t *testing.T) {
+func TestNoIsolatedAuthor(t *testing.T) {
 	g := BuildGraph(corpus.Data)
-	dist := g.DegreeDistribution()
-	if len(dist) != g.Nodes() {
-		t.Fatalf("distribution size %d vs %d nodes", len(dist), g.Nodes())
+	ids := g.IDs()
+	if len(ids) != g.Nodes() {
+		t.Fatalf("%d IDs vs %d nodes", len(ids), g.Nodes())
 	}
-	for i := 1; i < len(dist); i++ {
-		if dist[i] < dist[i-1] {
-			t.Fatal("degree distribution not sorted")
+	for _, id := range ids {
+		if g.Degree(id) < 1 {
+			t.Errorf("isolated author %s in coauthorship graph (min team size is 2)", id)
 		}
-	}
-	if dist[0] < 1 {
-		t.Error("isolated author in coauthorship graph (min team size is 2)")
 	}
 }

@@ -137,13 +137,3 @@ func (g *Graph) GiantComponentFraction() float64 {
 	comps := g.Components()
 	return float64(len(comps[0])) / float64(g.Nodes())
 }
-
-// DegreeDistribution returns the sorted list of node degrees.
-func (g *Graph) DegreeDistribution() []int {
-	out := make([]int, 0, len(g.adj))
-	for _, nbrs := range g.adj {
-		out = append(out, len(nbrs))
-	}
-	sort.Ints(out)
-	return out
-}

@@ -440,22 +440,3 @@ func TestMetricString(t *testing.T) {
 		t.Error("metric names must render")
 	}
 }
-
-func TestKnownGenderAuthorsAndSplit(t *testing.T) {
-	persons := KnownGenderAuthors(corpus.Data)
-	if len(persons) == 0 {
-		t.Fatal("no known-gender authors")
-	}
-	for _, p := range persons {
-		if !p.Gender.Known() {
-			t.Fatal("unknown-gender person leaked")
-		}
-	}
-	women, men := splitByGender(persons)
-	if len(women)+len(men) != len(persons) {
-		t.Error("split lost people")
-	}
-	if len(women) == 0 || len(men) == 0 {
-		t.Error("split produced an empty group")
-	}
-}

@@ -15,11 +15,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/collab"
 	"repro/internal/dataset"
-	"repro/internal/gender"
 	"repro/internal/stats"
 )
 
@@ -154,40 +152,4 @@ func CompareAuthorPositions(d *dataset.Dataset) (PositionComparison, error) {
 	}
 	res.LastTest = test
 	return res, nil
-}
-
-// sortConfFARs orders per-conference rows by conference date order as they
-// appear in the dataset (Table 1 order).
-func sortConfFARs(rows []ConfFAR, d *dataset.Dataset) {
-	order := make(map[dataset.ConfID]int, len(d.Conferences))
-	for i, c := range d.Conferences {
-		order[c.ID] = i
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return order[rows[i].Conf] < order[rows[j].Conf] })
-}
-
-// KnownGenderAuthors returns the unique authors with assigned gender, the
-// denominator population for most researcher-level analyses.
-func KnownGenderAuthors(d *dataset.Dataset) []*dataset.Person {
-	var out []*dataset.Person
-	for _, id := range d.UniqueAuthors() {
-		p, ok := d.Person(id)
-		if ok && p.Gender.Known() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// splitByGender partitions persons into (women, men), dropping unknowns.
-func splitByGender(persons []*dataset.Person) (women, men []*dataset.Person) {
-	for _, p := range persons {
-		switch p.Gender {
-		case gender.Female:
-			women = append(women, p)
-		case gender.Male:
-			men = append(men, p)
-		}
-	}
-	return women, men
 }

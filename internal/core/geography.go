@@ -106,9 +106,6 @@ type RegionRow struct {
 	PC      stats.Proportion
 }
 
-// RegionTotal returns the author population of a row (Table 3's sort key).
-func (r RegionRow) RegionTotal() int { return r.Authors.N }
-
 // RegionRoleTable computes Table 3, sorted by total authors descending.
 // Researchers whose country cannot be mapped to a subregion are dropped,
 // matching the paper's "identified authors" framing.

@@ -74,28 +74,3 @@ func CitationTrajectory(d *dataset.Dataset, outlierThreshold int, months ...floa
 	res.GapAt36 = last.MeanFemale - last.MeanMale
 	return res, nil
 }
-
-// GapProportional checks the trajectory invariant: the gender gap scales
-// with the accrual curve, so its sign never flips across months.
-func (r ReceptionOverTime) GapProportional() bool {
-	sign := 0
-	for _, p := range r.Points {
-		gap := p.MeanFemale - p.MeanMale
-		s := 0
-		switch {
-		case gap > 1e-9:
-			s = 1
-		case gap < -1e-9:
-			s = -1
-		}
-		if s == 0 {
-			continue
-		}
-		if sign == 0 {
-			sign = s
-		} else if s != sign {
-			return false
-		}
-	}
-	return true
-}

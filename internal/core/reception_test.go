@@ -34,9 +34,23 @@ func TestCitationTrajectory(t *testing.T) {
 	if diff := last.MeanMale - cit.MeanMale; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("trajectory month-36 male mean %g != §4.2 mean %g", last.MeanMale, cit.MeanMale)
 	}
-	// With proportional accrual, the gap direction is stable over time.
-	if !r.GapProportional() {
-		t.Error("gap sign flipped across the accrual window")
+	// With proportional accrual, the gap direction is stable over time:
+	// every non-zero gap has the sign of the first.
+	sign := 0
+	for _, p := range r.Points {
+		gap := p.MeanFemale - p.MeanMale
+		s := 0
+		switch {
+		case gap > 1e-9:
+			s = 1
+		case gap < -1e-9:
+			s = -1
+		}
+		if sign == 0 {
+			sign = s
+		} else if s != 0 && s != sign {
+			t.Errorf("gap sign flipped at month %g", p.Month)
+		}
 	}
 	if r.GapAt36 != last.MeanFemale-last.MeanMale {
 		t.Error("GapAt36 inconsistent with the last point")

@@ -119,17 +119,3 @@ func SubregionOf(code string) string {
 	}
 	return c.Subregion
 }
-
-// Subregions returns the distinct subregions present in the table, sorted.
-func Subregions() []string {
-	set := make(map[string]bool)
-	for i := range all {
-		set[all[i].Subregion] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}

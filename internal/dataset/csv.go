@@ -183,9 +183,6 @@ func readFile(path string, fn func(io.Reader) error) error {
 	return nil
 }
 
-// ReadPersonsCSV parses a researcher table into the dataset.
-func (d *Dataset) ReadPersonsCSV(r io.Reader) error { return d.readPersonsCSV(r) }
-
 func (d *Dataset) readPersonsCSV(r io.Reader) error {
 	rows, lines, err := readAll(r, personHeader)
 	if err != nil {
@@ -237,9 +234,6 @@ func (d *Dataset) readPersonsCSV(r io.Reader) error {
 	return nil
 }
 
-// ReadConferencesCSV parses a conference table into the dataset.
-func (d *Dataset) ReadConferencesCSV(r io.Reader) error { return d.readConferencesCSV(r) }
-
 func (d *Dataset) readConferencesCSV(r io.Reader) error {
 	rows, lines, err := readAll(r, conferenceHeader)
 	if err != nil {
@@ -286,9 +280,6 @@ func (d *Dataset) readConferencesCSV(r io.Reader) error {
 	}
 	return nil
 }
-
-// ReadPapersCSV parses a paper table into the dataset.
-func (d *Dataset) ReadPapersCSV(r io.Reader) error { return d.readPapersCSV(r) }
 
 func (d *Dataset) readPapersCSV(r io.Reader) error {
 	rows, lines, err := readAll(r, paperHeader)

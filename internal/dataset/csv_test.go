@@ -93,7 +93,7 @@ func TestPersonsCSVDeterministicOrder(t *testing.T) {
 
 func TestReadPersonsCSVRejectsBadHeader(t *testing.T) {
 	d := New()
-	err := d.ReadPersonsCSV(strings.NewReader("id,nope\nx,y\n"))
+	err := d.readPersonsCSV(strings.NewReader("id,nope\nx,y\n"))
 	if err == nil {
 		t.Error("bad header accepted")
 	}
@@ -105,13 +105,13 @@ func TestReadPersonsCSVRejectsBadFields(t *testing.T) {
 p1,P One,P,male,male,manual,,,US,EDU,maybe,0,0,0,0,false,0
 `
 	d := New()
-	if err := d.ReadPersonsCSV(strings.NewReader(row)); err == nil {
+	if err := d.readPersonsCSV(strings.NewReader(row)); err == nil {
 		t.Error("bad boolean accepted")
 	}
 	// Non-integer publication count.
 	row2 := strings.Replace(row, "maybe,0,", "true,lots,", 1)
 	d2 := New()
-	if err := d2.ReadPersonsCSV(strings.NewReader(row2)); err == nil {
+	if err := d2.readPersonsCSV(strings.NewReader(row2)); err == nil {
 		t.Error("bad integer accepted")
 	}
 }
@@ -121,7 +121,7 @@ func TestReadConferencesCSVRejectsBadDate(t *testing.T) {
 SC17,SC,2017,13-11-2017,US,327,0.187,true,true,true,true,0.14,HPC,,,,,
 `
 	d := New()
-	if err := d.ReadConferencesCSV(strings.NewReader(row)); err == nil {
+	if err := d.readConferencesCSV(strings.NewReader(row)); err == nil {
 		t.Error("bad date accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestReadPapersCSVRejectsUnknownConf(t *testing.T) {
 p1,NOPE,Title,alice,true,5
 `
 	d := New()
-	if err := d.ReadPapersCSV(strings.NewReader(row)); err == nil {
+	if err := d.readPapersCSV(strings.NewReader(row)); err == nil {
 		t.Error("paper referencing unknown conference accepted")
 	}
 }

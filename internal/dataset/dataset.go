@@ -322,15 +322,6 @@ func (d *Dataset) CountGenders(ids []PersonID) GenderCount {
 	return gc
 }
 
-// ConfIDs returns all conference IDs in insertion order.
-func (d *Dataset) ConfIDs() []ConfID {
-	out := make([]ConfID, len(d.Conferences))
-	for i, c := range d.Conferences {
-		out[i] = c.ID
-	}
-	return out
-}
-
 func (d *Dataset) papersIn(confs []ConfID) []*Paper {
 	if len(confs) == 0 {
 		return d.Papers

@@ -97,9 +97,12 @@ func TestLookups(t *testing.T) {
 	if got := len(d.PapersOf("SC17")); got != 2 {
 		t.Errorf("PapersOf(SC17) = %d papers, want 2", got)
 	}
-	ids := d.ConfIDs()
+	var ids []ConfID
+	for _, c := range d.Conferences {
+		ids = append(ids, c.ID)
+	}
 	if len(ids) != 2 || ids[0] != "SC17" || ids[1] != "HPDC17" {
-		t.Errorf("ConfIDs = %v", ids)
+		t.Errorf("conference IDs = %v, want insertion order", ids)
 	}
 }
 

@@ -15,7 +15,7 @@ func FuzzReadPersonsCSV(f *testing.F) {
 	f.Add("\x00\xff\xfe")
 	f.Fuzz(func(t *testing.T, data string) {
 		d := New()
-		_ = d.ReadPersonsCSV(strings.NewReader(data)) // must not panic
+		_ = d.readPersonsCSV(strings.NewReader(data)) // must not panic
 	})
 }
 
@@ -27,7 +27,7 @@ func FuzzReadConferencesCSV(f *testing.F) {
 	f.Add("garbage")
 	f.Fuzz(func(t *testing.T, data string) {
 		d := New()
-		_ = d.ReadConferencesCSV(strings.NewReader(data))
+		_ = d.readConferencesCSV(strings.NewReader(data))
 	})
 }
 
@@ -44,7 +44,7 @@ func FuzzReadPapersCSV(f *testing.F) {
 		if err := d.AddConference(&Conference{ID: "SC17", Name: "SC", Year: 2017}); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.ReadPapersCSV(strings.NewReader(data)); err != nil {
+		if err := d.readPapersCSV(strings.NewReader(data)); err != nil {
 			return
 		}
 		for _, p := range d.Papers {

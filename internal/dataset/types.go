@@ -94,9 +94,6 @@ type Person struct {
 	S2Pubs int
 }
 
-// KnownGender reports whether the perceived gender was assigned.
-func (p *Person) KnownGender() bool { return p.Gender.Known() }
-
 // Paper is one peer-reviewed publication. Author order follows systems
 // conventions: the first author is the primary contributor ("lead"), the
 // last author the most senior.

@@ -24,16 +24,6 @@ func (c Confusion) ErrorCoded() float64 {
 	return float64(c.FM+c.MF+c.FU+c.MU) / float64(t)
 }
 
-// ErrorCodedWithoutNA is the error rate over assigned cases only:
-// (fm + mf) / (ff + fm + mf + mm).
-func (c Confusion) ErrorCodedWithoutNA() float64 {
-	assigned := c.FF + c.FM + c.MF + c.MM
-	if assigned == 0 {
-		return 0
-	}
-	return float64(c.FM+c.MF) / float64(assigned)
-}
-
 // NACoded is the non-assignment rate: (fu + mu) / total.
 func (c Confusion) NACoded() float64 {
 	t := c.Total()
@@ -41,18 +31,6 @@ func (c Confusion) NACoded() float64 {
 		return 0
 	}
 	return float64(c.FU+c.MU) / float64(t)
-}
-
-// ErrorGenderBias measures directional error: (fm - mf) / assigned.
-// Positive values mean women are misclassified as men more often than the
-// reverse — the asymmetry the paper cites as a weakness of automated
-// inference.
-func (c Confusion) ErrorGenderBias() float64 {
-	assigned := c.FF + c.FM + c.MF + c.MM
-	if assigned == 0 {
-		return 0
-	}
-	return float64(c.FM-c.MF) / float64(assigned)
 }
 
 // LabeledName is one benchmark item: a forename with its bearer's true
@@ -102,28 +80,4 @@ func Evaluate(g Genderizer, items []LabeledName, floor float64) (Confusion, erro
 		}
 	}
 	return c, nil
-}
-
-// EvaluateByOrigin partitions a labeled set by name origin and evaluates
-// each group separately, reproducing the benchmark finding the paper
-// relies on: automated inference is markedly worse for names of Asian
-// origin. Names absent from the bank are grouped under OriginWestern.
-func EvaluateByOrigin(g Genderizer, items []LabeledName, floor float64) (map[Origin]Confusion, error) {
-	groups := map[Origin][]LabeledName{}
-	for _, it := range items {
-		origin := OriginWestern
-		if e, ok := LookupName(it.Forename); ok {
-			origin = e.Origin
-		}
-		groups[origin] = append(groups[origin], it)
-	}
-	out := make(map[Origin]Confusion, len(groups))
-	for origin, group := range groups {
-		c, err := Evaluate(g, group, floor)
-		if err != nil {
-			return nil, err
-		}
-		out[origin] = c
-	}
-	return out, nil
 }

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -152,19 +151,6 @@ func (r *HarvestReport) merge(w *HarvestReport) {
 	for id, res := range w.Outcomes {
 		r.Outcomes[id] = res
 	}
-}
-
-// SortedIDs returns the harvested researcher ids for a given outcome,
-// sorted (all ids when outcome is nil).
-func (r *HarvestReport) SortedIDs(outcome *Outcome) []string {
-	ids := make([]string, 0, len(r.Outcomes))
-	for id, res := range r.Outcomes {
-		if outcome == nil || res.Outcome == *outcome {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Apply projects the harvest onto a copy of the dataset: each researcher

@@ -65,15 +65,6 @@ func (f *FuncInfo) CallAt(call *ast.CallExpr) *Call {
 	return nil
 }
 
-// CalleeOf returns the resolved same-package target of a call site recorded
-// in Calls, or nil.
-func (f *FuncInfo) CalleeOf(call *ast.CallExpr) *FuncInfo {
-	if c := f.CallAt(call); c != nil {
-		return c.Callee
-	}
-	return nil
-}
-
 // Call is one call site inside a function.
 type Call struct {
 	Site *ast.CallExpr

@@ -393,30 +393,6 @@ func (g *Graph) reaches(avoid func(ast.Node) bool) bool {
 	return false
 }
 
-// ReachableBlocks returns the blocks reachable from Entry in index order.
-func (g *Graph) ReachableBlocks() []*Block {
-	seen := make([]bool, len(g.Blocks))
-	seen[g.Entry.Index] = true
-	queue := []*Block{g.Entry}
-	for len(queue) > 0 {
-		bl := queue[0]
-		queue = queue[1:]
-		for _, s := range bl.Succs {
-			if !seen[s.Index] {
-				seen[s.Index] = true
-				queue = append(queue, s)
-			}
-		}
-	}
-	var out []*Block
-	for _, bl := range g.Blocks {
-		if seen[bl.Index] {
-			out = append(out, bl)
-		}
-	}
-	return out
-}
-
 // NodeContains reports whether any subnode of n satisfies test, without
 // descending into function literals: their bodies execute elsewhere and have
 // their own FuncInfo in the call graph.

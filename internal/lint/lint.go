@@ -169,6 +169,7 @@ func Analyzers() []*Analyzer {
 		GoroLeakAnalyzer(),
 		HotAllocAnalyzer(),
 		ChaosCoverAnalyzer(),
+		DeadFuncAnalyzer(),
 		StaleIgnoreAnalyzer(),
 	}
 }

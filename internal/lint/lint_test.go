@@ -48,8 +48,8 @@ func wantFindings(t *testing.T, got []Finding, rule string, lines ...int) {
 
 func TestRegistry(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 11 {
-		t.Fatalf("registry has %d analyzers, want 11", len(as))
+	if len(as) != 12 {
+		t.Fatalf("registry has %d analyzers, want 12", len(as))
 	}
 	names := make(map[string]bool)
 	for _, a := range as {
@@ -402,6 +402,51 @@ var BareVar int
 	// constructors) need docs; types, vars and methods are out of scope.
 	got := vetFixture(t, "exhibitdoc", "repro/internal/core", src)
 	wantFindings(t, got, "exhibitdoc", 6)
+}
+
+func TestDeadFunc(t *testing.T) {
+	const src = `package fix
+
+func unusedHelper() int { return 1 }
+
+func selfOnly(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return selfOnly(n - 1)
+}
+
+func valueOnly(a, b int) bool { return a < b }
+
+func inferred[T int | float64](a, b T) T {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+func explicit[T any](x T) T { return x }
+
+type S struct{}
+
+func (S) unusedMethod() {}
+
+func init() {}
+
+func main() {}
+
+func Exported() int {
+	less := valueOnly
+	if less(1, 2) {
+		return inferred(1, 2)
+	}
+	return len(explicit[string]("x"))
+}
+
+func suppressed() {} //whpcvet:ignore deadfunc fixture keeps it to test the annotation
+`
+	got := vetFixture(t, "deadfunc", "repro/internal/anything", src)
+	wantFindings(t, got, "deadfunc", 3, 5)
 }
 
 func TestIgnoreAnnotationHygiene(t *testing.T) {

@@ -1,7 +1,6 @@
 package scholar
 
 import (
-	"errors"
 	"math"
 	"math/rand/v2"
 )
@@ -61,10 +60,6 @@ func CitationsAtMonth(total36 int, month float64) int {
 	}
 	return int(math.Round(float64(total36) * AccrualCurve(month)))
 }
-
-// ErrNoPublications is returned when a career model is asked for a
-// publication vector of length zero.
-var ErrNoPublications = errors.New("scholar: researcher has no publications")
 
 // CareerModel generates a researcher's full per-publication citation
 // vector from a latent experience scalar, producing profiles with the

@@ -90,20 +90,6 @@ func (d *Directory) IDs() []string {
 	return out
 }
 
-// Snapshot returns a copy of the full registry, decoupled from later
-// writes — a consistent view for bulk consumers (report generation,
-// harvest reconciliation) that must not hold the directory lock while
-// they work.
-func (d *Directory) Snapshot() map[string]Profile {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[string]Profile, len(d.profiles))
-	for id, p := range d.profiles {
-		out[id] = p
-	}
-	return out
-}
-
 // SemanticScholar is the second bibliometric source: 100% author coverage
 // but an independent disambiguation pipeline, so its publication counts
 // correlate only weakly with Google Scholar's (the paper measures

@@ -76,21 +76,6 @@ func (ix *NameIndex) Resolve(name string) (id string, candidates []string, r Res
 	}
 }
 
-// UnambiguousRate returns the fraction of the given names that resolve
-// uniquely — the coverage statistic the paper reports.
-func (ix *NameIndex) UnambiguousRate(names []string) float64 {
-	if len(names) == 0 {
-		return 0
-	}
-	unique := 0
-	for _, n := range names {
-		if _, _, r := ix.Resolve(n); r == Unique {
-			unique++
-		}
-	}
-	return float64(unique) / float64(len(names))
-}
-
 // Names returns the registered normalized names, sorted.
 func (ix *NameIndex) Names() []string {
 	ix.mu.RLock()

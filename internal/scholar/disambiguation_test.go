@@ -48,22 +48,6 @@ func TestNameIndexNormalization(t *testing.T) {
 	}
 }
 
-func TestUnambiguousRate(t *testing.T) {
-	ix := NewNameIndex()
-	ix.Register("A One", "1")
-	ix.Register("B Two", "2")
-	ix.Register("C Three", "3a")
-	ix.Register("C Three", "3b")
-	names := []string{"A One", "B Two", "C Three", "D Missing"}
-	// 2 unique of 4.
-	if got := ix.UnambiguousRate(names); got != 0.5 {
-		t.Errorf("UnambiguousRate = %g, want 0.5", got)
-	}
-	if ix.UnambiguousRate(nil) != 0 {
-		t.Error("empty name list should rate 0")
-	}
-}
-
 func TestNameIndexNames(t *testing.T) {
 	ix := NewNameIndex()
 	ix.Register("Zed Last", "z")
@@ -89,12 +73,14 @@ func TestNameIndexOverCorpusNames(t *testing.T) {
 	}
 	distinct := []string{"Wei Wang", "Ming Li", "Mary Johnson", "John Smith",
 		"Priya Sharma", "Hiroshi Sato", "Li Chen"}
-	rate := ix.UnambiguousRate(distinct)
-	if rate <= 0 || rate >= 1 {
-		t.Errorf("rate = %g, want strictly between 0 and 1", rate)
+	unique := 0
+	for _, n := range distinct {
+		if _, _, r := ix.Resolve(n); r == Unique {
+			unique++
+		}
 	}
 	// Exactly 4 of 7 distinct names are unique here.
-	if rate != 4.0/7 {
-		t.Errorf("rate = %g, want %g", rate, 4.0/7)
+	if unique != 4 {
+		t.Errorf("%d of %d names resolve uniquely, want 4", unique, len(distinct))
 	}
 }

@@ -2,8 +2,8 @@
 // "Representation of Women in HPC Conferences" (SC '21): Welch's two-sample
 // t-test, the chi-squared test for independence and goodness of fit,
 // Pearson's product-moment correlation with a t-based p-value, descriptive
-// statistics, Gaussian kernel density estimation, histograms and
-// two-proportion tests.
+// statistics, Gaussian kernel density estimation and two-proportion
+// tests.
 //
 // Everything is implemented from scratch on top of the Go standard library.
 // The special functions (regularized incomplete gamma and beta) follow the

@@ -127,77 +127,6 @@ func TestKDEConstantSample(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	xs := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3, 3.999, 4}
-	h, err := NewHistogramRange(xs, 0, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCounts := []int{2, 2, 2, 3} // 4.0 lands in the last bin
-	for i, c := range h.Counts {
-		if c != wantCounts[i] {
-			t.Errorf("bin %d = %d, want %d", i, c, wantCounts[i])
-		}
-	}
-	if h.N != 9 || h.Under != 0 || h.Over != 0 {
-		t.Errorf("N/Under/Over = %d/%d/%d", h.N, h.Under, h.Over)
-	}
-	edges := h.BinEdges()
-	if len(edges) != 5 || edges[0] != 0 || edges[4] != 4 {
-		t.Errorf("edges = %v", edges)
-	}
-	if h.MaxCount() != 3 {
-		t.Errorf("MaxCount = %d, want 3", h.MaxCount())
-	}
-}
-
-func TestHistogramOutOfRangeAndNaN(t *testing.T) {
-	xs := []float64{-1, 0, 1, 5, math.NaN()}
-	h, err := NewHistogramRange(xs, 0, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("Under/Over = %d/%d, want 1/1", h.Under, h.Over)
-	}
-	if h.N != 4 { // NaN excluded
-		t.Errorf("N = %d, want 4", h.N)
-	}
-}
-
-func TestHistogramDensitiesSumToOne(t *testing.T) {
-	xs := normSample(1000, 77)
-	h, err := NewHistogram(xs, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, d := range h.Densities() {
-		total += d * h.Width
-	}
-	approx(t, "density mass", total, 1, 1e-9)
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 5); err != ErrEmpty {
-		t.Error("want ErrEmpty")
-	}
-	if _, err := NewHistogram([]float64{1}, 0); err == nil {
-		t.Error("want error for zero bins")
-	}
-	if _, err := NewHistogramRange([]float64{1}, 2, 2, 3); err == nil {
-		t.Error("want error for hi == lo")
-	}
-	// Degenerate all-equal sample handled by widening.
-	h, err := NewHistogram([]float64{7, 7, 7}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Counts[0]; got != 3 {
-		t.Errorf("all-equal sample: first bin = %d, want 3", got)
-	}
-}
-
 // naivePDF is the per-sample density loop the tie-collapsed KDE replaced:
 // one exp per observation, summed in sample order. It is the bit-exact
 // reference for TestKDEMatchesNaiveSum and the baseline for the perf floor.

@@ -203,8 +203,8 @@ func TestZeroWomenRosters(t *testing.T) {
 	}
 	// Four conferences with zero female keynotes.
 	zeroKeynotes := 0
-	for _, id := range d.ConfIDs() {
-		if d.CountGenders(d.RoleSlots(dataset.RoleKeynote, id)).Women == 0 {
+	for _, c := range d.Conferences {
+		if d.CountGenders(d.RoleSlots(dataset.RoleKeynote, c.ID)).Women == 0 {
 			zeroKeynotes++
 		}
 	}
@@ -213,8 +213,8 @@ func TestZeroWomenRosters(t *testing.T) {
 	}
 	// Four conferences with zero female PC chairs.
 	zeroChairs := 0
-	for _, id := range d.ConfIDs() {
-		if d.CountGenders(d.RoleSlots(dataset.RolePCChair, id)).Women == 0 {
+	for _, c := range d.Conferences {
+		if d.CountGenders(d.RoleSlots(dataset.RolePCChair, c.ID)).Women == 0 {
 			zeroChairs++
 		}
 	}

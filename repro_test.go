@@ -278,16 +278,10 @@ func signOf(x float64) int {
 }
 
 func TestStudyAnalysesAgreeWithCore(t *testing.T) {
-	// The facade must be a thin delegation layer: spot-check two methods
-	// against direct core calls.
-	d := study.Dataset()
-	if got, want := study.FAR().Overall, core.AuthorFAR(d).Overall; got != want {
+	// The facade must be a thin delegation layer: spot-check it against a
+	// direct core call.
+	if got, want := study.FAR().Overall, core.AuthorFAR(study.Dataset()).Overall; got != want {
 		t.Errorf("FAR facade diverges: %v vs %v", got, want)
-	}
-	gotRows := study.TopCountries(5)
-	wantRows := core.TopCountries(d, 5)
-	if len(gotRows) != len(wantRows) || gotRows[0] != wantRows[0] {
-		t.Error("TopCountries facade diverges")
 	}
 }
 
@@ -321,22 +315,6 @@ func TestExtendedStudySubfields(t *testing.T) {
 }
 
 func TestFacadeExtensions(t *testing.T) {
-	p, err := study.Profile(study.SCID())
-	if err != nil || p.Name != "SC" {
-		t.Fatalf("Profile: %+v, %v", p, err)
-	}
-	profiles, err := study.Profiles()
-	if err != nil || len(profiles) != 9 {
-		t.Fatalf("Profiles: %d, %v", len(profiles), err)
-	}
-	link := study.Linkage()
-	if link.Coverage <= 0.5 || link.Coverage >= 1 {
-		t.Errorf("Linkage coverage %.3f", link.Coverage)
-	}
-	traj, err := study.Trajectory(12, 36)
-	if err != nil || len(traj.Points) != 2 {
-		t.Fatalf("Trajectory: %+v, %v", traj, err)
-	}
 	rep, err := ReplicateDefault(2, 500)
 	if err != nil {
 		t.Fatal(err)

@@ -45,6 +45,9 @@ import (
 // FromDataset or Load (a corpus of your own), or OpenSnapshotFile (a
 // snapshot written by SaveSnapshot; OpenSnapshotFileInjected threads a
 // chaos injector through the read).
+//
+// A Study method exists only where a program calls it. Every other analysis
+// is reached through Exhibit(id), WriteReport or ExhibitCSV.
 type Study struct {
 	data *dataset.Dataset
 	// scID is the SC edition used by the §3.2 PC breakdown ("" when the
@@ -209,11 +212,6 @@ func (s *Study) BlindReview() (core.BlindComparison, error) {
 	return core.CompareBlindReview(s.data)
 }
 
-// Positions computes the §3.1 lead/last author-position analysis.
-func (s *Study) Positions() (core.PositionComparison, error) {
-	return core.CompareAuthorPositions(s.data)
-}
-
 // Roles computes the Fig 1 role-representation matrix.
 func (s *Study) Roles() core.RoleTable { return core.RoleRepresentation(s.data) }
 
@@ -222,58 +220,9 @@ func (s *Study) PC() (core.PCAnalysis, error) {
 	return core.ProgramCommittee(s.data, s.scID)
 }
 
-// VisibleRoles computes the §3.3 keynote/panelist/session-chair analysis.
-func (s *Study) VisibleRoles() []core.VisibleRoleStats {
-	return core.VisibleRoles(s.data)
-}
-
-// Topic computes the §4.1 HPC-only subset analysis.
-func (s *Study) Topic() (core.TopicAnalysis, error) {
-	return core.HPCOnlySubset(s.data)
-}
-
-// Citations computes the §4.2 / Fig 2 reception analysis. A threshold of 0
-// uses the paper's 450-citation outlier cutoff.
-func (s *Study) Citations(outlierThreshold int) (core.CitationAnalysis, error) {
-	return core.CitationReception(s.data, outlierThreshold)
-}
-
-// Experience computes the Fig 3/4/5 distribution samples for a metric.
-func (s *Study) Experience(m core.Metric) ([]core.GroupSample, error) {
-	return core.ExperienceDistributions(s.data, m)
-}
-
-// ScholarSources computes the §5.1 GS-vs-S2 correlation.
-func (s *Study) ScholarSources() (core.SourceCorrelation, error) {
-	return core.CompareScholarSources(s.data)
-}
-
 // Bands computes the Fig 6 experience-band stratification.
 func (s *Study) Bands() (core.BandAnalysis, error) {
 	return core.ExperienceBands(s.data)
-}
-
-// TopCountries computes Table 2 (limit 0 returns all countries).
-func (s *Study) TopCountries(limit int) []core.CountryRow {
-	return core.TopCountries(s.data, limit)
-}
-
-// CountriesWithMinAuthors computes Fig 7.
-func (s *Study) CountriesWithMinAuthors(min int) []core.CountryRow {
-	return core.CountriesWithMinAuthors(s.data, min)
-}
-
-// Regions computes Table 3.
-func (s *Study) Regions() []core.RegionRow { return core.RegionRoleTable(s.data) }
-
-// Concentration computes the §5.2 US / Western-Europe shares.
-func (s *Study) Concentration() core.GeographyConcentration {
-	return core.Concentration(s.data)
-}
-
-// Sectors computes the §5.3 / Fig 8 work-sector analysis.
-func (s *Study) Sectors() (core.SectorAnalysis, error) {
-	return core.SectorRepresentation(s.data)
 }
 
 // Sensitivity runs the Limitations-section unknown-gender forcing.
@@ -283,18 +232,6 @@ func (s *Study) Sensitivity() (core.SensitivityResult, error) {
 
 // Trend computes the §3.4 per-series FAR trajectory.
 func (s *Study) Trend() []core.SeriesPoint { return core.FlagshipTrend(s.data) }
-
-// TrendRegressions fits FAR-on-year slopes per series (the "no clear
-// trend" test behind §3.4).
-func (s *Study) TrendRegressions() ([]core.TrendRegression, error) {
-	return core.TrendRegressions(core.FlagshipTrend(s.data))
-}
-
-// Collaboration computes the future-work coauthorship-network analysis:
-// gender mixing, collaborator counts and team sizes.
-func (s *Study) Collaboration() (core.CollaborationAnalysis, error) {
-	return core.CollaborationPatterns(s.data)
-}
 
 // CitationGraph synthesizes the study's citation graph as an edge list,
 // for library callers that walk individual edges. It is not memoized: each
@@ -364,46 +301,9 @@ func (s *Study) CitationFlow() (cite.Analysis, error) {
 	return a, nil
 }
 
-// Multiplicity applies the Holm-Bonferroni correction across the paper's
-// family of significance tests (alpha 0 means 0.05).
-func (s *Study) Multiplicity(alpha float64) (core.MultiplicityAnalysis, error) {
-	return core.FamilyCorrection(s.data, s.scID, alpha)
-}
-
 // Subfields compares FAR across systems subfields (extended corpus).
 func (s *Study) Subfields() (core.SubfieldAnalysis, error) {
 	return core.SubfieldComparison(s.data)
-}
-
-// Trajectory computes mean citations by lead gender at intermediate
-// post-publication months (the paper's suggested follow-up analysis).
-func (s *Study) Trajectory(months ...float64) (core.ReceptionOverTime, error) {
-	return core.CitationTrajectory(s.data, 0, months...)
-}
-
-// DistributionGap runs the Kolmogorov-Smirnov comparison of a
-// bibliometric metric between women and men for a role.
-func (s *Study) DistributionGap(m core.Metric, role dataset.Role) (core.GenderGapKS, error) {
-	return core.DistributionGap(s.data, m, role)
-}
-
-// Profile assembles the one-stop per-conference summary.
-func (s *Study) Profile(id dataset.ConfID) (core.ConferenceProfile, error) {
-	return core.ProfileConference(s.data, id)
-}
-
-// Profiles assembles summaries for every conference in the corpus.
-func (s *Study) Profiles() ([]core.ConferenceProfile, error) {
-	return core.ProfileAll(s.data)
-}
-
-// Linkage quantifies the Google Scholar name-disambiguation problem over
-// the corpus (the mechanism behind the paper's 68.3% coverage).
-func (s *Study) Linkage() core.LinkageAnalysis { return core.GSLinkage(s.data) }
-
-// Policy contrasts venues with and without diversity initiatives.
-func (s *Study) Policy() (core.PolicyComparison, error) {
-	return core.DiversityPolicy(s.data)
 }
 
 // ReplicateDefault runs the headline analyses over n independently seeded
